@@ -603,3 +603,37 @@ func BenchmarkVerifyProperties(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPlanSetupP360 measures the plan set-up chain for NAS class B at
+// p=360 (γ 12×30×60, 21 600 tiles, 73 440 phases): partition search →
+// modular mapping → Verify → plan compile → Validate.
+func BenchmarkPlanSetupP360(b *testing.B) {
+	const p = 360
+	eta := nas.ClassB.Eta
+	obj := partition.MachineObjective(eta, 20e-6, 80e-9/p)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := partition.OptimalCapped(p, len(eta), obj, eta)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m, err := core.NewGeneralized(p, res.Gamma)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := m.Verify(); err != nil {
+			b.Fatal(err)
+		}
+		env, err := dist.NewEnv(m, eta, dist.DHPF())
+		if err != nil {
+			b.Fatal(err)
+		}
+		pl, err := nas.CompilePlan(env)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := pl.Validate(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

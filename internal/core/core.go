@@ -64,14 +64,18 @@ func FromTileMap(tm TileMap, name string) *Multipartitioning {
 			m.slabOf[dim][s] = make([][][]int, p)
 		}
 	}
-	numutil.EachCoord(gamma, func(tile []int) {
-		q := tm.Proc(tile)
-		c := numutil.CopyInts(tile)
+	// One backing array holds every tile's coordinate, each cut with its
+	// capacity clipped.
+	n := numutil.Prod(gamma...)
+	coords := make([]int, n*d)
+	for r := 0; r < n; r++ {
+		c := numutil.CoordOf(r, gamma, coords[r*d:(r+1)*d:(r+1)*d])
+		q := tm.Proc(c)
 		m.tilesOf[q] = append(m.tilesOf[q], c)
 		for dim := 0; dim < d; dim++ {
-			m.slabOf[dim][tile[dim]][q] = append(m.slabOf[dim][tile[dim]][q], c)
+			m.slabOf[dim][c[dim]][q] = append(m.slabOf[dim][c[dim]][q], c)
 		}
-	})
+	}
 	return m
 }
 
@@ -357,7 +361,9 @@ func (m *Multipartitioning) Verify() error {
 		}
 	}
 	// Neighbor: all in-grid +1/−1 neighbors of q's tiles on one processor,
-	// matching NeighborProc.
+	// matching NeighborProc. nt is one scratch neighbor coordinate reused by
+	// every check.
+	nt := make([]int, d)
 	for dim := 0; dim < d; dim++ {
 		for _, step := range []int{1, -1} {
 			for q := 0; q < m.p; q++ {
@@ -367,7 +373,7 @@ func (m *Multipartitioning) Verify() error {
 					if n < 0 || n >= m.gamma[dim] {
 						continue
 					}
-					nt := numutil.CopyInts(tile)
+					copy(nt, tile)
 					nt[dim] = n
 					if got := m.tm.Proc(nt); got != want {
 						return fmt.Errorf("core: neighbor violated: tile %v of proc %d has %+d-neighbor %v on proc %d, NeighborProc says %d",

@@ -165,11 +165,23 @@ func (mp *Mapping) ProcVec(tile, dst []int) []int {
 	return dst
 }
 
+// maxStackDims is the largest d whose processor-grid vector Proc and
+// NeighborProc keep on the stack; higher-dimensional mappings allocate it.
+const maxStackDims = 8
+
+// scratch returns a length-d vector backed by buf when it fits.
+func scratch(buf *[maxStackDims]int, d int) []int {
+	if d <= maxStackDims {
+		return buf[:d]
+	}
+	return make([]int, d)
+}
+
 // Proc returns the linearized processor id of a tile: the row-major rank of
 // its processor-grid vector within the virtual grid Mod. Ids run 0..P-1.
 func (mp *Mapping) Proc(tile []int) int {
-	vec := make([]int, len(mp.B))
-	mp.ProcVec(tile, vec)
+	var buf [maxStackDims]int
+	vec := mp.ProcVec(tile, scratch(&buf, len(mp.B)))
 	return numutil.RankOf(vec, mp.Mod)
 }
 
@@ -199,8 +211,8 @@ func (mp *Mapping) DirectionOffset(dim int) []int {
 // whenever tile + step·e_dim stays inside the grid.
 func (mp *Mapping) NeighborProc(proc, dim, step int) int {
 	d := len(mp.B)
-	vec := make([]int, d)
-	mp.ProcOfID(proc, vec)
+	var buf [maxStackDims]int
+	vec := mp.ProcOfID(proc, scratch(&buf, d))
 	for i := 0; i < d; i++ {
 		vec[i] = numutil.EMod(vec[i]+step*mp.M[i][dim], mp.Mod[i])
 	}

@@ -49,7 +49,7 @@ func GCDAll(xs ...int) int {
 // [0, m) congruent to a. m must be positive.
 func EMod(a, m int) int {
 	if m <= 0 {
-		panic(fmt.Sprintf("numutil: EMod modulus %d must be positive", m))
+		badModulus(m)
 	}
 	r := a % m
 	if r < 0 {
@@ -57,6 +57,11 @@ func EMod(a, m int) int {
 	}
 	return r
 }
+
+// badModulus panics for EMod; kept out of line so EMod itself inlines.
+//
+//go:noinline
+func badModulus(m int) { panic(fmt.Sprintf("numutil: EMod modulus %d must be positive", m)) }
 
 // Factor is one prime factor of an integer together with its multiplicity.
 type Factor struct {

@@ -137,6 +137,24 @@ func TestPlanFromJSONFingerprint(t *testing.T) {
 	}
 }
 
+// TestPlanFromJSONRejectsBadGeometry: a dump whose tile rectangle is
+// stretched past η, with every line count left as compiled, must come back
+// as an error from Validate rather than reach an executor (or panic).
+func TestPlanFromJSONRejectsBadGeometry(t *testing.T) {
+	pj := NewPlanJSON(compileTestPlan(t))
+	tj := &pj.Ranks[1].Passes[2].Phases[0].Tiles[0]
+	hi := append([]int(nil), tj.Hi...)
+	hi[0] = pj.Eta[0] + 4
+	tj.Hi = hi
+	pl, err := PlanFromJSON(pj)
+	if err == nil {
+		t.Fatalf("stretched hi %v accepted (η %v)", hi, pj.Eta)
+	}
+	if pl != nil || !strings.Contains(err.Error(), "breaks 0 ≤ lo < hi ≤ η") {
+		t.Errorf("plan %v, err = %v; want nil and a tile-geometry error", pl, err)
+	}
+}
+
 func TestAuditPlanBytes(t *testing.T) {
 	pl := compileTestPlan(t)
 	steps := 2

@@ -114,7 +114,7 @@ func (pl *SweepPlan) validateOverlap() error {
 			pass := &passes[k]
 			for i := range pass.Phases {
 				ph := &pass.Phases[i]
-				at := fmt.Sprintf("%s phase %d", passName(q, pass), i)
+				at := phaseAt{q, pass, i}
 				if !pl.Overlap.Enabled {
 					if ph.Boundary != 0 || ph.InteriorRecvTag != 0 || ph.InteriorSendTag != 0 {
 						return fmt.Errorf("plan: %s: overlap annotation (boundary %d) on a plan compiled without Overlap", at, ph.Boundary)

@@ -94,6 +94,11 @@ const (
 
 // Tile is one tile's line geometry inside a phase, in the canonical order
 // both runtimes iterate (row-major tiles, row-major lines within a tile).
+//
+// Coord and Rect are shared: Compile builds each tile's coordinate and
+// region once, and every pass of the rank that visits the tile points at
+// the same slices (a wavefront rank's blocks share its slab's Rect). They
+// are immutable once compiled; callers must not modify them.
 type Tile struct {
 	// Coord is the tile-grid coordinate (nil for wavefront plans, whose
 	// "tile" is the rank's whole slab).
@@ -224,9 +229,10 @@ func carryLens(s sweep.Solver) (fwd, bwd int) {
 
 // Compile builds the full multipartitioned sweep schedule of spec, eagerly
 // over every rank × dimension × direction. The schedule is derived from
-// core.Multipartitioning.SweepSchedule and TileBounds exactly as the
-// executors historically did, so a rewired executor replays byte-identical
-// Compute/Send/Recv sequences.
+// core.Multipartitioning.SweepSchedule and the TileBounds block ranges
+// exactly as the executors historically did, so a rewired executor replays
+// byte-identical Compute/Send/Recv sequences. Each tile's geometry is
+// computed once and shared by the passes that visit it (see Tile).
 func Compile(spec Spec) (pl *SweepPlan, err error) {
 	defer func() { countCompile(KindMultipartition, err) }()
 	if spec.M == nil {
@@ -265,6 +271,7 @@ func Compile(spec Spec) (pl *SweepPlan, err error) {
 		Tags:          tags,
 		Passes:        make([][]Pass, p),
 	}
+	geom := newTileTable(spec.M, spec.Eta)
 	for q := 0; q < p; q++ {
 		pl.Passes[q] = make([]Pass, 2*d)
 		for dim := 0; dim < d; dim++ {
@@ -274,7 +281,7 @@ func Compile(spec Spec) (pl *SweepPlan, err error) {
 					carry = bwd
 				}
 				pass := Pass{Dim: dim, Backward: backward, CarryLen: carry}
-				pass.Phases = compileMultiPass(spec, tags, q, dim, backward, carry)
+				pass.Phases = compileMultiPass(spec, geom, tags, q, dim, backward, carry)
 				k := dim * 2
 				if backward {
 					k++
@@ -289,9 +296,42 @@ func Compile(spec Spec) (pl *SweepPlan, err error) {
 	return pl, nil
 }
 
+// tileTable holds every tile's coordinate and index region, indexed by the
+// tile's row-major rank in γ. A tile appears in 2d passes of its owner, and
+// all of those Tiles share the one Coord and Rect built here.
+type tileTable struct {
+	gamma []int
+	tiles []Tile
+}
+
+// newTileTable builds the table of m's tile grid over eta. The slices are
+// cut from three backing arrays with their capacity clipped, so an append
+// to one copies instead of spilling into its neighbor.
+func newTileTable(m *core.Multipartitioning, eta []int) tileTable {
+	gamma := m.Gamma()
+	d := len(gamma)
+	n := m.NumTiles()
+	coords, los, his := make([]int, n*d), make([]int, n*d), make([]int, n*d)
+	tiles := make([]Tile, n)
+	for r := range tiles {
+		a, b := r*d, (r+1)*d
+		coord := numutil.CoordOf(r, gamma, coords[a:b:b])
+		lo, hi := los[a:b:b], his[a:b:b]
+		for j := range coord {
+			lo[j], hi[j] = core.BlockRange(eta[j], gamma[j], coord[j])
+		}
+		tiles[r] = Tile{Coord: coord, Rect: grid.RectOf(lo, hi)}
+	}
+	return tileTable{gamma: gamma, tiles: tiles}
+}
+
+// of returns the shared geometry of the tile at coord.
+func (tt tileTable) of(coord []int) Tile { return tt.tiles[numutil.RankOf(coord, tt.gamma)] }
+
 // compileMultiPass resolves one rank's phase schedule for one (dim,
-// direction) from the runtime sweep schedule and the tile bounds.
-func compileMultiPass(spec Spec, tags xport.TagSpace, q, dim int, backward bool, carry int) []Phase {
+// direction) from the runtime sweep schedule and the shared tile geometry;
+// only the per-sweep fields (LineOff, Lines, ChunkLen) are computed here.
+func compileMultiPass(spec Spec, geom tileTable, tags xport.TagSpace, q, dim int, backward bool, carry int) []Phase {
 	step := 1
 	if backward {
 		step = -1
@@ -301,25 +341,30 @@ func compileMultiPass(spec Spec, tags xport.TagSpace, q, dim int, backward bool,
 	if len(sched) > 1 {
 		recvFrom = spec.M.NeighborProc(q, dim, -step)
 	}
+	// One backing array holds the pass's tiles; each phase gets a
+	// capacity-clipped window of it.
+	total := 0
+	for _, sp := range sched {
+		total += len(sp.Tiles)
+	}
+	tiles := make([]Tile, total)
 	phases := make([]Phase, len(sched))
 	for k, sp := range sched {
-		ph := Phase{Slab: sp.Slab, RecvFrom: -1, SendTo: sp.SendTo, Tiles: make([]Tile, len(sp.Tiles))}
+		nt := len(sp.Tiles)
+		ph := Phase{Slab: sp.Slab, RecvFrom: -1, SendTo: sp.SendTo, Tiles: tiles[:nt:nt]}
+		tiles = tiles[nt:]
 		lineOff := 0
-		for ti, tile := range sp.Tiles {
-			lo, hi := spec.M.TileBounds(spec.Eta, tile)
+		for ti, coord := range sp.Tiles {
+			t := geom.of(coord)
+			lo, hi := t.Rect.Lo, t.Rect.Hi
 			n := 1
-			for j := range spec.Eta {
+			for j := range lo {
 				if j != dim {
 					n *= hi[j] - lo[j]
 				}
 			}
-			ph.Tiles[ti] = Tile{
-				Coord:    numutil.CopyInts(tile),
-				Rect:     grid.RectOf(lo, hi),
-				LineOff:  lineOff,
-				Lines:    n,
-				ChunkLen: hi[dim] - lo[dim],
-			}
+			t.LineOff, t.Lines, t.ChunkLen = lineOff, n, hi[dim]-lo[dim]
+			ph.Tiles[ti] = t
 			lineOff += n
 		}
 		ph.Lines = lineOff

@@ -1,10 +1,12 @@
 package plan_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"genmp/internal/core"
+	"genmp/internal/grid"
 	"genmp/internal/plan"
 	"genmp/internal/sweep"
 )
@@ -19,6 +21,18 @@ func compile(t *testing.T) *plan.SweepPlan {
 		t.Fatal(err)
 	}
 	pl, err := plan.Compile(plan.Spec{M: m, Eta: []int{12, 12, 12}, Solver: sweep.NewPenta()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pl
+}
+
+// compileWavefront builds a 4-rank wavefront plan over 16×8×8 whose 64
+// lines per slab travel in 4 blocks of 16.
+func compileWavefront(t *testing.T) *plan.SweepPlan {
+	t.Helper()
+	pl, err := plan.CompileWavefront(plan.WavefrontSpec{
+		P: 4, Eta: []int{16, 8, 8}, Dim: 0, Grain: 16, Solver: sweep.Tridiag{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +212,8 @@ func sendingPhase(t *testing.T, pl *plan.SweepPlan, q, skip int) *plan.Phase {
 
 func TestValidateFailurePaths(t *testing.T) {
 	// Each case corrupts a fresh plan in a way that slips past the earlier
-	// checks and trips exactly the one under test.
+	// checks and trips exactly the one under test. Cases named "wavefront…"
+	// corrupt a wavefront plan, the rest a multipartitioned one.
 	cases := []struct {
 		name    string
 		corrupt func(t *testing.T, pl *plan.SweepPlan)
@@ -274,14 +289,57 @@ func TestValidateFailurePaths(t *testing.T) {
 			if last.SendTo >= 0 || last.RecvFrom < 0 {
 				t.Fatal("expected a recv-only final phase")
 			}
-			last.Lines++
-			last.Tiles[len(last.Tiles)-1].Lines++
+			// Shrink the last tile by one plane along dim 0. Its Rect is
+			// shared with the rank's other passes, so replace it rather
+			// than write through it.
+			tile := &last.Tiles[len(last.Tiles)-1]
+			lo, hi := slices.Clone(tile.Rect.Lo), slices.Clone(tile.Rect.Hi)
+			hi[0]--
+			tile.Rect = grid.RectOf(lo, hi)
+			lines := (hi[0] - lo[0]) * (hi[1] - lo[1])
+			last.Lines -= tile.Lines - lines
+			tile.Lines = lines
 			last.RecvBytes = last.Lines * pl.ForwardCarry * 8
 		}, "byte-count symmetry"},
+		// Tile geometry: each case breaks one tile's Rect or line counts.
+		// Rects are shared across a rank's passes, so the cases replace a
+		// tile's Rect instead of writing through it.
+		{"rect rank", func(t *testing.T, pl *plan.SweepPlan) {
+			tile := &pl.Pass(0, 1, false).Phases[0].Tiles[0]
+			tile.Rect = grid.RectOf(tile.Rect.Lo[:2], tile.Rect.Hi)
+		}, "rect has 2 lower and 3 upper bounds for 3 dimensions"},
+		{"rect outside eta", func(t *testing.T, pl *plan.SweepPlan) {
+			tile := &pl.Pass(0, 2, false).Phases[0].Tiles[0]
+			hi := slices.Clone(tile.Rect.Hi)
+			hi[0] = pl.Eta[0] + 1
+			tile.Rect = grid.RectOf(tile.Rect.Lo, hi)
+		}, "breaks 0 ≤ lo < hi ≤ η"},
+		{"chunk length", func(t *testing.T, pl *plan.SweepPlan) {
+			pl.Pass(1, 0, false).Phases[1].Tiles[0].ChunkLen++
+		}, "chunk length"},
+		{"empty tile", func(t *testing.T, pl *plan.SweepPlan) {
+			pl.Pass(2, 1, true).Phases[0].Tiles[0].Lines = 0
+		}, "want at least 1"},
+		{"lines vs rect", func(t *testing.T, pl *plan.SweepPlan) {
+			tiles := pl.Pass(3, 2, true).Phases[0].Tiles
+			tiles[len(tiles)-1].Lines++
+		}, "cross-section holds"},
+		{"wavefront lines past rect", func(t *testing.T, pl *plan.SweepPlan) {
+			// Grow the last block's lines, consistently with its phase and
+			// bytes, past the end of the slab's cross-section.
+			phases := pl.Pass(0, 0, false).Phases
+			ph := &phases[len(phases)-1]
+			ph.Tiles[0].Lines++
+			ph.Lines++
+			ph.SendBytes = ph.Lines * pl.ForwardCarry * 8
+		}, "run past the rect's cross-section"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			pl := compile(t)
+			if strings.HasPrefix(c.name, "wavefront") {
+				pl = compileWavefront(t)
+			}
 			c.corrupt(t, pl)
 			err := pl.Validate()
 			if err == nil || !strings.Contains(err.Error(), c.wantSub) {

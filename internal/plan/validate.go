@@ -56,6 +56,17 @@ func passName(q int, pass *Pass) string {
 	return fmt.Sprintf("rank %d dim %d %s", q, pass.Dim, dir)
 }
 
+// phaseAt locates phase i of rank q's pass in error messages. Validate walks
+// every phase of the plan, so the location is kept as a value and rendered
+// only when an error is actually built.
+type phaseAt struct {
+	q    int
+	pass *Pass
+	i    int
+}
+
+func (a phaseAt) String() string { return fmt.Sprintf("%s phase %d", passName(a.q, a.pass), a.i) }
+
 func (pl *SweepPlan) validateShape() error {
 	if pl.P < 1 {
 		return fmt.Errorf("plan: invalid processor count %d", pl.P)
@@ -90,6 +101,7 @@ func (pl *SweepPlan) validateShape() error {
 			passOff := 0
 			for i := range pass.Phases {
 				ph := &pass.Phases[i]
+				at := phaseAt{q, pass, i}
 				off := 0
 				if pl.Kind == KindWavefront {
 					off = passOff
@@ -98,32 +110,76 @@ func (pl *SweepPlan) validateShape() error {
 				for ti := range ph.Tiles {
 					t := &ph.Tiles[ti]
 					if t.LineOff != off {
-						return fmt.Errorf("plan: %s phase %d tile %d: line offset %d, want %d (canonical order)",
-							passName(q, pass), i, ti, t.LineOff, off)
+						return fmt.Errorf("plan: %s tile %d: line offset %d, want %d (canonical order)", at, ti, t.LineOff, off)
+					}
+					if err := pl.validateTile(at, ti, t); err != nil {
+						return err
 					}
 					lines += t.Lines
 					off += t.Lines
 				}
 				passOff += lines
 				if ph.Lines != lines {
-					return fmt.Errorf("plan: %s phase %d: Lines = %d but tiles hold %d", passName(q, pass), i, ph.Lines, lines)
+					return fmt.Errorf("plan: %s: Lines = %d but tiles hold %d", at, ph.Lines, lines)
 				}
 				if ph.SendTo >= 0 && ph.SendBytes != ph.Lines*pass.CarryLen*8 {
-					return fmt.Errorf("plan: %s phase %d: SendBytes = %d, want %d lines × %d carries × 8",
-						passName(q, pass), i, ph.SendBytes, ph.Lines, pass.CarryLen)
+					return fmt.Errorf("plan: %s: SendBytes = %d, want %d lines × %d carries × 8",
+						at, ph.SendBytes, ph.Lines, pass.CarryLen)
 				}
 				if ph.RecvFrom >= 0 && ph.RecvBytes != ph.Lines*pass.CarryLen*8 {
-					return fmt.Errorf("plan: %s phase %d: RecvBytes = %d, want %d lines × %d carries × 8",
-						passName(q, pass), i, ph.RecvBytes, ph.Lines, pass.CarryLen)
+					return fmt.Errorf("plan: %s: RecvBytes = %d, want %d lines × %d carries × 8",
+						at, ph.RecvBytes, ph.Lines, pass.CarryLen)
 				}
 				if ph.SendTo == q || ph.RecvFrom == q {
-					return fmt.Errorf("plan: %s phase %d: rank sends/receives to itself", passName(q, pass), i)
+					return fmt.Errorf("plan: %s: rank sends/receives to itself", at)
 				}
 				if ph.SendTo >= pl.P || ph.RecvFrom >= pl.P {
-					return fmt.Errorf("plan: %s phase %d: peer out of range (recv %d, send %d, p %d)",
-						passName(q, pass), i, ph.RecvFrom, ph.SendTo, pl.P)
+					return fmt.Errorf("plan: %s: peer out of range (recv %d, send %d, p %d)",
+						at, ph.RecvFrom, ph.SendTo, pl.P)
 				}
 			}
+		}
+	}
+	return nil
+}
+
+// validateTile checks one tile's geometry: its rectangle lies inside η and
+// is non-empty, its chunk is the rectangle's extent along the sweep, and its
+// lines fit the rectangle's cross-section — exactly for a multipartitioned
+// tile, as a block of the rank's line order for a wavefront slab.
+func (pl *SweepPlan) validateTile(at phaseAt, ti int, t *Tile) error {
+	lo, hi, dim := t.Rect.Lo, t.Rect.Hi, at.pass.Dim
+	if len(lo) != len(pl.Eta) || len(hi) != len(pl.Eta) {
+		return fmt.Errorf("plan: %s tile %d: rect has %d lower and %d upper bounds for %d dimensions",
+			at, ti, len(lo), len(hi), len(pl.Eta))
+	}
+	cross := 1
+	for j, e := range pl.Eta {
+		if lo[j] < 0 || lo[j] >= hi[j] || hi[j] > e {
+			return fmt.Errorf("plan: %s tile %d: rect lo %v hi %v breaks 0 ≤ lo < hi ≤ η = %v along dim %d",
+				at, ti, lo, hi, pl.Eta, j)
+		}
+		if j != dim {
+			cross *= hi[j] - lo[j]
+		}
+	}
+	if t.ChunkLen != hi[dim]-lo[dim] {
+		return fmt.Errorf("plan: %s tile %d: chunk length %d, want the rect's extent %d along dim %d",
+			at, ti, t.ChunkLen, hi[dim]-lo[dim], dim)
+	}
+	if t.Lines < 1 {
+		return fmt.Errorf("plan: %s tile %d: %d lines, want at least 1", at, ti, t.Lines)
+	}
+	switch pl.Kind {
+	case KindMultipartition:
+		if t.Lines != cross {
+			return fmt.Errorf("plan: %s tile %d: %d lines but the rect's cross-section holds %d",
+				at, ti, t.Lines, cross)
+		}
+	case KindWavefront:
+		if t.LineOff+t.Lines > cross {
+			return fmt.Errorf("plan: %s tile %d: lines [%d, %d) run past the rect's cross-section of %d",
+				at, ti, t.LineOff, t.LineOff+t.Lines, cross)
 		}
 	}
 	return nil
@@ -168,31 +224,49 @@ func (pl *SweepPlan) validateTags() error {
 		peer, tag int
 		recv      bool
 	}
+	// use is a channel's first user: pass k, phase i of the rank being
+	// checked. One map serves every rank, cleared in between.
+	type use struct{ k, i int }
+	var seen map[channel]use
+	claim := func(c channel, kind string, at phaseAt, k int) error {
+		if prev, dup := seen[c]; dup {
+			dir := "to"
+			if c.recv {
+				dir = "from"
+			}
+			return fmt.Errorf("plan: %s: %s tag %d %s rank %d already used by %s — tag overlap",
+				at, kind, c.tag, dir, c.peer, phaseAt{at.q, &pl.Passes[at.q][prev.k], prev.i})
+		}
+		seen[c] = use{k, at.i}
+		return nil
+	}
 	for q, passes := range pl.Passes {
-		seen := map[channel]string{}
+		if seen == nil {
+			n := 0
+			for k := range passes {
+				n += len(passes[k].Phases)
+			}
+			seen = make(map[channel]use, 2*n)
+		} else {
+			clear(seen)
+		}
 		for k := range passes {
 			pass := &passes[k]
 			for i := range pass.Phases {
 				ph := &pass.Phases[i]
-				at := fmt.Sprintf("%s phase %d", passName(q, pass), i)
+				at := phaseAt{q, pass, i}
 				if ph.SendTo >= 0 {
 					if !pl.Tags.Contains(ph.SendTag) {
 						return fmt.Errorf("plan: %s: send tag %d outside reservation %q [%d,+%d)",
 							at, ph.SendTag, pl.Tags.Name(), pl.Tags.Base(), pl.Tags.Size())
 					}
-					c := channel{peer: ph.SendTo, tag: ph.SendTag}
-					if prev, dup := seen[c]; dup {
-						return fmt.Errorf("plan: %s: send tag %d to rank %d already used by %s — tag overlap",
-							at, ph.SendTag, ph.SendTo, prev)
+					if err := claim(channel{peer: ph.SendTo, tag: ph.SendTag}, "send", at, k); err != nil {
+						return err
 					}
-					seen[c] = at
 					if ph.Boundary > 0 {
-						ci := channel{peer: ph.SendTo, tag: ph.InteriorSendTag}
-						if prev, dup := seen[ci]; dup {
-							return fmt.Errorf("plan: %s: interior send tag %d to rank %d already used by %s — tag overlap",
-								at, ph.InteriorSendTag, ph.SendTo, prev)
+						if err := claim(channel{peer: ph.SendTo, tag: ph.InteriorSendTag}, "interior send", at, k); err != nil {
+							return err
 						}
-						seen[ci] = at
 					}
 				}
 				if ph.RecvFrom >= 0 {
@@ -200,19 +274,13 @@ func (pl *SweepPlan) validateTags() error {
 						return fmt.Errorf("plan: %s: recv tag %d outside reservation %q [%d,+%d)",
 							at, ph.RecvTag, pl.Tags.Name(), pl.Tags.Base(), pl.Tags.Size())
 					}
-					c := channel{peer: ph.RecvFrom, tag: ph.RecvTag, recv: true}
-					if prev, dup := seen[c]; dup {
-						return fmt.Errorf("plan: %s: recv tag %d from rank %d already used by %s — tag overlap",
-							at, ph.RecvTag, ph.RecvFrom, prev)
+					if err := claim(channel{peer: ph.RecvFrom, tag: ph.RecvTag, recv: true}, "recv", at, k); err != nil {
+						return err
 					}
-					seen[c] = at
 					if ph.Boundary > 0 {
-						ci := channel{peer: ph.RecvFrom, tag: ph.InteriorRecvTag, recv: true}
-						if prev, dup := seen[ci]; dup {
-							return fmt.Errorf("plan: %s: interior recv tag %d from rank %d already used by %s — tag overlap",
-								at, ph.InteriorRecvTag, ph.RecvFrom, prev)
+						if err := claim(channel{peer: ph.RecvFrom, tag: ph.InteriorRecvTag, recv: true}, "interior recv", at, k); err != nil {
+							return err
 						}
-						seen[ci] = at
 					}
 				}
 			}
@@ -245,8 +313,8 @@ func (pl *SweepPlan) validateSymmetry() error {
 				if ph.SendTo < 0 {
 					continue
 				}
-				at := fmt.Sprintf("%s phase %d", passName(q, pass), i)
-				peer := pl.Passes[ph.SendTo][k]
+				at := phaseAt{q, pass, i}
+				peer := &pl.Passes[ph.SendTo][k]
 				j := i + off
 				if j >= len(peer.Phases) {
 					return fmt.Errorf("plan: %s: sends to rank %d, which has no matching phase %d", at, ph.SendTo, j)
