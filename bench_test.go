@@ -637,3 +637,21 @@ func BenchmarkPlanSetupP360(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTable1ClassB regenerates Table 1 for NAS SP class B in virtual
+// time, model only, with two timesteps: the `table1-b-model` operation of
+// the repository benchmark. Nearly all of its time is the simulator's
+// message path (mailbox hand-offs, per-phase accounting) plus the per-run
+// halo schedule compile.
+func BenchmarkTable1ClassB(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rows, err := exp.Table1(nas.ClassB.Eta, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(rows) != len(exp.Table1Procs) {
+			b.Fatal("short table")
+		}
+	}
+}

@@ -171,22 +171,20 @@ func (t diagonalTileMap) Proc(tile []int) int {
 }
 
 func (t diagonalTileMap) NeighborProc(q, dim, step int) int {
-	// Decode q into its (d−1) diagonal components.
-	comp := make([]int, t.d-1)
+	// Shift q's (d−1) diagonal components digit by digit, least significant
+	// (component d−2) first: a step along the last dimension moves every
+	// component by −step, any other step moves only component dim.
+	id, mul := 0, 1
 	for i := t.d - 2; i >= 0; i-- {
-		comp[i] = q % t.c
+		cv := q % t.c
 		q /= t.c
-	}
-	if dim < t.d-1 {
-		comp[dim] = numutil.EMod(comp[dim]+step, t.c)
-	} else {
-		for i := range comp {
-			comp[i] = numutil.EMod(comp[i]-step, t.c)
+		if dim == t.d-1 {
+			cv = numutil.EMod(cv-step, t.c)
+		} else if i == dim {
+			cv = numutil.EMod(cv+step, t.c)
 		}
-	}
-	id := 0
-	for _, cv := range comp {
-		id = id*t.c + cv
+		id += cv * mul
+		mul *= t.c
 	}
 	return id
 }
@@ -455,13 +453,20 @@ func BlockRange(n, parts, idx int) (lo, hi int) {
 // intervals [lo, hi) of the given tile.
 func (m *Multipartitioning) TileBounds(eta, tile []int) (lo, hi []int) {
 	d := len(m.gamma)
-	if len(eta) != d || len(tile) != d {
-		panic("core: TileBounds rank mismatch")
-	}
 	lo = make([]int, d)
 	hi = make([]int, d)
+	m.TileBoundsInto(eta, tile, lo, hi)
+	return lo, hi
+}
+
+// TileBoundsInto is TileBounds writing into caller-owned lo and hi of
+// length d, so a loop over many tiles can reuse one scratch pair.
+func (m *Multipartitioning) TileBoundsInto(eta, tile, lo, hi []int) {
+	d := len(m.gamma)
+	if len(eta) != d || len(tile) != d || len(lo) != d || len(hi) != d {
+		panic("core: TileBounds rank mismatch")
+	}
 	for i := 0; i < d; i++ {
 		lo[i], hi[i] = BlockRange(eta[i], m.gamma[i], tile[i])
 	}
-	return lo, hi
 }

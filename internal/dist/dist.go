@@ -126,18 +126,29 @@ func NewEnv(m *core.Multipartitioning, eta []int, ov OverheadModel) (*Env, error
 // OwnedElements returns the number of array elements owned by rank q.
 func (e *Env) OwnedElements(q int) int {
 	n := 0
+	lo, hi := e.boundsScratch()
 	for _, tile := range e.M.TilesOf(q) {
-		lo, hi := e.M.TileBounds(e.Eta, tile)
+		e.M.TileBoundsInto(e.Eta, tile, lo, hi)
 		n += grid.RectOf(lo, hi).Size()
 	}
 	return n
 }
 
+// boundsScratch returns one lo/hi pair for a loop over tiles: bounds are
+// computed into it tile by tile instead of allocating two slices per tile.
+func (e *Env) boundsScratch() (lo, hi []int) {
+	d := len(e.Eta)
+	b := make([]int, 2*d)
+	return b[:d:d], b[d:]
+}
+
 // EachOwnedTile calls f with the bounds of every tile of rank q (no cost
-// accounting).
+// accounting). lo and hi are valid only during the call: they are
+// overwritten for the next tile.
 func (e *Env) EachOwnedTile(q int, f func(lo, hi []int)) {
+	lo, hi := e.boundsScratch()
 	for _, tile := range e.M.TilesOf(q) {
-		lo, hi := e.M.TileBounds(e.Eta, tile)
+		e.M.TileBoundsInto(e.Eta, tile, lo, hi)
 		f(lo, hi)
 	}
 }
@@ -145,11 +156,14 @@ func (e *Env) EachOwnedTile(q int, f func(lo, hi []int)) {
 // ComputeOnTiles models (and, when f is non-nil, performs) a local
 // computation phase of flopsPerElement over every element of every tile of
 // the calling rank, charging per-tile overheads and the compute factor.
-// Used for the stencil phases (compute_rhs, add) between sweeps.
+// Used for the stencil phases (compute_rhs, add) between sweeps. lo and hi
+// are valid only during f: they are overwritten for the next tile, so f
+// must copy any bound it keeps.
 func (e *Env) ComputeOnTiles(r xport.Transport, flopsPerElement float64, f func(lo, hi []int)) {
 	elements := 0
+	lo, hi := e.boundsScratch()
 	for _, tile := range e.M.TilesOf(r.Rank()) {
-		lo, hi := e.M.TileBounds(e.Eta, tile)
+		e.M.TileBoundsInto(e.Eta, tile, lo, hi)
 		r.Compute(e.Overhead.PerTileVisit)
 		rect := grid.RectOf(lo, hi)
 		elements += rect.Size()
@@ -185,8 +199,9 @@ func shellElements(lo, hi, eta []int, depth int) int {
 func (e *Env) HaloBytes(q, depth, nGrids int) int {
 	total := 0
 	gamma := e.M.Gamma()
+	lo, hi := e.boundsScratch()
 	for _, tile := range e.M.TilesOf(q) {
-		lo, hi := e.M.TileBounds(e.Eta, tile)
+		e.M.TileBoundsInto(e.Eta, tile, lo, hi)
 		for dim := range e.Eta {
 			cross := 1
 			for j := range e.Eta {

@@ -286,11 +286,35 @@ func CompileHalo(spec HaloSpec) (pl *Plan, err error) {
 		Eta:  numutil.CopyInts(spec.Eta), NGrids: nGrids, Depth: spec.Depth, Tags: tags,
 	}
 	peak := 0
+	lo, hi := make([]int, d), make([]int, d) // the current tile's bounds
 	for dim := 0; dim < d; dim++ {
 		if gamma[dim] == 1 {
 			continue // no cuts: nothing to exchange along this dimension
 		}
 		for s, step := range []int{1, -1} {
+			// Every tile with an in-grid neighbor on the step side sends a
+			// face; every tile with one on the −step side receives a shadow.
+			// Count both first so each move's Rect and peer coordinate (3d
+			// ints) are cut from one exactly sized arena, capacity-clipped.
+			nSend, nRecv := 0, 0
+			for q := 0; q < p; q++ {
+				for _, tile := range spec.M.TilesOf(q) {
+					if n := tile[dim] + step; n >= 0 && n < gamma[dim] {
+						nSend++
+					}
+					if n := tile[dim] - step; n >= 0 && n < gamma[dim] {
+						nRecv++
+					}
+				}
+			}
+			arena := make([]int, 3*d*(nSend+nRecv))
+			cut := func(src []int) []int {
+				v := arena[:d:d]
+				arena = arena[d:]
+				copy(v, src)
+				return v
+			}
+			sends, recvs := make([]Move, 0, nSend), make([]Move, 0, nRecv)
 			st := Step{
 				Op: OpExchange, Dim: dim, Dir: step,
 				Sends:  make([][]Move, p),
@@ -306,33 +330,36 @@ func CompileHalo(spec HaloSpec) (pl *Plan, err error) {
 				}
 			}
 			for q := 0; q < p; q++ {
-				dst := st.Exch[q].Dst
+				ex := &st.Exch[q]
+				s0, r0 := len(sends), len(recvs)
+				// The own-tile coordinate is TilesOf's shared slice: Move
+				// geometry is immutable once compiled.
 				for _, tile := range spec.M.TilesOf(q) {
-					lo, hi := spec.M.TileBounds(spec.Eta, tile)
+					spec.M.TileBoundsInto(spec.Eta, tile, lo, hi)
 					// Send: the face of width Depth inside the tile on the
 					// step side, when an in-grid neighbor exists that way.
 					if n := tile[dim] + step; n >= 0 && n < gamma[dim] {
-						flo, fhi := numutil.CopyInts(lo), numutil.CopyInts(hi)
+						flo, fhi := cut(lo), cut(hi)
 						if step > 0 {
 							flo[dim] = fhi[dim] - spec.Depth
 						} else {
 							fhi[dim] = flo[dim] + spec.Depth
 						}
-						nt := numutil.CopyInts(tile)
+						nt := cut(tile)
 						nt[dim] += step
 						rect := grid.RectOf(flo, fhi)
 						mv := Move{
-							From: q, To: dst, Rect: rect,
+							From: q, To: ex.Dst, Rect: rect,
 							Bytes:     rect.Size() * 8 * nGrids,
-							FromCoord: numutil.CopyInts(tile), ToCoord: nt,
+							FromCoord: tile, ToCoord: nt,
 						}
-						st.Sends[q] = append(st.Sends[q], mv)
-						st.Exch[q].SendBytes += mv.Bytes
+						sends = append(sends, mv)
+						ex.SendBytes += mv.Bytes
 					}
 					// Recv: the shadow shell of width Depth just outside the
 					// tile on the −step side, filled from the neighbor there.
 					if n := tile[dim] - step; n >= 0 && n < gamma[dim] {
-						slo, shi := numutil.CopyInts(lo), numutil.CopyInts(hi)
+						slo, shi := cut(lo), cut(hi)
 						if step > 0 {
 							shi[dim] = slo[dim]
 							slo[dim] -= spec.Depth
@@ -340,19 +367,21 @@ func CompileHalo(spec HaloSpec) (pl *Plan, err error) {
 							slo[dim] = shi[dim]
 							shi[dim] += spec.Depth
 						}
-						nt := numutil.CopyInts(tile)
+						nt := cut(tile)
 						nt[dim] -= step
 						rect := grid.RectOf(slo, shi)
 						mv := Move{
-							From: st.Exch[q].Src, To: q, Rect: rect,
+							From: ex.Src, To: q, Rect: rect,
 							Bytes:     rect.Size() * 8 * nGrids,
-							FromCoord: nt, ToCoord: numutil.CopyInts(tile),
+							FromCoord: nt, ToCoord: tile,
 						}
-						st.Recvs[q] = append(st.Recvs[q], mv)
-						st.Exch[q].RecvBytes += mv.Bytes
+						recvs = append(recvs, mv)
+						ex.RecvBytes += mv.Bytes
 					}
 				}
-				peak = numutil.MaxInt(peak, st.Exch[q].SendBytes+st.Exch[q].RecvBytes)
+				st.Sends[q] = sends[s0:len(sends):len(sends)]
+				st.Recvs[q] = recvs[r0:len(recvs):len(recvs)]
+				peak = numutil.MaxInt(peak, ex.SendBytes+ex.RecvBytes)
 			}
 			pl.Steps = append(pl.Steps, st)
 		}

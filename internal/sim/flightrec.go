@@ -137,25 +137,28 @@ type pendingMsg struct {
 	src, dst, tag, count, bytes int
 }
 
-// mailboxState snapshots what the post-mortem needs: which ranks are
+// mailboxState snapshots what the post-mortem needs: which ranks failed
 // blocked on which (src, tag), and which channels hold sent-but-unreceived
-// messages.
+// messages, sorted by (src, dst, tag).
 func (mb *mailbox) mailboxState() (waiting map[int]msgKey, pending []pendingMsg) {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	waiting = make(map[int]msgKey, len(mb.waiting))
-	for dst, k := range mb.waiting {
-		waiting[dst] = k
-	}
-	for k, q := range mb.queues {
-		if len(q) == 0 {
-			continue
+	waiting = make(map[int]msgKey)
+	for dst := range mb.boxes {
+		b := &mb.boxes[dst]
+		b.mu.Lock()
+		if b.stuck {
+			waiting[dst] = msgKey{src: b.want.src, dst: dst, tag: b.want.tag}
 		}
-		bytes := 0
-		for _, env := range q {
-			bytes += env.msg.Bytes
+		for k, q := range b.queues {
+			if len(q) == 0 {
+				continue
+			}
+			bytes := 0
+			for _, env := range q {
+				bytes += env.msg.Bytes
+			}
+			pending = append(pending, pendingMsg{src: k.src, dst: dst, tag: k.tag, count: len(q), bytes: bytes})
 		}
-		pending = append(pending, pendingMsg{src: k.src, dst: k.dst, tag: k.tag, count: len(q), bytes: bytes})
+		b.mu.Unlock()
 	}
 	sort.Slice(pending, func(a, b int) bool {
 		if pending[a].src != pending[b].src {

@@ -140,9 +140,9 @@ type Machine struct {
 	// pool recycles message payload buffers across ranks (Rank.GetPayload/
 	// PutPayload); zero value ready to use.
 	pool payloadPool
-	// mbox is the reusable mailbox: queues and envelope free list persist
-	// across runs (reset each Run) so repeated runs on one machine do not
-	// re-allocate messaging state.
+	// mbox is the reusable mailbox: the per-rank inboxes with their queues
+	// and envelope free lists persist across runs (reset each Run) so
+	// repeated runs on one machine do not re-allocate messaging state.
 	mbox *mailbox
 	// ranks retains the most recent run's rank states so FlightReport can
 	// name nonblocking requests that were posted but never Waited.
@@ -263,179 +263,6 @@ func (r Result) TotalMessages() int {
 // importing the simulator).
 type Msg = xport.Msg
 
-type msgKey struct{ src, dst, tag int }
-
-// envelope is a queued message plus the simulator-private injection
-// timestamp (the sender's virtual time when the fabric accepted it). The
-// timestamp used to be an unexported Msg field; it rides in the mailbox
-// now so Msg itself is transport-neutral.
-type envelope struct {
-	msg  Msg
-	sent float64
-}
-
-// mailbox matches sends to receives with per-(src,dst,tag) FIFO order.
-// Deadlock detection: when every live rank is blocked in a receive and none
-// of the keys they are waiting on has a queued message, nobody can ever
-// make progress (messages for other keys can only be consumed by the
-// already-blocked ranks). That situation — reachable via mismatched
-// programs or a rank dying mid-protocol — fails the run instead of hanging.
-type mailbox struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queues map[msgKey][]*envelope
-	// free recycles message envelopes, and drained queues keep their map
-	// entry and backing array, so steady-state messaging allocates nothing
-	// (the executors' hot loops send one message per phase or per block).
-	free     []*envelope
-	waiting  map[int]msgKey // dst rank → key it is blocked on
-	alive    int
-	blocked  int
-	deadlock bool
-	// envNew/envReused count envelope provenance (always on, read via
-	// Machine.MailboxStats); mm mirrors them into the live registry.
-	envNew, envReused int64
-	mm                *machMetrics
-}
-
-// mailboxMaxFree bounds the envelope free list; in-flight envelopes live in
-// the queues, so steady state holds far fewer.
-const mailboxMaxFree = 1024
-
-func newMailbox(p int) *mailbox {
-	mb := &mailbox{
-		queues:  make(map[msgKey][]*envelope),
-		waiting: make(map[int]msgKey),
-		alive:   p,
-	}
-	mb.cond = sync.NewCond(&mb.mu)
-	return mb
-}
-
-// reset readies a mailbox for a fresh run: stale queued messages (left by an
-// aborted run) are recycled, per-run progress state is cleared, and the
-// queues keep their map entries and backing arrays.
-func (mb *mailbox) reset(p int) {
-	mb.mu.Lock()
-	for k, q := range mb.queues {
-		for i, env := range q {
-			*env = envelope{}
-			if len(mb.free) < mailboxMaxFree {
-				mb.free = append(mb.free, env)
-			}
-			q[i] = nil
-		}
-		mb.queues[k] = q[:0]
-	}
-	for k := range mb.waiting {
-		delete(mb.waiting, k)
-	}
-	mb.alive = p
-	mb.blocked = 0
-	mb.deadlock = false
-	mb.mu.Unlock()
-}
-
-// setMetrics installs the registry handles the mailbox mirrors its envelope
-// counters into (nil detaches); called by Run before ranks start.
-func (mb *mailbox) setMetrics(mm *machMetrics) {
-	mb.mu.Lock()
-	mb.mm = mm
-	mb.mu.Unlock()
-}
-
-func (mb *mailbox) isDeadlocked() bool {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	return mb.deadlock
-}
-
-func (mb *mailbox) put(k msgKey, m Msg, sent float64) {
-	mb.mu.Lock()
-	var env *envelope
-	if n := len(mb.free); n > 0 {
-		env = mb.free[n-1]
-		mb.free[n-1] = nil
-		mb.free = mb.free[:n-1]
-		mb.envReused++
-		if mb.mm != nil {
-			mb.mm.envReused.Inc()
-		}
-	} else {
-		env = new(envelope)
-		mb.envNew++
-		if mb.mm != nil {
-			mb.mm.envNew.Inc()
-		}
-	}
-	*env = envelope{msg: m, sent: sent}
-	mb.queues[k] = append(mb.queues[k], env)
-	mb.mu.Unlock()
-	mb.cond.Broadcast()
-}
-
-// anyDeliverable reports whether some blocked rank's awaited key has a
-// queued message (it just has not woken yet). Callers hold mb.mu.
-func (mb *mailbox) anyDeliverable() bool {
-	for _, k := range mb.waiting {
-		if len(mb.queues[k]) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-func (mb *mailbox) get(k msgKey) (Msg, float64, error) {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	for {
-		if q := mb.queues[k]; len(q) > 0 {
-			env := q[0]
-			// Shift down in place (queues are short) so the key keeps its
-			// backing array, and recycle the envelope.
-			copy(q, q[1:])
-			q[len(q)-1] = nil
-			mb.queues[k] = q[:len(q)-1]
-			m, sent := env.msg, env.sent
-			*env = envelope{}
-			if len(mb.free) < mailboxMaxFree {
-				mb.free = append(mb.free, env)
-			}
-			return m, sent, nil
-		}
-		if mb.deadlock {
-			// Keep (or restore) the waiting entry: once the run is doomed it
-			// no longer drives progress detection, but the post-mortem
-			// (mailboxState) reads it to name what each rank was blocked on.
-			mb.waiting[k.dst] = k
-			return Msg{}, 0, fmt.Errorf("sim: deadlock: rank %d waiting for message from %d tag %d", k.dst, k.src, k.tag)
-		}
-		mb.waiting[k.dst] = k
-		mb.blocked++
-		if mb.blocked == mb.alive && !mb.anyDeliverable() {
-			mb.deadlock = true
-			mb.blocked--
-			mb.cond.Broadcast()
-			return Msg{}, 0, fmt.Errorf("sim: deadlock: all ranks blocked with nothing deliverable (rank %d waits on src %d tag %d)", k.dst, k.src, k.tag)
-		}
-		mb.cond.Wait()
-		mb.blocked--
-		if !mb.deadlock {
-			delete(mb.waiting, k.dst)
-		}
-	}
-}
-
-func (mb *mailbox) exit() {
-	mb.mu.Lock()
-	mb.alive--
-	if mb.blocked == mb.alive && mb.alive > 0 && !mb.anyDeliverable() {
-		mb.deadlock = true
-	}
-	mb.mu.Unlock()
-	mb.cond.Broadcast()
-}
-
 // barrier implements a clock-synchronizing barrier / reduction rendezvous.
 // Completion publishes a per-generation snapshot (outT, out) so that a fast
 // rank re-entering the next generation cannot clobber what slower ranks of
@@ -508,25 +335,6 @@ func (b *barrier) sync(t float64, vals []float64, combine func(a, b float64) flo
 	return b.outT, out
 }
 
-// MailboxStats reports the machine's cumulative envelope recycling
-// counters: a healthy steady state allocates a bounded set of new
-// envelopes and then reuses them for the rest of the machine's life.
-type MailboxStats struct {
-	EnvelopesNew    int64
-	EnvelopesReused int64
-}
-
-// MailboxStats returns the machine's envelope recycling counters
-// (cumulative across runs; zero before the first Run).
-func (m *Machine) MailboxStats() MailboxStats {
-	if m.mbox == nil {
-		return MailboxStats{}
-	}
-	m.mbox.mu.Lock()
-	defer m.mbox.mu.Unlock()
-	return MailboxStats{EnvelopesNew: m.mbox.envNew, EnvelopesReused: m.mbox.envReused}
-}
-
 // Rank is one simulated processor, usable only inside Machine.Run's body.
 type Rank struct {
 	ID      int
@@ -534,7 +342,12 @@ type Rank struct {
 	mb      *mailbox
 	bar     *barrier
 	clock   float64
+	// stats holds the totals and Peers; the per-phase buckets live in
+	// buckets (copied into Stats.Phases by Stats and at the end of Run),
+	// and cur caches the current phase's bucket until the next BeginPhase.
 	stats   Stats
+	buckets map[string]*PhaseStats
+	cur     *PhaseStats
 	phase   string
 	idStr   string // preformatted rank label for pprof (set when PProfLabels)
 	// quiet suppresses per-event tracing while > 0 (stats still accrue):
@@ -558,8 +371,31 @@ func (r *Rank) P() int { return r.machine.P }
 // Clock returns the rank's current virtual time in seconds.
 func (r *Rank) Clock() float64 { return r.clock }
 
-// Stats returns the rank's statistics so far.
-func (r *Rank) Stats() Stats { return r.stats }
+// Stats returns a snapshot of the rank's statistics so far.
+func (r *Rank) Stats() Stats {
+	s := r.stats
+	s.Phases = r.phaseStats()
+	if r.stats.Peers != nil {
+		s.Peers = make(map[int]PeerIO, len(r.stats.Peers))
+		for q, io := range r.stats.Peers {
+			s.Peers[q] = io
+		}
+	}
+	return s
+}
+
+// phaseStats copies the phase buckets into a Stats.Phases map (nil when no
+// phase saw activity).
+func (r *Rank) phaseStats() map[string]PhaseStats {
+	if r.buckets == nil {
+		return nil
+	}
+	out := make(map[string]PhaseStats, len(r.buckets))
+	for l, ps := range r.buckets {
+		out[l] = *ps
+	}
+	return out
+}
 
 // BeginPhase labels all subsequent activity of this rank with the given
 // phase (per-phase buckets in Stats.Phases, Phase field on trace events)
@@ -568,6 +404,7 @@ func (r *Rank) Stats() Stats { return r.stats }
 func (r *Rank) BeginPhase(label string) (prev string) {
 	prev = r.phase
 	r.phase = label
+	r.cur = nil
 	if r.machine.PProfLabels {
 		pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
 			pprof.Labels("rank", r.idStr, "phase", label)))
@@ -595,37 +432,37 @@ func (r *Rank) emit(e Event) {
 // Phase returns the rank's current phase label.
 func (r *Rank) Phase() string { return r.phase }
 
-// phaseBucket returns the current phase's mutable bucket, allocating the
-// map and entry on first use.
+// phaseBucket returns the current phase's bucket: the cached pointer, or —
+// on the first activity since BeginPhase — the label's bucket, created if
+// new. The hot paths thus touch the label map once per phase, not once per
+// event.
 func (r *Rank) phaseBucket() *PhaseStats {
-	if r.stats.Phases == nil {
-		r.stats.Phases = make(map[string]PhaseStats)
+	if r.cur == nil {
+		if r.buckets == nil {
+			r.buckets = make(map[string]*PhaseStats)
+		}
+		r.cur = r.buckets[r.phase]
+		if r.cur == nil {
+			r.cur = new(PhaseStats)
+			r.buckets[r.phase] = r.cur
+		}
 	}
-	ps := r.stats.Phases[r.phase]
-	return &ps
+	return r.cur
 }
-
-func (r *Rank) putPhase(ps *PhaseStats) { r.stats.Phases[r.phase] = *ps }
 
 func (r *Rank) addCompute(sec float64) {
 	r.stats.ComputeTime += sec
-	ps := r.phaseBucket()
-	ps.ComputeTime += sec
-	r.putPhase(ps)
+	r.phaseBucket().ComputeTime += sec
 }
 
 func (r *Rank) addComm(sec float64) {
 	r.stats.CommTime += sec
-	ps := r.phaseBucket()
-	ps.CommTime += sec
-	r.putPhase(ps)
+	r.phaseBucket().CommTime += sec
 }
 
 func (r *Rank) addWait(sec float64) {
 	r.stats.WaitTime += sec
-	ps := r.phaseBucket()
-	ps.WaitTime += sec
-	r.putPhase(ps)
+	r.phaseBucket().WaitTime += sec
 }
 
 func (r *Rank) addSent(peer, bytes int) {
@@ -634,7 +471,6 @@ func (r *Rank) addSent(peer, bytes int) {
 	ps := r.phaseBucket()
 	ps.MsgsSent++
 	ps.BytesSent += bytes
-	r.putPhase(ps)
 	if r.stats.Peers == nil {
 		r.stats.Peers = make(map[int]PeerIO)
 	}
@@ -650,7 +486,6 @@ func (r *Rank) addRecvd(peer, bytes int) {
 	ps := r.phaseBucket()
 	ps.MsgsRecv++
 	ps.BytesRecv += bytes
-	r.putPhase(ps)
 	if r.stats.Peers == nil {
 		r.stats.Peers = make(map[int]PeerIO)
 	}
@@ -864,12 +699,10 @@ func (m *Machine) Run(body func(r *Rank)) (Result, error) {
 	if m.Flight != nil {
 		m.Flight.attach(m.P)
 	}
-	if m.mbox == nil {
+	if m.mbox == nil || len(m.mbox.boxes) != m.P {
 		m.mbox = newMailbox(m.P)
-	} else {
-		m.mbox.reset(m.P)
 	}
-	m.mbox.setMetrics(m.mm)
+	m.mbox.reset(m.P, m.mm)
 	mb := m.mbox
 	bar := newBarrier(m.P)
 	ranks := make([]*Rank, m.P)
@@ -922,6 +755,7 @@ func (m *Machine) Run(body func(r *Rank)) (Result, error) {
 	for id, r := range ranks {
 		r.stats.FinalClock = r.clock
 		r.stats.IdleTime = res.Makespan - r.clock
+		r.stats.Phases = r.phaseStats()
 		res.Ranks[id] = r.stats
 	}
 	if m.mm != nil {

@@ -380,3 +380,72 @@ func TestBeginPhaseRestores(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A phase with no activity leaves no bucket, any activity — even a
+// zero-length Compute — creates one, and returning to a label keeps
+// accumulating into its bucket.
+func TestPhaseBucketsOnlyForActivePhases(t *testing.T) {
+	m := testMachine(1)
+	res, err := m.Run(func(r *Rank) {
+		r.BeginPhase("idle")
+		r.BeginPhase("zero")
+		r.Compute(0)
+		r.BeginPhase("a")
+		r.Compute(1e-3)
+		r.BeginPhase("idle")
+		r.BeginPhase("a")
+		r.Compute(2e-3)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ph := res.Ranks[0].Phases
+	if len(ph) != 2 {
+		t.Fatalf("phases %v, want exactly zero and a", res.Ranks[0].PhaseLabels())
+	}
+	if _, ok := ph["zero"]; !ok {
+		t.Error("Compute(0) created no bucket")
+	}
+	if got := ph["a"].ComputeTime; got != 1e-3+2e-3 {
+		t.Errorf("phase a compute = %g, want %g", got, 1e-3+2e-3)
+	}
+}
+
+// Rank.Stats called mid-run returns the per-phase and per-peer totals so
+// far, as a snapshot later activity does not change.
+func TestRankStatsMidRun(t *testing.T) {
+	m := testMachine(2)
+	_, err := m.Run(func(r *Rank) {
+		peer := 1 - r.ID
+		r.BeginPhase("x")
+		if r.ID == 0 {
+			r.Send(peer, 1, Msg{Bytes: 100})
+		} else {
+			r.Recv(peer, 1)
+		}
+		s := r.Stats()
+		x, io := s.Phases["x"], s.Peers[peer]
+		if r.ID == 0 && (x.MsgsSent != 1 || x.BytesSent != 100 || io.MsgsSent != 1 || io.BytesSent != 100) {
+			t.Errorf("rank 0 mid-run: phase %+v, peer %+v", x, io)
+		}
+		if r.ID == 1 && (x.MsgsRecv != 1 || x.BytesRecv != 100 || io.MsgsRecv != 1 || io.BytesRecv != 100) {
+			t.Errorf("rank 1 mid-run: phase %+v, peer %+v", x, io)
+		}
+		if x.Total() != s.ComputeTime+s.CommTime+s.WaitTime {
+			t.Errorf("rank %d: phase x total %g, run totals %g", r.ID, x.Total(), s.ComputeTime+s.CommTime+s.WaitTime)
+		}
+		r.BeginPhase("y")
+		r.Compute(1e-3)
+		r.Send(peer, 2, Msg{Bytes: 8})
+		if later := r.Stats(); later.Phases["y"].ComputeTime != 1e-3 || later.Peers[peer].MsgsSent != io.MsgsSent+1 {
+			t.Errorf("rank %d: later snapshot %+v", r.ID, later)
+		}
+		if len(s.Phases) != 1 || s.Peers[peer] != io {
+			t.Errorf("rank %d: earlier snapshot changed: %+v", r.ID, s)
+		}
+		r.Recv(peer, 2)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
