@@ -22,6 +22,8 @@ import (
 	"genmp/internal/nas"
 	"genmp/internal/numutil"
 	"genmp/internal/partition"
+	"genmp/internal/plan"
+	"genmp/internal/rt"
 	"genmp/internal/sim"
 	"genmp/internal/sweep"
 )
@@ -653,5 +655,44 @@ func BenchmarkTable1ClassB(b *testing.B) {
 		if len(rows) != len(exp.Table1Procs) {
 			b.Fatal("short table")
 		}
+	}
+}
+
+// BenchmarkSPClassAReal runs NAS SP class A for two timesteps on the
+// real-parallel runtime, the `sp-a-p2` operation of the repository
+// benchmark: γ from Table 1's partition objective (1×2×2 at p=2), the
+// sweep plan compiled once outside the timer. Most of its time is the
+// batched pentadiagonal sweeps, their panel packing, and the SP step
+// loops (rhs stencil, band build, add).
+func BenchmarkSPClassAReal(b *testing.B) {
+	eta := nas.ClassA.Eta
+	for _, p := range []int{2, 1} {
+		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
+			obj := partition.MachineObjective(eta, 20e-6, 80e-9/float64(p))
+			res, err := partition.OptimalCapped(p, len(eta), obj, eta)
+			if err != nil {
+				b.Fatal(err)
+			}
+			m, err := core.NewGeneralized(p, res.Gamma)
+			if err != nil {
+				b.Fatal(err)
+			}
+			env, err := dist.NewEnv(m, eta, dist.DHPF())
+			if err != nil {
+				b.Fatal(err)
+			}
+			pl, err := dmem.CompileSweepPlan(env, sweep.NewPenta())
+			if err != nil {
+				b.Fatal(err)
+			}
+			mach := rt.NewMachine(p)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := dmem.RunSPReal(env, mach, 2, plan.Overlap{}, pl); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -90,6 +90,7 @@ func btBody(env *dist.Env, solver sweep.Solver, sweepPlan *plan.SweepPlan, steps
 			vecs[v] = NewField(env, t.Rank(), 0)
 		}
 		fvecs := vecs[3*bb:]
+		sc := newStepScratch(u, rhs)
 		runner := NewSweepRunner(solver, vecs)
 		runner.Plan = sweepPlan
 
@@ -97,7 +98,7 @@ func btBody(env *dist.Env, solver sweep.Solver, sweepPlan *plan.SweepPlan, steps
 		for step := 0; step < steps; step++ {
 			u.ExchangeHalosPiped(t, haloPre)
 			haloPre = nil
-			strictComputeRHS(u, rhs)
+			strictComputeRHS(u, rhs, sc)
 			strictScatterBTRHS(rhs, fvecs)
 			t.ComputeFlops(nas.BTFlopsRHS * float64(ownedElements(u)) * env.Overhead.ComputeFactor)
 			for dim := range env.Eta {
@@ -108,7 +109,7 @@ func btBody(env *dist.Env, solver sweep.Solver, sweepPlan *plan.SweepPlan, steps
 			if o.Enabled && step+1 < steps {
 				haloPre = u.PostHaloRecvs(t)
 			}
-			strictAdd(u, fvecs[0])
+			strictAdd(u, fvecs[0], sc)
 			t.ComputeFlops(nas.BTFlopsAdd * float64(ownedElements(u)) * env.Overhead.ComputeFactor)
 		}
 		if g := GatherToRoot(t, u, xport.AlgAuto); g != nil {

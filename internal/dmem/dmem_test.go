@@ -228,6 +228,11 @@ func TestStrictSweepMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestStrictSPMatchesSerial requires the strict SP field to be
+// Float64bits-identical to nas.SerialSolve, which runs the scalar
+// Banded.Forward/Backward and the serial BuildLHS. The last case's tiles
+// are 32 cells wide on the last axis, so full 32-line panels along dims 0
+// and 1 are single runs of adjacent lines.
 func TestStrictSPMatchesSerial(t *testing.T) {
 	cases := []struct {
 		p     int
@@ -237,6 +242,7 @@ func TestStrictSPMatchesSerial(t *testing.T) {
 		{4, []int{2, 2, 2}, []int{12, 12, 12}},
 		{8, []int{4, 4, 2}, []int{12, 12, 12}},
 		{6, []int{6, 6, 1}, []int{12, 13, 7}},
+		{2, []int{1, 2, 2}, []int{16, 32, 64}},
 	}
 	for _, c := range cases {
 		steps := 3
@@ -251,8 +257,12 @@ func TestStrictSPMatchesSerial(t *testing.T) {
 		if got == nil {
 			t.Fatal("no gathered grid")
 		}
-		if d := grid.MaxAbsDiff(want, got); d > 1e-9 {
-			t.Errorf("p=%d γ=%v: strict SP differs from serial by %g", c.p, c.gamma, d)
+		wd, gd := want.Data(), got.Data()
+		for i := range wd {
+			if math.Float64bits(wd[i]) != math.Float64bits(gd[i]) {
+				t.Fatalf("p=%d γ=%v: element %d: strict SP %v (%#x) != serial %v (%#x)",
+					c.p, c.gamma, i, gd[i], math.Float64bits(gd[i]), wd[i], math.Float64bits(wd[i]))
+			}
 		}
 		if res.TotalBytes() == 0 {
 			t.Error("strict SP moved no bytes")

@@ -101,6 +101,7 @@ func spBody(env *dist.Env, solver sweep.Solver, sweepPlan *plan.SweepPlan, steps
 			vecs[v] = NewField(env, t.Rank(), 0)
 		}
 		rhs := vecs[5]
+		sc := newStepScratch(u, rhs)
 		runner := NewSweepRunner(solver, vecs)
 		runner.Plan = sweepPlan
 
@@ -109,17 +110,17 @@ func spBody(env *dist.Env, solver sweep.Solver, sweepPlan *plan.SweepPlan, steps
 			u.ExchangeHalosPiped(t, haloPre)
 			haloPre = nil
 			t.Compute(env.Overhead.PerTileVisit * float64(u.NumTiles()))
-			strictComputeRHS(u, rhs)
+			strictComputeRHS(u, rhs, sc)
 			t.ComputeFlops(nas.FlopsRHS * float64(ownedElements(u)) * env.Overhead.ComputeFactor)
 			for dim := range env.Eta {
-				strictBuildLHS(dim, env.Eta[dim], vecs)
+				strictBuildLHS(dim, env.Eta[dim], vecs, sc)
 				t.ComputeFlops(nas.FlopsLHSBuild * float64(ownedElements(u)) * env.Overhead.ComputeFactor)
 				runner.Run(t, dim)
 			}
 			if o.Enabled && step+1 < steps {
 				haloPre = u.PostHaloRecvs(t)
 			}
-			strictAdd(u, rhs)
+			strictAdd(u, rhs, sc)
 			t.ComputeFlops(nas.FlopsAdd * float64(ownedElements(u)) * env.Overhead.ComputeFactor)
 		}
 		if g := GatherToRoot(t, u, xport.AlgAuto); g != nil {
@@ -148,35 +149,57 @@ func ownedElements(f *Field) int {
 	return n
 }
 
+// stepScratch is one rank's reusable state for the SP and BT step loops,
+// built once per run so the loops enumerate no lines and allocate nothing
+// per step.
+type stepScratch struct {
+	// uRows[i] and fRows[i] are local tile i's last-axis rows of the
+	// padded u and of the unpadded fields (rhs and the solve vectors share
+	// one geometry).
+	uRows, fRows [][]grid.Line
+	// uStride and global are strictComputeRHS's coordinate scratch.
+	uStride, global []int
+	// band is strictBuildLHS's table: per band, nas.BandRow's value at
+	// each position along the solve dimension; grown on first use.
+	band []float64
+}
+
+// newStepScratch builds the scratch of the rank owning u and f, where f is
+// any of the rank's unpadded fields.
+func newStepScratch(u, f *Field) *stepScratch {
+	d := len(u.Env.Eta)
+	sc := &stepScratch{
+		uRows: make([][]grid.Line, u.NumTiles()), fRows: make([][]grid.Line, f.NumTiles()),
+		uStride: make([]int, d), global: make([]int, d),
+	}
+	for i := range sc.uRows {
+		sc.uRows[i] = u.TileGrid(i).AppendLines(u.InteriorRect(i), d-1, nil)
+		sc.fRows[i] = f.TileGrid(i).AppendLines(f.InteriorRect(i), d-1, nil)
+	}
+	return sc
+}
+
 // strictComputeRHS evaluates the SP stencil over every owned tile reading
 // only the rank's private padded storage. Domain-boundary reads clamp
 // exactly as the serial nas.ComputeRHS does.
-func strictComputeRHS(u *Field, rhs *Field) {
+func strictComputeRHS(u *Field, rhs *Field, sc *stepScratch) {
 	env := u.Env
 	d := len(env.Eta)
+	uStride, global := sc.uStride, sc.global
 	for i := 0; i < u.NumTiles(); i++ {
-		ug := u.TileGrid(i)
-		rg := rhs.TileGrid(i)
-		ud := ug.Data()
-		rd := rg.Data()
-		uShape := ug.Shape()
+		ud := u.TileGrid(i).Data()
+		rd := rhs.TileGrid(i).Data()
 		// Strides of the padded u grid.
-		uStride := make([]int, d)
 		s := 1
 		for k := d - 1; k >= 0; k-- {
 			uStride[k] = s
-			s *= uShape[k]
+			s *= u.shapes[i][k]
 		}
-		global := make([]int, d)
-		interiorU := u.InteriorRect(i)
-		rhsInterior := rhs.InteriorRect(i)
 		// Walk u's interior and rhs's interior in lockstep (same shape,
 		// different padding).
-		rhsLines := rg.AppendLines(rhsInterior, d-1, nil)
-		li := 0
-		ug.EachLine(interiorU, d-1, func(l grid.Line) {
+		rhsLines := sc.fRows[i]
+		for li, l := range sc.uRows[i] {
 			rl := rhsLines[li]
-			li++
 			u.localToGlobal(i, l.Base, global)
 			uOff := l.Base
 			rOff := rl.Base
@@ -203,60 +226,67 @@ func strictComputeRHS(u *Field, rhs *Field) {
 				global[d-1]++
 			}
 			global[d-1] -= l.N
-		})
+		}
 	}
 }
 
-// strictBuildLHS assembles the pentadiagonal bands over every owned tile
-// from the global row formula (identical to nas.BuildLHS).
-func strictBuildLHS(dim, n int, vecs []*Field) {
-	f := vecs[0]
-	d := len(f.Env.Eta)
-	for i := 0; i < f.NumTiles(); i++ {
-		b := f.GlobalBounds(i)
-		start := b.Lo[dim]
-		grids := make([]*grid.Grid, 5)
-		data := make([][]float64, 5)
-		for v := 0; v < 5; v++ {
-			grids[v] = vecs[v].TileGrid(i)
-			data[v] = grids[v].Data()
+// strictBuildLHS assembles the pentadiagonal bands along dim over every
+// owned tile from the global row formula (identical to nas.BuildLHS). The
+// coefficients depend only on the position along dim, so each tile
+// evaluates nas.BandRow once per position into the rank's band table, then
+// writes the five band fields in storage order, one last-axis row at a
+// time: a copy of the table when dim is the last axis, a constant fill
+// otherwise.
+func strictBuildLHS(dim, n int, vecs []*Field, sc *stepScratch) {
+	last := len(vecs[0].Env.Eta) - 1
+	for i := 0; i < vecs[0].NumTiles(); i++ {
+		b := vecs[0].GlobalBounds(i)
+		ext := b.Hi[dim] - b.Lo[dim]
+		if len(sc.band) < 5*ext {
+			sc.band = make([]float64, 5*ext)
 		}
-		interior := vecs[0].InteriorRect(i)
-		grids[0].EachLine(interior, dim, func(l grid.Line) {
-			off := l.Base
-			for k := 0; k < l.N; k++ {
-				l1, l2, dg, u1, u2 := nas.BandRow(start+k, dim, n)
-				data[0][off] = l1
-				data[1][off] = l2
-				data[2][off] = dg
-				data[3][off] = u1
-				data[4][off] = u2
-				off += l.Stride
+		band := sc.band[:5*ext]
+		for k := 0; k < ext; k++ {
+			band[k], band[ext+k], band[2*ext+k], band[3*ext+k], band[4*ext+k] = nas.BandRow(b.Lo[dim]+k, dim, n)
+		}
+		// The rows run over the other dimensions in row-major order, so
+		// the position along dim < last advances every inner rows.
+		inner := 1
+		for j := dim + 1; j < last; j++ {
+			inner *= b.Hi[j] - b.Lo[j]
+		}
+		for v := 0; v < 5; v++ {
+			tab := band[v*ext : (v+1)*ext]
+			data := vecs[v].TileGrid(i).Data()
+			for r, l := range sc.fRows[i] {
+				row := data[l.Base : l.Base+l.N]
+				if dim == last {
+					copy(row, tab)
+					continue
+				}
+				c := tab[r/inner%ext]
+				for x := range row {
+					row[x] = c
+				}
 			}
-		})
+		}
 	}
-	_ = d
 }
 
 // strictAdd folds rhs into u over every owned tile (different paddings).
-func strictAdd(u *Field, rhs *Field) {
-	d := len(u.Env.Eta)
+func strictAdd(u *Field, rhs *Field, sc *stepScratch) {
 	for i := 0; i < u.NumTiles(); i++ {
-		ug := u.TileGrid(i)
-		rg := rhs.TileGrid(i)
-		ud := ug.Data()
-		rd := rg.Data()
-		rhsLines := rg.AppendLines(rhs.InteriorRect(i), d-1, nil)
-		li := 0
-		ug.EachLine(u.InteriorRect(i), d-1, func(l grid.Line) {
+		ud := u.TileGrid(i).Data()
+		rd := rhs.TileGrid(i).Data()
+		rhsLines := sc.fRows[i]
+		for li, l := range sc.uRows[i] {
 			rl := rhsLines[li]
-			li++
 			uOff, rOff := l.Base, rl.Base
 			for k := 0; k < l.N; k++ {
 				ud[uOff] += rd[rOff]
 				uOff += l.Stride
 				rOff += rl.Stride
 			}
-		})
+		}
 	}
 }

@@ -9,8 +9,8 @@ import "fmt"
 // strided storage, and it is written to move whole cache lines: when the
 // lines themselves are contiguous (sweep along the last axis) the copy is a
 // blocked transpose; when the lines are strided, consecutive lines are
-// usually adjacent in memory, so iterating lines innermost makes both the
-// read and the write streams contiguous.
+// usually adjacent in memory, so each long run of adjacent lines moves a
+// panel row with one contiguous copy.
 
 // Panel-transpose tile sizes: ptK rows × ptB lines keeps the strided side
 // of the copy inside L1 while the contiguous side streams.
@@ -66,9 +66,20 @@ func (g *Grid) GatherLines(lines []Line, dst []float64) {
 		}
 		return
 	}
-	// Strided lines: consecutive lines of a sweep block are (near-)adjacent
-	// in memory, so with lines innermost the reads walk consecutive
-	// addresses and the writes are exactly sequential.
+	// Strided lines: consecutive lines of a sweep block are usually
+	// adjacent in memory. When they form long runs, each run moves one
+	// panel row with one copy; otherwise, with lines innermost, the reads
+	// walk nearly consecutive addresses and the writes are sequential.
+	if longRuns(lines) {
+		for b0 := 0; b0 < nb; {
+			l, b1 := lines[b0], lineRunEnd(lines, b0)
+			for k, off := 0, l.Base; k < n; k, off = k+1, off+l.Stride {
+				copy(dst[k*nb+b0:k*nb+b1], g.data[off:off+b1-b0])
+			}
+			b0 = b1
+		}
+		return
+	}
 	for k := 0; k < n; k++ {
 		row := dst[k*nb : (k+1)*nb]
 		for b := range row {
@@ -76,6 +87,36 @@ func (g *Grid) GatherLines(lines []Line, dst []float64) {
 			row[b] = g.data[l.Base+k*l.Stride]
 		}
 	}
+}
+
+// minCopyRun is the mean run length from which a strided panel moves by
+// run copies: a shorter run fills less than a 64-byte cache line per
+// copy, and the per-copy overhead makes the element loop faster.
+const minCopyRun = 8
+
+// lineRunEnd returns the end of the maximal run of lines starting at b0
+// that share a stride and have consecutive bases: lines[b0:end] occupy
+// adjacent cells of every panel row.
+func lineRunEnd(lines []Line, b0 int) int {
+	l := lines[b0]
+	end := b0 + 1
+	for end < len(lines) && lines[end].Stride == l.Stride && lines[end].Base == l.Base+(end-b0) {
+		end++
+	}
+	return end
+}
+
+// longRuns reports whether the lines' maximal runs average at least
+// minCopyRun lines. It stops counting once they cannot.
+func longRuns(lines []Line) bool {
+	maxRuns := len(lines) / minCopyRun
+	runs := 0
+	for b := 0; b < len(lines); b = lineRunEnd(lines, b) {
+		if runs++; runs > maxRuns {
+			return false
+		}
+	}
+	return true
 }
 
 // ScatterLines unpacks a structure-of-arrays panel (as filled by
@@ -98,6 +139,16 @@ func (g *Grid) ScatterLines(lines []Line, src []float64) {
 					}
 				}
 			}
+		}
+		return
+	}
+	if longRuns(lines) {
+		for b0 := 0; b0 < nb; {
+			l, b1 := lines[b0], lineRunEnd(lines, b0)
+			for k, off := 0, l.Base; k < n; k, off = k+1, off+l.Stride {
+				copy(g.data[off:off+b1-b0], src[k*nb+b0:k*nb+b1])
+			}
+			b0 = b1
 		}
 		return
 	}

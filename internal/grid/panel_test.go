@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -47,51 +48,91 @@ func TestAppendLinesMatchesEachLine(t *testing.T) {
 }
 
 // TestGatherScatterLines: the panel equals per-line Gather, and
-// ScatterLines restores the grid exactly, for every axis (stride-1 and
-// strided line cases) and ragged batch sizes.
+// ScatterLines matches per-line Scatter exactly, for every axis (stride-1
+// and strided line cases) and for line sets that are one run of adjacent
+// lines, several runs, runs mixed with lone lines, lines no two of which
+// are adjacent, and lines with consecutive bases but different strides.
+// Strided sets whose runs average minCopyRun lines or more take the
+// run-copy path, the others the element loop.
 func TestGatherScatterLinesPanel(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	g := randomGrid(rng, 6, 5, 9)
-	r := Rect{Lo: []int{1, 0, 2}, Hi: []int{6, 4, 9}}
+	g := randomGrid(rng, 6, 5, 20)
+	check := func(what string, lines []Line) {
+		t.Helper()
+		nb := len(lines)
+		n := lines[0].N
+		panel := make([]float64, n*nb)
+		g.GatherLines(lines, panel)
+		tmp := make([]float64, n)
+		for b, l := range lines {
+			g.Gather(l, tmp)
+			for k := 0; k < n; k++ {
+				if panel[k*nb+b] != tmp[k] {
+					t.Fatalf("%s: line %d elem %d: %v != %v", what, b, k, panel[k*nb+b], tmp[k])
+				}
+			}
+		}
+		// Perturb the panel, scatter, and check against per-line Scatter
+		// on a clone.
+		for i := range panel {
+			panel[i] += 1.0
+		}
+		g2 := g.Clone()
+		g2.ScatterLines(lines, panel)
+		clone := g.Clone()
+		for b, l := range lines {
+			for k := 0; k < n; k++ {
+				tmp[k] = panel[k*nb+b]
+			}
+			clone.Scatter(l, tmp)
+		}
+		if d := MaxAbsDiff(g2, clone); d != 0 {
+			t.Fatalf("%s: ScatterLines differs from per-line Scatter by %v", what, d)
+		}
+	}
+	r := Rect{Lo: []int{1, 0, 2}, Hi: []int{6, 4, 19}}
 	for dim := 0; dim < 3; dim++ {
 		all := g.AppendLines(r, dim, nil)
-		for _, nb := range []int{1, 3, len(all)} {
-			lines := all[:nb]
-			n := lines[0].N
-			panel := make([]float64, n*nb)
-			g.GatherLines(lines, panel)
-			tmp := make([]float64, n)
-			for b, l := range lines {
-				g.Gather(l, tmp)
-				for k := 0; k < n; k++ {
-					if panel[k*nb+b] != tmp[k] {
-						t.Fatalf("dim %d nb %d line %d elem %d: %v != %v", dim, nb, b, k, panel[k*nb+b], tmp[k])
-					}
-				}
+		// Along dims 0 and 1 the rect's last-axis width makes runs of 17
+		// adjacent lines; along dim 2 the lines are stride 1.
+		pick := func(idx ...int) []Line {
+			out := make([]Line, len(idx))
+			for i, j := range idx {
+				out[i] = all[j]
 			}
-			// Perturb the panel, scatter, and check against per-line Scatter
-			// on a clone.
-			clone := g.Clone()
-			for i := range panel {
-				panel[i] += 1.0
-			}
-			g2 := g.Clone()
-			g2.ScatterLines(lines, panel)
-			for b, l := range lines {
-				for k := 0; k < n; k++ {
-					tmp[k] = panel[k*nb+b]
-				}
-				clone.Scatter(l, tmp)
-			}
-			if d := MaxAbsDiff(g2, clone); d != 0 {
-				t.Fatalf("dim %d nb %d: ScatterLines differs from per-line Scatter by %v", dim, nb, d)
-			}
-			// Restore g for the next axis.
-			for i := range panel {
-				panel[i] -= 1.0
-			}
-			g.ScatterLines(lines, panel)
+			return out
 		}
+		var everyOther []Line
+		for i := 0; i < len(all); i += 2 {
+			everyOther = append(everyOther, all[i])
+		}
+		sets := []struct {
+			name  string
+			lines []Line
+		}{
+			{"one line", all[:1]},
+			{"part of a run", all[:3]},
+			{"one run", all[:17]},
+			{"a run and its neighbour's head", all[:19]},
+			{"a run and a lone line", append(all[:16:16], all[19])},
+			{"every line", all},
+			{"short runs and lone lines", pick(0, 1, 2, 5, 9, 10, 11, 12, 19)},
+			{"reversed", pick(3, 2, 1, 0)},
+			{"non-adjacent", everyOther},
+		}
+		for _, set := range sets {
+			check(fmt.Sprintf("dim %d %s", dim, set.name), set.lines)
+		}
+	}
+	// Consecutive bases with one line of another stride: three runs, on
+	// the element path for 9 lines and the run-copy path for 24.
+	for _, nb := range []int{9, 24} {
+		lines := make([]Line, nb)
+		for b := range lines {
+			lines[b] = Line{Base: b, Stride: 40, N: 3}
+		}
+		lines[4].Stride = 100
+		check(fmt.Sprintf("%d lines, mixed strides", nb), lines)
 	}
 }
 
@@ -132,13 +173,17 @@ func TestPanelOpsZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := randomGrid(rng, 8, 8, 8)
 	r := Rect{Lo: []int{1, 1, 1}, Hi: []int{7, 7, 7}}
-	lines := g.AppendLines(r, 1, nil)
+	lines := g.AppendLines(r, 1, nil) // runs of 6: the element loop
 	panel := make([]float64, lines[0].N*len(lines))
+	runs := g.AppendLines(g.Bounds(), 0, nil) // one run: run copies
+	runPanel := make([]float64, runs[0].N*len(runs))
 	buf := make([]float64, r.Size())
 	linesBuf := lines[:0]
 	allocs := testing.AllocsPerRun(10, func() {
 		g.GatherLines(lines, panel)
 		g.ScatterLines(lines, panel)
+		g.GatherLines(runs, runPanel)
+		g.ScatterLines(runs, runPanel)
 		g.ExtractInto(r, buf)
 		g.InjectFrom(r, buf)
 		linesBuf = g.AppendLines(r, 1, linesBuf[:0])

@@ -171,7 +171,9 @@ func (Tridiag) BackwardBatch(panels [][]float64, nb int, carryIn, carryOut []flo
 // (carry row j holds eliminated row j−KL relative to the chunk start,
 // oldest first). The elimination updates the current row's coefficients in
 // place, which matches the scalar active-row updates position for
-// position.
+// position. For the pentadiagonal bandwidth (KL = KU = 2, chosen from the
+// solver itself) only the first KL rows can read a carry; the rest run
+// through pentaForward.
 func (bd Banded) ForwardBatch(panels [][]float64, nb int, carryIn, carryOut []float64) {
 	kl, ku := bd.KL, bd.KU
 	diag := panels[kl]
@@ -183,7 +185,11 @@ func (bd Banded) ForwardBatch(panels [][]float64, nb int, carryIn, carryOut []fl
 		panic(fmt.Sprintf("sweep: Banded.ForwardBatch: carryIn length %d, want 0 or %d", len(carryIn), nb*fcl))
 	}
 
-	for row := 0; row < n; row++ {
+	head := n // rows the generic loop runs
+	if kl == 2 && ku == 2 {
+		head = min(kl, n)
+	}
+	for row := 0; row < head; row++ {
 		base := row * nb
 		for b := 0; b < nb; b++ {
 			r := rhs[base+b]
@@ -247,6 +253,9 @@ func (bd Banded) ForwardBatch(panels [][]float64, nb int, carryIn, carryOut []fl
 			rhs[base+b] = r
 		}
 	}
+	if head < n {
+		pentaForward(panels, nb, n)
+	}
 
 	if len(carryOut) > 0 {
 		if len(carryOut) != nb*fcl {
@@ -280,9 +289,53 @@ func (bd Banded) ForwardBatch(panels [][]float64, nb int, carryIn, carryOut []fl
 	}
 }
 
+// pentaForward eliminates rows 2…n−1 of a KL = KU = 2 panel of n rows.
+// Both predecessors of these rows lie inside the panel, so one loop over
+// the flat panel index i = row·nb + b runs them with no carry reads. Each
+// element gets the generic loop's expressions in its order: the k = 2
+// elimination updates l1, the diagonal and r; the k = 1 elimination then
+// reads the updated l1 and updates the diagonal, u1 and r.
+func pentaForward(panels [][]float64, nb, n int) {
+	m := n * nb
+	l1, l2, dg := panels[0][:m], panels[1][:m], panels[2][:m]
+	u1, u2, rhs := panels[3][:m], panels[4][:m], panels[5][:m]
+	for i := 2 * nb; i < m; i++ {
+		r := rhs[i]
+		if c := l2[i]; c != 0 {
+			p := i - 2*nb
+			pd := dg[p]
+			if pd == 0 {
+				panic("sweep: Banded.Forward: zero pivot (system not elimination-stable)")
+			}
+			f := c / pd
+			l2[i] = 0
+			l1[i] -= f * u1[p]
+			dg[i] -= f * u2[p]
+			r -= f * rhs[p]
+		}
+		if c := l1[i]; c != 0 {
+			p := i - nb
+			pd := dg[p]
+			if pd == 0 {
+				panic("sweep: Banded.Forward: zero pivot (system not elimination-stable)")
+			}
+			f := c / pd
+			l1[i] = 0
+			dg[i] -= f * u1[p]
+			u1[i] -= f * u2[p]
+			r -= f * rhs[p]
+		}
+		l1[i] = 0
+		l2[i] = 0
+		rhs[i] = r
+	}
+}
+
 // BackwardBatch implements BatchSolver: back-substitution reading the KU
 // solution values to the right from already-solved panel rows, or from the
-// line-major carryIn (nearest first) past the chunk end.
+// line-major carryIn (nearest first) past the chunk end. For the
+// pentadiagonal bandwidth only the last KU rows can read a carry; the rest
+// run through pentaBackward.
 func (bd Banded) BackwardBatch(panels [][]float64, nb int, carryIn, carryOut []float64) {
 	kl, ku := bd.KL, bd.KU
 	diag := panels[kl]
@@ -292,7 +345,11 @@ func (bd Banded) BackwardBatch(panels [][]float64, nb int, carryIn, carryOut []f
 		panic(fmt.Sprintf("sweep: Banded.BackwardBatch: carryIn length %d, want 0 or %d", len(carryIn), nb*ku))
 	}
 
-	for row := n - 1; row >= 0; row-- {
+	tail := 0 // first row the generic loop runs
+	if kl == 2 && ku == 2 {
+		tail = max(n-ku, 0)
+	}
+	for row := n - 1; row >= tail; row-- {
 		base := row * nb
 		for b := 0; b < nb; b++ {
 			r := rhs[base+b]
@@ -318,6 +375,9 @@ func (bd Banded) BackwardBatch(panels [][]float64, nb int, carryIn, carryOut []f
 			rhs[base+b] = r / d
 		}
 	}
+	if tail > 0 {
+		pentaBackward(panels, nb, n)
+	}
 
 	if len(carryOut) > 0 {
 		if len(carryOut) != nb*ku {
@@ -335,5 +395,28 @@ func (bd Banded) BackwardBatch(panels [][]float64, nb int, carryIn, carryOut []f
 				}
 			}
 		}
+	}
+}
+
+// pentaBackward back-substitutes rows n−3 down to 0 of a KL = KU = 2 panel
+// of n rows, whose right neighbours both lie inside the panel. It walks
+// the flat panel index downwards; the lines of one row are independent,
+// so their order changes no value.
+func pentaBackward(panels [][]float64, nb, n int) {
+	m := n * nb
+	dg, u1, u2, rhs := panels[2][:m], panels[3][:m], panels[4][:m], panels[5][:m]
+	for i := m - 2*nb - 1; i >= 0; i-- {
+		r := rhs[i]
+		if u := u1[i]; u != 0 {
+			r -= u * rhs[i+nb]
+		}
+		if u := u2[i]; u != 0 {
+			r -= u * rhs[i+2*nb]
+		}
+		d := dg[i]
+		if d == 0 {
+			panic("sweep: Banded.Backward: zero pivot")
+		}
+		rhs[i] = r / d
 	}
 }

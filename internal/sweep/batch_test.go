@@ -1,6 +1,8 @@
 package sweep
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -54,8 +56,31 @@ func randomLine(s Solver, n int, rng *rand.Rand) [][]float64 {
 				}
 			}
 		}
+		zeroInsideBands(sv, vecs)
 	}
 	return vecs
+}
+
+// zeroInsideBands sets a deterministic scatter of off-diagonal band
+// entries to +0 and −0, most of them inside the line, so the identity
+// tests pin the kernels' zero-coefficient skips bit for bit (−0 == 0 takes
+// the skip too). Zeroing off-diagonals keeps the system diagonally
+// dominant.
+func zeroInsideBands(bd Banded, vecs [][]float64) {
+	negZero := math.Copysign(0, -1)
+	for v := 0; v < bd.NumVecs()-1; v++ {
+		if v == bd.KL {
+			continue // the diagonal
+		}
+		for k := range vecs[v] {
+			switch (k + 3*v) % 7 {
+			case 2:
+				vecs[v][k] = 0
+			case 5:
+				vecs[v][k] = negZero
+			}
+		}
+	}
 }
 
 // packPanel lays nb lines' vecs out as SoA panels.
@@ -292,6 +317,7 @@ func randomLineInterior(s Solver, n int, rng *rand.Rand) [][]float64 {
 		for k := 0; k < n; k++ {
 			vecs[kl][k] = 2*float64(kl+ku) + 1 + rng.Float64()
 		}
+		zeroInsideBands(sv, vecs)
 	}
 	return vecs
 }
@@ -389,6 +415,102 @@ func TestBatchKernelZeroAllocs(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Fatalf("%s batch kernels allocate %v per run, want 0", s.Name(), allocs)
+		}
+	}
+}
+
+// expectPanic runs f and fails unless it panics with exactly want.
+func expectPanic(t *testing.T, what, want string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		r := recover()
+		if r == nil {
+			t.Fatalf("%s: no panic, want %q", what, want)
+		}
+		if r != want {
+			t.Fatalf("%s: panic %q, want %q", what, r, want)
+		}
+	}()
+	f()
+}
+
+// isolatedPivotLine returns a diagonally dominant whole line of n rows for
+// bd whose row r has a zero pivot: its diagonal and lower couplings are
+// zero, so elimination leaves the pivot at zero. Every coupling to x[r] is
+// set to zero (±0): the later rows' lower bands, and the earlier rows'
+// upper bands, which keeps elimination from filling the former in.
+func isolatedPivotLine(bd Banded, n, r int, zero float64, rng *rand.Rand) [][]float64 {
+	vecs := randomLine(bd, n, rng)
+	vecs[bd.KL][r] = 0
+	for j := 1; j <= bd.KL; j++ {
+		vecs[j-1][r] = 0
+		if r+j < n {
+			vecs[j-1][r+j] = zero
+		}
+	}
+	for j := 1; j <= bd.KU && r-j >= 0; j++ {
+		vecs[bd.KL+j][r-j] = zero
+	}
+	return vecs
+}
+
+// withLine packs nb random lines for bd with line replacing the one in the
+// middle.
+func withLine(bd Banded, line [][]float64, n, nb int, rng *rand.Rand) [][]float64 {
+	lines := make([][][]float64, nb)
+	for b := range lines {
+		lines[b] = randomLine(bd, n, rng)
+	}
+	lines[nb/2] = cloneVecs(line)
+	return packPanel(lines, bd.NumVecs(), n, nb)
+}
+
+// TestBandedZeroPivotPanics: a zero pivot panics with the same message on
+// the scalar and the batched path, whether the generic row loop or the
+// pentadiagonal interior loop meets it, and through whichever lower band
+// reaches it. A zero pivot that only zero couplings reference is skipped,
+// not a panic, and the batched forward pass still matches the scalar one
+// bit for bit.
+func TestBandedZeroPivotPanics(t *testing.T) {
+	const (
+		fwdMsg = "sweep: Banded.Forward: zero pivot (system not elimination-stable)"
+		bwdMsg = "sweep: Banded.Backward: zero pivot"
+		n, nb  = 9, 4
+	)
+	for _, bd := range []Banded{NewPenta(), {KL: 1, KU: 1}, {KL: 3, KU: 2}} {
+		// For the pentadiagonal solver, forward rows 0 and 1 are generic
+		// head rows, so only the pivot of row 0 reached through the first
+		// lower band is read there; backward, rows n−2 and n−1 are generic
+		// tail rows. The interior loop meets every other case.
+		for _, r := range []int{0, 1, 3, n - 3, n - 1} {
+			rng := rand.New(rand.NewSource(int64(10*r + bd.KL)))
+			for k := 1; k <= bd.KL && r+k < n; k++ {
+				what := fmt.Sprintf("%s: pivot of row %d read by row %d", bd.Name(), r, r+k)
+				line := isolatedPivotLine(bd, n, r, 0, rng)
+				line[k-1][r+k] = 0.5
+				expectPanic(t, what+", Forward", fwdMsg, func() { bd.Forward(cloneVecs(line), nil, nil) })
+				panels := withLine(bd, line, n, nb, rng)
+				expectPanic(t, what+", ForwardBatch", fwdMsg, func() { bd.ForwardBatch(panels, nb, nil, nil) })
+			}
+
+			what := fmt.Sprintf("%s: zero diagonal at row %d", bd.Name(), r)
+			line := randomLine(bd, n, rng)
+			line[bd.KL][r] = 0
+			expectPanic(t, what+", Backward", bwdMsg, func() { bd.Backward(cloneVecs(line), nil, nil) })
+			panels := withLine(bd, line, n, nb, rng)
+			expectPanic(t, what+", BackwardBatch", bwdMsg, func() { bd.BackwardBatch(panels, nb, nil, nil) })
+
+			scalar := make([][][]float64, nb)
+			for b := range scalar {
+				scalar[b] = isolatedPivotLine(bd, n, r, math.Copysign(0, float64(b%2)-0.5), rng)
+			}
+			panels = packPanel(scalar, bd.NumVecs(), n, nb)
+			for b := range scalar {
+				bd.Forward(scalar[b], nil, nil)
+			}
+			bd.ForwardBatch(panels, nb, nil, nil)
+			requireSamePanel(t, panels, scalar, bd.NumVecs(), n, nb)
 		}
 	}
 }
