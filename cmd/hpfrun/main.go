@@ -29,6 +29,7 @@ import (
 	planpkg "genmp/internal/plan"
 	"genmp/internal/sim"
 	"genmp/internal/sweep"
+	"genmp/internal/xport"
 )
 
 const builtin = `
@@ -73,7 +74,7 @@ func main() {
 		log.Printf("serving live metrics on http://%s/metrics", tel.Server.Addr)
 	}
 
-	coll, err := sim.ParseAlg(*collName)
+	coll, err := xport.ParseAlg(*collName)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -35,6 +35,7 @@ import (
 	"genmp/internal/redist"
 	"genmp/internal/rt"
 	"genmp/internal/sim"
+	"genmp/internal/xport"
 )
 
 func main() {
@@ -73,7 +74,7 @@ func main() {
 		log.Printf("serving live metrics on http://%s/metrics", tel.Server.Addr)
 	}
 
-	coll, err := sim.ParseAlg(*collName)
+	coll, err := xport.ParseAlg(*collName)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -233,7 +234,7 @@ type singleOpts struct {
 	class          nas.Class
 	steps, p       int
 	topology       string
-	coll           sim.Alg
+	coll           xport.Alg
 	suiteSuffix    string
 	tracePath      string // Perfetto/Chrome trace-event file
 	traceJSONPath  string // round-trippable trace artifact (critpath input)

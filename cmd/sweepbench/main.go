@@ -39,6 +39,7 @@ import (
 	"genmp/internal/rt"
 	"genmp/internal/sim"
 	"genmp/internal/sweep"
+	"genmp/internal/xport"
 )
 
 func main() {
@@ -76,7 +77,7 @@ func main() {
 		log.Printf("serving live metrics on http://%s/metrics", tel.Server.Addr)
 	}
 
-	coll, err := sim.ParseAlg(*collName)
+	coll, err := xport.ParseAlg(*collName)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -328,7 +329,7 @@ func overlapNote(on bool) string {
 // timeline (the balance property appears as compute bars of equal length in
 // every phase on every rank), the per-phase profile (printed and/or
 // serialized for benchdiff), and a Perfetto trace.
-func instrumentedSweep(p int, eta []int, topology string, coll sim.Alg, ov plan.Overlap, timeline bool, tracePath, traceJSONPath string, metrics, blame bool, profilePath, planPath, src string) error {
+func instrumentedSweep(p int, eta []int, topology string, coll xport.Alg, ov plan.Overlap, timeline bool, tracePath, traceJSONPath string, metrics, blame bool, profilePath, planPath, src string) error {
 	obj := partition.MachineObjective(eta, 20e-6, 80e-9/float64(p))
 	m, err := core.NewOptimal(p, len(eta), obj)
 	if err != nil {

@@ -293,9 +293,9 @@ func tileCopier(dim int, u *grid.Grid, vecs []*grid.Grid, modelOnly bool) func(l
 
 func runBlock(pb Problem, u *grid.Grid, cfg Config) (sim.Result, error) {
 	b := cfg.Block
-	if cfg.Overlap.Enabled {
-		b.Overlap = cfg.Overlap
-	}
+	// Every run takes its overlap from its own Config: a Block reused after
+	// an overlap-on run must not keep running split.
+	b.Overlap = cfg.Overlap
 	var vecs []*grid.Grid
 	if !cfg.ModelOnly {
 		vecs = []*grid.Grid{grid.New(pb.Eta...), grid.New(pb.Eta...), grid.New(pb.Eta...), grid.New(pb.Eta...)}

@@ -7,6 +7,7 @@ import (
 	"genmp/internal/core"
 	"genmp/internal/dist"
 	"genmp/internal/grid"
+	"genmp/internal/plan"
 	"genmp/internal/sim"
 )
 
@@ -92,6 +93,40 @@ func TestBlockWavefrontMatchesSerial(t *testing.T) {
 	}
 	if d := grid.MaxAbsDiff(want, u); d > 1e-9 {
 		t.Errorf("wavefront ADI differs from serial by %g", d)
+	}
+}
+
+// TestReusedBlockTakesOverlapFromConfig runs one wavefront Block with
+// overlap on and then off: the second run must send exactly the messages
+// of an overlap-off run on a fresh Block, not keep the first run's split.
+func TestReusedBlockTakesOverlapFromConfig(t *testing.T) {
+	p := 4
+	eta := []int{16, 8, 8}
+	pb := Problem{Eta: eta, Alpha: 0.25, Steps: 1}
+	run := func(b *dist.Block, ov plan.Overlap) int {
+		t.Helper()
+		res, err := Run(pb, pb.InitialCondition(), Config{Machine: testMachine(p), Strategy: BlockWavefront, Block: b, Grain: 16, Overlap: ov})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.TotalMessages()
+	}
+	newBlock := func() *dist.Block {
+		b, err := dist.NewBlock(p, eta, 0, dist.HandCoded())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	fresh := run(newBlock(), plan.Overlap{})
+	reused := newBlock()
+	split := run(reused, plan.Overlap{Enabled: true})
+	again := run(reused, plan.Overlap{})
+	if split <= fresh {
+		t.Fatalf("overlap-on run sent %d messages, overlap-off %d: the split path did not run", split, fresh)
+	}
+	if again != fresh {
+		t.Errorf("overlap-off run on a reused Block sent %d messages, want %d (a fresh Block's)", again, fresh)
 	}
 }
 

@@ -102,7 +102,7 @@ func TestMultiSweepSteadyStateAllocFree(t *testing.T) {
 
 // resetScratchStats zeroes the arena counters of warmed per-rank scratch so
 // hit rates are measured from a steady-state baseline.
-func resetScratchStats(buf []rankScratch) {
+func resetScratchStats(buf []Scratch) {
 	for q := range buf {
 		buf[q].pan.ResetStats()
 		buf[q].chunk.ResetStats()

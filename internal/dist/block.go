@@ -38,7 +38,7 @@ type Block struct {
 	// scratchBuf holds one reusable arena per rank (indexed by rank ID, so
 	// concurrently running ranks never share); presized lazily by scratch,
 	// so literal-built Blocks are allocation-free in steady state too.
-	scratchBuf []rankScratch
+	scratchBuf []Scratch
 	scOnce     sync.Once
 	// wfPlans caches compiled wavefront schedules per (solver, grain) so
 	// repeated sweeps share one plan across ranks and steps.
@@ -64,44 +64,25 @@ type wfKey struct {
 	overlap bool
 }
 
-// rankScratch is the per-rank reusable state of a sweep executor: the SoA
-// panel arena, a second workspace for chunked scalar solves (the two must
-// be distinct — a chunk solve runs while panel views are live), and the
-// cached line geometry.
-type rankScratch struct {
-	pan       sweep.Workspace
-	chunk     sweep.Workspace
-	lines     []grid.Line
-	tileLines []int
-	pub       sweep.WorkspacePublisher
-}
-
-// publish streams this rank's arena acquisition counters into the run's
-// live registry (a no-op when metrics are off).
-func (sc *rankScratch) publish(r xport.Transport) {
-	sc.pub.Publish(r.MetricsRegistry(), &sc.pan, &sc.chunk)
-}
-
 // scratchWorkspaceStats aggregates arena counters across a per-rank
 // scratch slice — the executor-wide hit/miss view the alloc tests assert
 // on. Callers must not race it against running ranks.
-func scratchWorkspaceStats(buf []rankScratch) sweep.WorkspaceStats {
+func scratchWorkspaceStats(buf []Scratch) sweep.WorkspaceStats {
 	var out sweep.WorkspaceStats
 	for q := range buf {
-		for _, s := range []sweep.WorkspaceStats{buf[q].pan.Stats(), buf[q].chunk.Stats()} {
-			out.Gets += s.Gets
-			out.Hits += s.Hits
-		}
+		s := buf[q].WorkspaceStats()
+		out.Gets += s.Gets
+		out.Hits += s.Hits
 	}
 	return out
 }
 
 // scratch returns rank q's arena, presizing the per-rank slice on first use
 // so a Block built as a literal is served from persistent arenas too.
-func (b *Block) scratch(q int) *rankScratch {
+func (b *Block) scratch(q int) *Scratch {
 	b.scOnce.Do(func() {
 		if b.scratchBuf == nil {
-			b.scratchBuf = make([]rankScratch, b.P)
+			b.scratchBuf = make([]Scratch, b.P)
 		}
 	})
 	return &b.scratchBuf[q]
@@ -147,7 +128,7 @@ func NewBlock(p int, eta []int, dim int, ov OverheadModel) (*Block, error) {
 	if eta[dim] < p {
 		return nil, fmt.Errorf("dist: Block: extent η[%d] = %d smaller than p = %d", dim, eta[dim], p)
 	}
-	return &Block{P: p, Eta: numutil.CopyInts(eta), Dim: dim, Overhead: ov, scratchBuf: make([]rankScratch, p)}, nil
+	return &Block{P: p, Eta: numutil.CopyInts(eta), Dim: dim, Overhead: ov, scratchBuf: make([]Scratch, p)}, nil
 }
 
 // OwnedRange returns rank q's slab [lo, hi) along the partitioned dimension.
@@ -212,7 +193,7 @@ func (b *Block) LocalSweep(r xport.Transport, dim int, solver sweep.Solver, vecs
 // Lines are packed into SoA panels of `batch` lines and solved by the
 // batched kernels (bit-identical to the scalar path); solvers without a
 // batched form, or batch < 0, take the per-line scalar path.
-func solveLocalLines(solver sweep.Solver, vecs []*grid.Grid, rect grid.Rect, dim, batch int, sc *rankScratch) {
+func solveLocalLines(solver sweep.Solver, vecs []*grid.Grid, rect grid.Rect, dim, batch int, sc *Scratch) {
 	n := rect.Hi[dim] - rect.Lo[dim]
 	nv := solver.NumVecs()
 	bs, ok := solver.(sweep.BatchSolver)
@@ -275,124 +256,22 @@ func (b *Block) WavefrontSweep(r xport.Transport, solver sweep.Solver, vecs []*g
 		panic("dist: WavefrontSweep: grainLines must be ≥ 1")
 	}
 	pl := b.wavefrontPlan(solver, grainLines)
-	b.wavefrontPass(r, solver, vecs, pl, false)
-	if solver.BackwardCarryLen() > 0 || solver.BackwardFlopsPerElement() > 0 {
-		b.wavefrontPass(r, solver, vecs, pl, true)
-	}
-}
-
-func (b *Block) wavefrontPass(r xport.Transport, solver sweep.Solver, vecs []*grid.Grid, pl *plan.SweepPlan, backward bool) {
 	q := r.Rank()
-	pp := pl.Pass(q, b.Dim, backward)
-	carryLen := pp.CarryLen
-	flopsPerElem := solver.ForwardFlopsPerElement()
-	if backward {
-		flopsPerElem = solver.BackwardFlopsPerElement()
-	}
-	rect := b.ownedRect(q)
-	chunkLen := rect.Hi[b.Dim] - rect.Lo[b.Dim]
-
-	// Collect this rank's line geometry once (identical ordering on all
-	// ranks: row-major over the full orthogonal extents). The batched path
-	// treats each grain block as one panel and marshals its carries
-	// directly in the line-major wire format, so the outgoing message
-	// payload IS the kernel's carryOut — no per-line copy.
 	sc := b.scratch(q)
-	bs, batched := solver.(sweep.BatchSolver)
-	batched = batched && b.Batch >= 0
-	var chunk [][]float64
-	var touched, written []bool
-	nv := solver.NumVecs()
-	if vecs != nil {
-		sc.lines = vecs[0].AppendLines(rect, b.Dim, sc.lines[:0])
-		if batched {
-			touched, written = sweep.PassMasks(solver, backward)
-		} else {
-			chunk = sc.pan.Panels(nv, chunkLen)
+	// A pipeline block is a window of the slab, not a tile: one loop nest
+	// per slab, so no per-visit charge.
+	ov := b.Overhead
+	ov.PerTileVisit = 0
+	for _, backward := range [2]bool{false, true} {
+		if backward && !HasBackwardPass(solver) {
+			break
 		}
+		pp := pl.Pass(q, b.Dim, backward)
+		RunPass(r, PassSpec{
+			Pass: pp, Solver: solver, Batch: b.Batch, Bind: sc.bindGrids(vecs, pp, true),
+			Overhead: ov, Scratch: sc,
+		})
 	}
-
-	wc := &wfPassCtx{
-		sc: sc, solver: solver, bs: bs, batched: batched, backward: backward,
-		carryLen: carryLen, flopsPerElem: flopsPerElem, chunkLen: chunkLen,
-		nv: nv, chunk: chunk, touched: touched, written: written,
-	}
-	var preB, preI xport.Request
-	for m := range pp.Phases {
-		ph := &pp.Phases[m]
-		if ph.Boundary > 0 {
-			preB, preI = b.wavefrontOverlapPhase(r, wc, vecs, pp, m, preB, preI)
-			continue
-		}
-		first := ph.Tiles[0].LineOff
-		count := ph.Lines
-
-		var inBuf []float64
-		if ph.RecvFrom >= 0 && carryLen > 0 {
-			msg := r.Recv(ph.RecvFrom, ph.RecvTag)
-			r.Compute(b.Overhead.PerMessage)
-			inBuf = msg.Payload
-		}
-		var outBuf []float64
-		if ph.SendTo >= 0 && carryLen > 0 && vecs != nil {
-			outBuf = r.GetPayload(count * carryLen)
-		}
-
-		if vecs != nil {
-			blk := sc.lines[first : first+count]
-			if batched {
-				panels := sc.pan.Panels(nv, count*chunkLen)
-				for v, g := range vecs {
-					if sweep.MaskOn(touched, v) {
-						g.GatherLines(blk, panels[v])
-					}
-				}
-				if backward {
-					bs.BackwardBatch(panels, count, inBuf, outBuf)
-				} else {
-					bs.ForwardBatch(panels, count, inBuf, outBuf)
-				}
-				for v, g := range vecs {
-					if sweep.MaskOn(written, v) {
-						g.ScatterLines(blk, panels[v])
-					}
-				}
-			} else {
-				for i := 0; i < count; i++ {
-					l := blk[i]
-					for v, g := range vecs {
-						g.Gather(l, chunk[v])
-					}
-					var cIn, cOut []float64
-					if inBuf != nil {
-						cIn = inBuf[i*carryLen : (i+1)*carryLen]
-					}
-					if outBuf != nil {
-						cOut = outBuf[i*carryLen : (i+1)*carryLen]
-					}
-					if backward {
-						solver.Backward(chunk, cIn, cOut)
-					} else {
-						solver.Forward(chunk, cIn, cOut)
-					}
-					for v, g := range vecs {
-						g.Scatter(l, chunk[v])
-					}
-				}
-			}
-		}
-		// A received payload belongs to this rank once consumed; recycle it.
-		if inBuf != nil {
-			r.PutPayload(inBuf)
-		}
-		r.ComputeFlops(flopsPerElem * float64(count*chunkLen) * b.Overhead.ComputeFactor)
-
-		if ph.SendTo >= 0 && carryLen > 0 {
-			r.Compute(b.Overhead.PerMessage)
-			r.Send(ph.SendTo, ph.SendTag, xport.Msg{Bytes: ph.SendBytes, Payload: outBuf})
-		}
-	}
-	sc.publish(r)
 }
 
 // TransposeSweep performs the dynamic-block strategy for the partitioned

@@ -20,6 +20,8 @@
 // gathered/solved/scattered, with message payloads carrying the real
 // carries) for correctness validation, and model-only mode (nil grids; only
 // element counts and byte counts flow) for large-scale performance runs.
+// The sweeps share one pass loop, RunPass, which takes the storage as a
+// Binding (nil in model-only mode); dmem's strict runner calls it too.
 package dist
 
 import (
@@ -223,8 +225,8 @@ func (e *Env) HaloBytes(q, depth, nGrids int) int {
 // ExchangeHalos models a stencil boundary exchange of the given depth for
 // nGrids grids: one aggregated message to each of the 2d neighbor
 // processors (the neighbor property makes a single target per direction),
-// each via the sim.Exchange neighbor primitive under the dist/halo tag
-// space. In data mode the grids share storage, so the messages carry no
+// each via the transport's Exchange neighbor primitive under the dist/halo
+// tag space. In data mode the grids share storage, so the messages carry no
 // payload — they establish ordering and cost. Ranks whose tiles touch the
 // domain boundary in a direction still exchange with their tile-neighbors
 // for the interior faces.

@@ -47,7 +47,7 @@ type MultiSweep struct {
 	Plan *plan.SweepPlan
 	// scratchBuf holds one reusable arena per rank (indexed by rank ID, so
 	// concurrently running ranks never share); presized by init.
-	scratchBuf []rankScratch
+	scratchBuf []Scratch
 	once       sync.Once
 }
 
@@ -82,7 +82,7 @@ func (s *MultiSweep) init() {
 			s.Plan = pl
 		}
 		if s.scratchBuf == nil {
-			s.scratchBuf = make([]rankScratch, s.Env.M.P())
+			s.scratchBuf = make([]Scratch, s.Env.M.P())
 		}
 	})
 }
@@ -106,203 +106,15 @@ func (s *MultiSweep) WorkspaceStats() sweep.WorkspaceStats {
 // slabs γ−1..0.
 func (s *MultiSweep) Run(r xport.Transport, dim int) {
 	s.init()
-	s.pass(r, dim, false)
-	if s.Solver.BackwardCarryLen() > 0 || s.Solver.BackwardFlopsPerElement() > 0 {
-		s.pass(r, dim, true)
+	sc := &s.scratchBuf[r.Rank()]
+	for _, backward := range [2]bool{false, true} {
+		if backward && !HasBackwardPass(s.Solver) {
+			break
+		}
+		pp := s.Plan.Pass(r.Rank(), dim, backward)
+		RunPass(r, PassSpec{
+			Pass: pp, Solver: s.Solver, Batch: s.Batch, Bind: sc.bindGrids(s.Vecs, pp, false),
+			Overhead: s.Env.Overhead, PerTileMessages: !s.Aggregate, Scratch: sc,
+		})
 	}
-}
-
-func (s *MultiSweep) pass(r xport.Transport, dim int, backward bool) {
-	env := s.Env
-	q := r.Rank()
-	pp := s.Plan.Pass(q, dim, backward)
-	carryLen := pp.CarryLen
-	flopsPerElem := s.Solver.ForwardFlopsPerElement()
-	if backward {
-		flopsPerElem = s.Solver.BackwardFlopsPerElement()
-	}
-	// Per-rank scratch: SoA panel arena and line geometry, reused across
-	// phases, passes and steps. The batched path packs each tile's lines
-	// into panels and reads/writes its carries directly in the line-major
-	// message payloads — the kernel's carry marshalling IS the wire format.
-	sc := &s.scratchBuf[q]
-	bs, batched := s.Solver.(sweep.BatchSolver)
-	batched = batched && s.Batch >= 0
-	batch := s.Batch
-	if batch <= 0 {
-		batch = sweep.DefaultBatchLines
-	}
-	nv := s.Solver.NumVecs()
-	var chunk, views [][]float64
-	var touched, written []bool
-	if s.Vecs != nil {
-		if batched {
-			touched, written = sweep.PassMasks(s.Solver, backward)
-		} else {
-			chunk = sc.pan.Panels(nv, env.Eta[dim])
-			views = sc.chunk.Views(nv)
-		}
-	}
-	pc := &msPassCtx{
-		sc: sc, dim: dim, backward: backward, carryLen: carryLen,
-		flopsPerElem: flopsPerElem, batch: batch, nv: nv, bs: bs,
-		batched: batched, touched: touched, written: written,
-		chunk: chunk, views: views,
-	}
-
-	// Overlap-annotated phases run the boundary-first schedule; preB/preI
-	// carry receive requests preposted for the next phase while the current
-	// one's interior solve hides the wire.
-	var preB, preI xport.Request
-	for k := range pp.Phases {
-		ph := &pp.Phases[k]
-		if ph.Boundary > 0 && s.Aggregate {
-			preB, preI = s.overlapPhase(r, pc, pp, k, preB, preI)
-			continue
-		}
-		// Per-tile line counts are identical on the sending and receiving
-		// side of a phase boundary: tiles correspond by a one-slab shift,
-		// which preserves both order and cross-section (Plan.Validate checks
-		// exactly this symmetry).
-		lines := ph.Lines
-
-		// Receive the carries produced by the upstream slab. An aggregated
-		// payload is a pooled buffer whose ownership arrives with the
-		// message; it is recycled below once consumed. Non-aggregated
-		// payloads are sub-slices of the sender's buffer and must not be
-		// recycled here.
-		var inBuf []float64
-		pooledIn := false
-		if ph.RecvFrom >= 0 && carryLen > 0 {
-			if s.Aggregate {
-				msg := r.Recv(ph.RecvFrom, ph.RecvTag)
-				r.Compute(env.Overhead.PerMessage)
-				inBuf = msg.Payload
-				pooledIn = inBuf != nil
-			} else {
-				if s.Vecs != nil {
-					inBuf = make([]float64, lines*carryLen)
-				}
-				off := 0
-				for ti := range ph.Tiles {
-					n := ph.Tiles[ti].Lines
-					msg := r.Recv(ph.RecvFrom, ph.RecvTag)
-					r.Compute(env.Overhead.PerMessage)
-					if inBuf != nil {
-						copy(inBuf[off:off+n*carryLen], msg.Payload)
-					}
-					off += n * carryLen
-				}
-			}
-		}
-
-		var outBuf []float64
-		if ph.SendTo >= 0 && carryLen > 0 && s.Vecs != nil {
-			if s.Aggregate {
-				outBuf = r.GetPayload(lines * carryLen)
-			} else {
-				outBuf = make([]float64, lines*carryLen)
-			}
-		}
-
-		// Compute this slab's tiles.
-		elements := 0
-		inOff, outOff := 0, 0
-		for ti := range ph.Tiles {
-			tg := &ph.Tiles[ti]
-			r.Compute(env.Overhead.PerTileVisit)
-			chunkLen := tg.ChunkLen
-			elements += chunkLen * tg.Lines
-			if s.Vecs == nil {
-				continue
-			}
-			rect := tg.Rect
-			if batched {
-				n := tg.Lines
-				sc.lines = s.Vecs[0].AppendLines(rect, dim, sc.lines[:0])
-				for s0 := 0; s0 < n; s0 += batch {
-					nb := min(batch, n-s0)
-					blk := sc.lines[s0 : s0+nb]
-					panels := sc.pan.Panels(nv, nb*chunkLen)
-					for v, g := range s.Vecs {
-						if sweep.MaskOn(touched, v) {
-							g.GatherLines(blk, panels[v])
-						}
-					}
-					var cIn, cOut []float64
-					if inBuf != nil {
-						cIn = inBuf[inOff+s0*carryLen : inOff+(s0+nb)*carryLen]
-					}
-					if outBuf != nil {
-						cOut = outBuf[outOff+s0*carryLen : outOff+(s0+nb)*carryLen]
-					}
-					if backward {
-						bs.BackwardBatch(panels, nb, cIn, cOut)
-					} else {
-						bs.ForwardBatch(panels, nb, cIn, cOut)
-					}
-					for v, g := range s.Vecs {
-						if sweep.MaskOn(written, v) {
-							g.ScatterLines(blk, panels[v])
-						}
-					}
-				}
-				if inBuf != nil {
-					inOff += n * carryLen
-				}
-				if outBuf != nil {
-					outOff += n * carryLen
-				}
-				continue
-			}
-			s.Vecs[0].EachLine(rect, dim, func(l grid.Line) {
-				for v, g := range s.Vecs {
-					g.Gather(l, chunk[v][:chunkLen])
-					views[v] = chunk[v][:chunkLen]
-				}
-				var cIn, cOut []float64
-				if inBuf != nil {
-					cIn = inBuf[inOff : inOff+carryLen]
-					inOff += carryLen
-				}
-				if outBuf != nil {
-					cOut = outBuf[outOff : outOff+carryLen]
-					outOff += carryLen
-				}
-				if backward {
-					s.Solver.Backward(views, cIn, cOut)
-				} else {
-					s.Solver.Forward(views, cIn, cOut)
-				}
-				for v, g := range s.Vecs {
-					g.Scatter(l, chunk[v][:chunkLen])
-				}
-			})
-		}
-		if pooledIn {
-			r.PutPayload(inBuf)
-		}
-		r.ComputeFlops(flopsPerElem * float64(elements) * env.Overhead.ComputeFactor)
-
-		// Ship the carries downstream.
-		if ph.SendTo >= 0 && carryLen > 0 {
-			if s.Aggregate {
-				r.Compute(env.Overhead.PerMessage)
-				r.Send(ph.SendTo, ph.SendTag, xport.Msg{Bytes: ph.SendBytes, Payload: outBuf})
-			} else {
-				off := 0
-				for ti := range ph.Tiles {
-					n := ph.Tiles[ti].Lines
-					r.Compute(env.Overhead.PerMessage)
-					msg := xport.Msg{Bytes: n * carryLen * 8}
-					if outBuf != nil {
-						msg.Payload = outBuf[off : off+n*carryLen]
-					}
-					off += n * carryLen
-					r.Send(ph.SendTo, ph.SendTag, msg)
-				}
-			}
-		}
-	}
-	sc.publish(r)
 }

@@ -11,45 +11,22 @@
 // schedule: the batched kernels guarantee bit-equality regardless of panel
 // grouping, and the boundary/interior regrouping never reorders lines.
 //
-// The message choreography is identical for every executor — MultiSweep,
-// the wavefront pipeline, and dmem's strict SweepRunner — so it lives in
-// the one shared helper OverlapPhase, parameterized over the transport
-// interface and a per-executor solve callback.
+// RunPass is the one executor behind every sweep — MultiSweep, the
+// wavefront pipeline and dmem's strict SweepRunner — so this choreography
+// exists once, solving each half with the pass loop's own range solver.
 package dist
 
-import (
-	"genmp/internal/grid"
-	"genmp/internal/plan"
-	"genmp/internal/sweep"
-	"genmp/internal/xport"
-)
+import "genmp/internal/xport"
 
-// OverlapPhaseSpec parameterizes one split-phase execution: the schedule
-// position plus the two things that differ between executors — the packing
-// overhead and the solve kernel.
-type OverlapPhaseSpec struct {
-	Pass  *plan.Pass
-	Phase int
-	// PerMessage is the executor's per-message packing overhead, charged
-	// once per carry message received or sent.
-	PerMessage float64
-	// Payloads selects data mode: outgoing carries are assembled in pooled
-	// payload buffers. False sends byte-count-only messages (model-only).
-	Payloads bool
-	// Solve computes the phase's canonical lines in [gLo, gHi) and charges
-	// their flops. cIn/cOut hold the range's carries indexed from gLo (line
-	// g's carry block starts at (g−gLo)·CarryLen); either may be nil.
-	Solve func(gLo, gHi int, cIn, cOut []float64)
-}
-
-// OverlapPhase executes one split phase over any transport. preB/preI are
-// this phase's receive requests if the previous phase preposted them (nil
-// to post here); the return values are the next phase's preposted requests
-// (nil when the next phase is unsplit or absent).
-func OverlapPhase(t xport.Transport, sp OverlapPhaseSpec, preB, preI xport.Request) (nextB, nextI xport.Request) {
-	pp := sp.Pass
-	ph := &pp.Phases[sp.Phase]
+// overlapPhase executes split phase k. preB/preI are this phase's receive
+// requests if the previous phase preposted them (nil to post here); the
+// return values are the next phase's preposted requests (nil when the next
+// phase is unsplit or absent).
+func (x *passRun) overlapPhase(k int, preB, preI xport.Request) (nextB, nextI xport.Request) {
+	t, pp := x.t, x.Pass
+	ph := &pp.Phases[k]
 	carryLen := pp.CarryLen
+	perMessage := x.Overhead.PerMessage
 	bnd, inter := ph.InteriorBoundary()
 
 	var reqB, reqI xport.Request
@@ -62,7 +39,7 @@ func OverlapPhase(t xport.Transport, sp OverlapPhaseSpec, preB, preI xport.Reque
 	}
 
 	var outB, outI []float64
-	if ph.SendTo >= 0 && carryLen > 0 && sp.Payloads {
+	if ph.SendTo >= 0 && carryLen > 0 && x.Bind != nil {
 		outB = t.GetPayload(bnd * carryLen)
 		outI = t.GetPayload(inter * carryLen)
 	}
@@ -72,24 +49,24 @@ func OverlapPhase(t xport.Transport, sp OverlapPhaseSpec, preB, preI xport.Reque
 	var inB []float64
 	if reqB != nil {
 		msg := reqB.Wait()
-		t.Compute(sp.PerMessage)
+		t.Compute(perMessage)
 		inB = msg.Payload
 	}
-	sp.Solve(0, bnd, inB, outB)
+	x.solve(k, 0, bnd, inB, outB)
 	if inB != nil {
 		t.PutPayload(inB)
 	}
 	var sendB, sendI xport.Request
 	if ph.SendTo >= 0 && carryLen > 0 {
-		t.Compute(sp.PerMessage)
+		t.Compute(perMessage)
 		sendB = t.Isend(ph.SendTo, ph.SendTag, xport.Msg{Bytes: bnd * carryLen * 8, Payload: outB})
 	}
 
 	// The boundary carry is on the wire. Prepost the next phase's receives
 	// (free in virtual time; the MPI discipline the real-parallel backend
 	// inherits), then solve the interior while the messages fly.
-	if sp.Phase+1 < len(pp.Phases) {
-		if np := &pp.Phases[sp.Phase+1]; np.Boundary > 0 && np.RecvFrom >= 0 && carryLen > 0 {
+	if k+1 < len(pp.Phases) {
+		if np := &pp.Phases[k+1]; np.Boundary > 0 && np.RecvFrom >= 0 && carryLen > 0 {
 			nextB = t.Irecv(np.RecvFrom, np.RecvTag)
 			nextI = t.Irecv(np.RecvFrom, np.InteriorRecvTag)
 		}
@@ -98,15 +75,15 @@ func OverlapPhase(t xport.Transport, sp OverlapPhaseSpec, preB, preI xport.Reque
 	var inI []float64
 	if reqI != nil {
 		msg := reqI.Wait()
-		t.Compute(sp.PerMessage)
+		t.Compute(perMessage)
 		inI = msg.Payload
 	}
-	sp.Solve(bnd, ph.Lines, inI, outI)
+	x.solve(k, bnd, ph.Lines, inI, outI)
 	if inI != nil {
 		t.PutPayload(inI)
 	}
 	if ph.SendTo >= 0 && carryLen > 0 {
-		t.Compute(sp.PerMessage)
+		t.Compute(perMessage)
 		sendI = t.Isend(ph.SendTo, ph.InteriorSendTag, xport.Msg{Bytes: inter * carryLen * 8, Payload: outI})
 	}
 	if sendB != nil {
@@ -116,210 +93,4 @@ func OverlapPhase(t xport.Transport, sp OverlapPhaseSpec, preB, preI xport.Reque
 		sendI.Wait()
 	}
 	return nextB, nextI
-}
-
-// msPassCtx bundles one pass invocation's resolved locals so the strict
-// loop and the overlapped phase executor share them without re-deriving.
-type msPassCtx struct {
-	sc           *rankScratch
-	dim          int
-	backward     bool
-	carryLen     int
-	flopsPerElem float64
-	batch        int
-	nv           int
-	bs           sweep.BatchSolver
-	batched      bool
-	touched      []bool
-	written      []bool
-	chunk        [][]float64
-	views        [][]float64
-}
-
-// overlapPhase adapts MultiSweep's solve kernel to the shared executor.
-func (s *MultiSweep) overlapPhase(r xport.Transport, pc *msPassCtx, pp *plan.Pass, k int, preB, preI xport.Request) (nextB, nextI xport.Request) {
-	env := s.Env
-	ph := &pp.Phases[k]
-	return OverlapPhase(r, OverlapPhaseSpec{
-		Pass: pp, Phase: k,
-		PerMessage: env.Overhead.PerMessage,
-		Payloads:   s.Vecs != nil,
-		Solve: func(gLo, gHi int, cIn, cOut []float64) {
-			elems := s.solveLineRange(r, pc, ph, gLo, gHi, cIn, cOut)
-			r.ComputeFlops(pc.flopsPerElem * float64(elems) * env.Overhead.ComputeFactor)
-		},
-	}, preB, preI)
-}
-
-// wfPassCtx bundles one wavefront pass invocation's resolved locals for the
-// overlapped block executor.
-type wfPassCtx struct {
-	sc           *rankScratch
-	solver       sweep.Solver
-	bs           sweep.BatchSolver
-	batched      bool
-	backward     bool
-	carryLen     int
-	flopsPerElem float64
-	chunkLen     int
-	nv           int
-	chunk        [][]float64
-	touched      []bool
-	written      []bool
-}
-
-// wavefrontOverlapPhase adapts the wavefront pipeline's block solve to the
-// shared executor: the phase is a contiguous run of whole lines, so the
-// range [gLo, gHi) maps directly onto the cached line geometry.
-func (b *Block) wavefrontOverlapPhase(r xport.Transport, wc *wfPassCtx, vecs []*grid.Grid, pp *plan.Pass, m int, preB, preI xport.Request) (nextB, nextI xport.Request) {
-	ph := &pp.Phases[m]
-	carryLen := wc.carryLen
-	first := ph.Tiles[0].LineOff
-
-	solve := func(gLo, gHi int, cIn, cOut []float64) {
-		count := gHi - gLo
-		if vecs != nil && count > 0 {
-			blk := wc.sc.lines[first+gLo : first+gLo+count]
-			if wc.batched {
-				panels := wc.sc.pan.Panels(wc.nv, count*wc.chunkLen)
-				for v, g := range vecs {
-					if sweep.MaskOn(wc.touched, v) {
-						g.GatherLines(blk, panels[v])
-					}
-				}
-				if wc.backward {
-					wc.bs.BackwardBatch(panels, count, cIn, cOut)
-				} else {
-					wc.bs.ForwardBatch(panels, count, cIn, cOut)
-				}
-				for v, g := range vecs {
-					if sweep.MaskOn(wc.written, v) {
-						g.ScatterLines(blk, panels[v])
-					}
-				}
-			} else {
-				for i := 0; i < count; i++ {
-					l := blk[i]
-					for v, g := range vecs {
-						g.Gather(l, wc.chunk[v])
-					}
-					var lIn, lOut []float64
-					if cIn != nil {
-						lIn = cIn[i*carryLen : (i+1)*carryLen]
-					}
-					if cOut != nil {
-						lOut = cOut[i*carryLen : (i+1)*carryLen]
-					}
-					if wc.backward {
-						wc.solver.Backward(wc.chunk, lIn, lOut)
-					} else {
-						wc.solver.Forward(wc.chunk, lIn, lOut)
-					}
-					for v, g := range vecs {
-						g.Scatter(l, wc.chunk[v])
-					}
-				}
-			}
-		}
-		r.ComputeFlops(wc.flopsPerElem * float64(count*wc.chunkLen) * b.Overhead.ComputeFactor)
-	}
-
-	return OverlapPhase(r, OverlapPhaseSpec{
-		Pass: pp, Phase: m,
-		PerMessage: b.Overhead.PerMessage,
-		Payloads:   vecs != nil,
-		Solve:      solve,
-	}, preB, preI)
-}
-
-// solveLineRange computes the phase's canonical lines in [gLo, gHi),
-// clipping each tile to the range. cInBuf/cOutBuf hold the range's carries,
-// indexed from gLo (line g's carry block starts at (g−gLo)·carryLen). Tiles
-// intersecting the range pay PerTileVisit per visit — a tile straddling the
-// split is visited twice. Returns the elements computed; the caller charges
-// the flops so boundary and interior compute appear as separate intervals.
-func (s *MultiSweep) solveLineRange(r xport.Transport, pc *msPassCtx, ph *plan.Phase, gLo, gHi int, cInBuf, cOutBuf []float64) int {
-	env := s.Env
-	carryLen := pc.carryLen
-	elements := 0
-	for ti := range ph.Tiles {
-		tg := &ph.Tiles[ti]
-		lo := max(gLo, tg.LineOff)
-		hi := min(gHi, tg.LineOff+tg.Lines)
-		if lo >= hi {
-			continue
-		}
-		r.Compute(env.Overhead.PerTileVisit)
-		chunkLen := tg.ChunkLen
-		elements += (hi - lo) * chunkLen
-		if s.Vecs == nil {
-			continue
-		}
-		rect := tg.Rect
-		if pc.batched {
-			sc := pc.sc
-			sc.lines = s.Vecs[0].AppendLines(rect, pc.dim, sc.lines[:0])
-			tLo, tHi := lo-tg.LineOff, hi-tg.LineOff
-			for s0 := tLo; s0 < tHi; s0 += pc.batch {
-				nb := min(pc.batch, tHi-s0)
-				blk := sc.lines[s0 : s0+nb]
-				panels := sc.pan.Panels(pc.nv, nb*chunkLen)
-				for v, g := range s.Vecs {
-					if sweep.MaskOn(pc.touched, v) {
-						g.GatherLines(blk, panels[v])
-					}
-				}
-				var cIn, cOut []float64
-				c0 := tg.LineOff + s0 - gLo
-				if cInBuf != nil {
-					cIn = cInBuf[c0*carryLen : (c0+nb)*carryLen]
-				}
-				if cOutBuf != nil {
-					cOut = cOutBuf[c0*carryLen : (c0+nb)*carryLen]
-				}
-				if pc.backward {
-					pc.bs.BackwardBatch(panels, nb, cIn, cOut)
-				} else {
-					pc.bs.ForwardBatch(panels, nb, cIn, cOut)
-				}
-				for v, g := range s.Vecs {
-					if sweep.MaskOn(pc.written, v) {
-						g.ScatterLines(blk, panels[v])
-					}
-				}
-			}
-			continue
-		}
-		// Scalar oracle path: walk the tile's canonical line order, solving
-		// only the lines inside the range.
-		g := tg.LineOff
-		s.Vecs[0].EachLine(rect, pc.dim, func(l grid.Line) {
-			idx := g
-			g++
-			if idx < gLo || idx >= gHi {
-				return
-			}
-			for v, gr := range s.Vecs {
-				gr.Gather(l, pc.chunk[v][:chunkLen])
-				pc.views[v] = pc.chunk[v][:chunkLen]
-			}
-			var cIn, cOut []float64
-			c0 := idx - gLo
-			if cInBuf != nil {
-				cIn = cInBuf[c0*carryLen : (c0+1)*carryLen]
-			}
-			if cOutBuf != nil {
-				cOut = cOutBuf[c0*carryLen : (c0+1)*carryLen]
-			}
-			if pc.backward {
-				s.Solver.Backward(pc.views, cIn, cOut)
-			} else {
-				s.Solver.Forward(pc.views, cIn, cOut)
-			}
-			for v, gr := range s.Vecs {
-				gr.Scatter(l, pc.chunk[v][:chunkLen])
-			}
-		})
-	}
-	return elements
 }

@@ -9,6 +9,7 @@ import (
 	"genmp/internal/grid"
 	"genmp/internal/sim"
 	"genmp/internal/sweep"
+	"genmp/internal/xport"
 )
 
 // strictIdentityGrids builds the global reference system for one solver: a
@@ -79,7 +80,7 @@ func TestSweepRunnerBatchBitIdentical(t *testing.T) {
 					runner.Batch = batch
 					runner.Run(r, dim)
 					for v := range fields {
-						if g := GatherToRoot(r, fields[v], sim.AlgAuto); g != nil {
+						if g := GatherToRoot(r, fields[v], xport.AlgAuto); g != nil {
 							out[v] = g
 						}
 					}

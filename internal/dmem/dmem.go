@@ -191,7 +191,7 @@ func (f *Field) Inject(m redist.Move, src []float64) {
 // ExchangeHalos fills the field's halo shells with real face data from the
 // neighboring processors: one aggregated payload message per direction per
 // dimension (the neighbor property gives a single peer each way), via the
-// sim.Exchange neighbor primitive under the dmem/halo tag space. The
+// transport's Exchange neighbor primitive under the dmem/halo tag space. The
 // schedule is compiled once per field by redist.CompileHalo and executed
 // with the Field itself as the storage binding — the historical hand-built
 // pack/exchange/unpack loop, replayed bit for bit as a special case of the
@@ -250,7 +250,7 @@ func (f *Field) ExchangeHalosPiped(r xport.Transport, pre []xport.Request) {
 }
 
 // GatherToRoot reconstructs the global array on rank 0 from every rank's
-// interiors, over the sim.GatherTo collective (the default linear
+// interiors, over the transport's GatherTo collective (the default linear
 // algorithm reproduces the historical send-to-root loop exactly; alg
 // selects an alternative). All ranks must call it; non-root ranks return
 // nil.

@@ -13,6 +13,7 @@ import (
 	"genmp/internal/numutil"
 	"genmp/internal/sim"
 	"genmp/internal/sweep"
+	"genmp/internal/xport"
 )
 
 func testMachine(p int) *sim.Machine {
@@ -81,7 +82,7 @@ func TestFillFuncUsesGlobalCoordinates(t *testing.T) {
 		f := NewField(env, r.ID, 1)
 		f.FillFunc(func(g []int) float64 { return float64(100*g[0] + 10*g[1] + g[2]) })
 		fields[r.ID] = f
-		if g := GatherToRoot(r, f, sim.AlgAuto); g != nil {
+		if g := GatherToRoot(r, f, xport.AlgAuto); g != nil {
 			rebuilt = g
 		}
 	})
@@ -215,8 +216,8 @@ func TestStrictSweepMatchesSerial(t *testing.T) {
 			v := v
 			fields[v].FillFunc(func(g []int) float64 { return gs[v].At(g...) })
 		}
-		RunSweep(r, sweep.Tridiag{}, fields, 0)
-		if g := GatherToRoot(r, fields[3], sim.AlgAuto); g != nil {
+		NewSweepRunner(sweep.Tridiag{}, fields).Run(r, 0)
+		if g := GatherToRoot(r, fields[3], xport.AlgAuto); g != nil {
 			rebuilt = g
 		}
 	})

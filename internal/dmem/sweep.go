@@ -37,30 +37,42 @@ type SweepRunner struct {
 	// runners instead of compiling the full O(p) schedule per rank.
 	Plan *plan.SweepPlan
 
-	pan   sweep.Workspace // SoA panel arena (batched) / chunk buffers (scalar)
-	views sweep.Workspace // view headers of the scalar path
-	pub   sweep.WorkspacePublisher
-	binds map[int][][]tileBind
+	scratch dist.Scratch
+	// binds[dim*2+direction] binds that pass to this rank's tiles, built on
+	// first use; grids holds the tile grids the last Tile call handed out.
+	binds []passBinding
+	grids []*grid.Grid
 }
 
 // WorkspaceStats reports this runner's arena acquisition counters; with
 // warmed arenas the hit rate is 1. Runners are per-rank, so read it only
 // after the owning rank has finished.
 func (sr *SweepRunner) WorkspaceStats() sweep.WorkspaceStats {
-	var out sweep.WorkspaceStats
-	for _, s := range []sweep.WorkspaceStats{sr.pan.Stats(), sr.views.Stats()} {
-		out.Gets += s.Gets
-		out.Hits += s.Hits
-	}
-	return out
+	return sr.scratch.WorkspaceStats()
 }
 
 // tileBind binds one plan tile to this rank's storage: the local tile
-// index and, per field, the tile's line offsets in the shared canonical
-// order (identical cross-sections, field-specific padding).
+// index and, per field, the tile's lines in the shared canonical order
+// (identical cross-sections, field-specific padding).
 type tileBind struct {
 	local int
 	geom  [][]grid.Line
+}
+
+// passBinding is the dist.Binding of one (dim, direction) pass: phase k's
+// tile ti is bound by tiles[k][ti].
+type passBinding struct {
+	sr    *SweepRunner
+	tiles [][]tileBind
+}
+
+// Tile implements dist.Binding.
+func (pb *passBinding) Tile(k, ti int) ([]*grid.Grid, [][]grid.Line) {
+	tb := &pb.tiles[k][ti]
+	for v, f := range pb.sr.Fields {
+		pb.sr.grids[v] = f.TileGrid(tb.local)
+	}
+	return pb.sr.grids, tb.geom
 }
 
 // CompileSweepPlan compiles the sweep schedule the strict runtime executes
@@ -93,20 +105,7 @@ func NewSweepRunner(solver sweep.Solver, fields []*Field) *SweepRunner {
 	if len(fields) != solver.NumVecs() {
 		panic(fmt.Sprintf("dmem: solver %s needs %d fields, got %d", solver.Name(), solver.NumVecs(), len(fields)))
 	}
-	return &SweepRunner{Solver: solver, Fields: fields, binds: map[int][][]tileBind{}}
-}
-
-// RunSweep performs a full line sweep (forward elimination and, when the
-// solver has one, back substitution) along dim over strictly distributed
-// fields: the solver's per-line arrays live in the calling rank's private
-// tile storage, and inter-tile carries travel in real message payloads.
-// fields must hold Solver.NumVecs() fields of this rank.
-//
-// The helper builds a throwaway SweepRunner (and compiles a throwaway
-// plan) per call; loops should build one runner up front, sharing a
-// CompileSweepPlan instance, so schedule, bindings and arenas persist.
-func RunSweep(r xport.Transport, solver sweep.Solver, fields []*Field, dim int) {
-	NewSweepRunner(solver, fields).Run(r, dim)
+	return &SweepRunner{Solver: solver, Fields: fields}
 }
 
 // ensurePlan compiles the runner's schedule on first use when no shared
@@ -139,29 +138,35 @@ func (sr *SweepRunner) CompiledPlan() *plan.SweepPlan {
 // Run performs the full sweep along dim for the calling rank.
 func (sr *SweepRunner) Run(r xport.Transport, dim int) {
 	sr.ensurePlan()
-	sr.pass(r, dim, false)
-	if sr.Solver.BackwardCarryLen() > 0 || sr.Solver.BackwardFlopsPerElement() > 0 {
-		sr.pass(r, dim, true)
+	for _, backward := range [2]bool{false, true} {
+		if backward && !dist.HasBackwardPass(sr.Solver) {
+			break
+		}
+		pp := sr.Plan.Pass(r.Rank(), dim, backward)
+		dist.RunPass(r, dist.PassSpec{
+			Pass: pp, Solver: sr.Solver, Batch: sr.Batch, Bind: sr.bindings(pp),
+			Overhead: sr.Fields[0].Env.Overhead, Scratch: &sr.scratch,
+		})
 	}
-	sr.pub.Publish(r.MetricsRegistry(), &sr.pan, &sr.views)
 }
 
-// bindings returns the storage binding of the plan's (dim, backward) pass
-// for this rank's fields, resolving local tile indices and per-field line
-// geometry on first use.
-func (sr *SweepRunner) bindings(pp *plan.Pass, dim int, backward bool) [][]tileBind {
-	key := dim * 2
-	if backward {
+// bindings returns the storage binding of pass pp for this rank's fields,
+// resolving local tile indices and per-field line geometry on first use.
+func (sr *SweepRunner) bindings(pp *plan.Pass) *passBinding {
+	if sr.binds == nil {
+		sr.binds = make([]passBinding, 2*len(sr.Fields[0].Env.Eta))
+		sr.grids = make([]*grid.Grid, len(sr.Fields))
+	}
+	key := pp.Dim * 2
+	if pp.Backward {
 		key++
 	}
-	if sr.binds == nil {
-		sr.binds = map[int][][]tileBind{}
-	}
-	if tb, ok := sr.binds[key]; ok {
-		return tb
+	pb := &sr.binds[key]
+	if pb.tiles != nil {
+		return pb
 	}
 	f0 := sr.Fields[0]
-	out := make([][]tileBind, len(pp.Phases))
+	pb.sr, pb.tiles = sr, make([][]tileBind, len(pp.Phases))
 	for k := range pp.Phases {
 		ph := &pp.Phases[k]
 		tb := make([]tileBind, len(ph.Tiles))
@@ -184,152 +189,12 @@ func (sr *SweepRunner) bindings(pp *plan.Pass, dim int, backward bool) [][]tileB
 					}
 				}
 				if !shared {
-					geom[v] = f.TileGrid(i).AppendLines(f.InteriorRect(i), dim, make([]grid.Line, 0, t.Lines))
+					geom[v] = f.TileGrid(i).AppendLines(f.InteriorRect(i), pp.Dim, make([]grid.Line, 0, t.Lines))
 				}
 			}
 			tb[ti] = tileBind{local: i, geom: geom}
 		}
-		out[k] = tb
+		pb.tiles[k] = tb
 	}
-	sr.binds[key] = out
-	return out
-}
-
-func (sr *SweepRunner) pass(r xport.Transport, dim int, backward bool) {
-	solver := sr.Solver
-	fields := sr.Fields
-	env := fields[0].Env
-	q := r.Rank()
-	pp := sr.Plan.Pass(q, dim, backward)
-	binds := sr.bindings(pp, dim, backward)
-	carryLen := pp.CarryLen
-	flopsPerElem := solver.ForwardFlopsPerElement()
-	if backward {
-		flopsPerElem = solver.BackwardFlopsPerElement()
-	}
-
-	bs, batched := solver.(sweep.BatchSolver)
-	batched = batched && sr.Batch >= 0
-	batch := sr.Batch
-	if batch <= 0 {
-		batch = sweep.DefaultBatchLines
-	}
-	nv := len(fields)
-	var chunk, views [][]float64
-	var touched, written []bool
-	if batched {
-		touched, written = sweep.PassMasks(solver, backward)
-	} else {
-		chunk = sr.pan.Panels(nv, env.Eta[dim])
-		views = sr.views.Views(nv)
-	}
-	pc := &dmPassCtx{
-		binds: binds, backward: backward, carryLen: carryLen,
-		flopsPerElem: flopsPerElem, batch: batch, nv: nv, bs: bs,
-		batched: batched, touched: touched, written: written,
-		chunk: chunk, views: views,
-	}
-
-	// Overlap-annotated phases run the boundary-first schedule; preB/preI
-	// carry receive requests preposted for the next phase.
-	var preB, preI xport.Request
-	for k := range pp.Phases {
-		ph := &pp.Phases[k]
-		if ph.Boundary > 0 {
-			preB, preI = sr.overlapPhase(r, pc, pp, k, preB, preI)
-			continue
-		}
-		// Carries arrive in a pooled payload whose ownership transfers with
-		// the message; it is recycled below once every tile has read its
-		// rows. Outgoing carries are assembled directly in a pooled payload
-		// — the batched kernels' carry marshalling IS the wire format.
-		var inBuf []float64
-		if ph.RecvFrom >= 0 && carryLen > 0 {
-			msg := r.Recv(ph.RecvFrom, ph.RecvTag)
-			r.Compute(env.Overhead.PerMessage)
-			inBuf = msg.Payload
-		}
-		var outBuf []float64
-		if ph.SendTo >= 0 && carryLen > 0 {
-			outBuf = r.GetPayload(ph.Lines * carryLen)
-		}
-
-		elements := 0
-		inOff, outOff := 0, 0
-		for ti := range ph.Tiles {
-			t := &ph.Tiles[ti]
-			tb := &binds[k][ti]
-			r.Compute(env.Overhead.PerTileVisit)
-			elements += t.ChunkLen * t.Lines
-
-			if batched {
-				for s0 := 0; s0 < t.Lines; s0 += batch {
-					nb := min(batch, t.Lines-s0)
-					panels := sr.pan.Panels(nv, nb*t.ChunkLen)
-					for v, f := range fields {
-						if sweep.MaskOn(touched, v) {
-							f.TileGrid(tb.local).GatherLines(tb.geom[v][s0:s0+nb], panels[v])
-						}
-					}
-					var cIn, cOut []float64
-					if inBuf != nil {
-						cIn = inBuf[inOff+s0*carryLen : inOff+(s0+nb)*carryLen]
-					}
-					if outBuf != nil {
-						cOut = outBuf[outOff+s0*carryLen : outOff+(s0+nb)*carryLen]
-					}
-					if backward {
-						bs.BackwardBatch(panels, nb, cIn, cOut)
-					} else {
-						bs.ForwardBatch(panels, nb, cIn, cOut)
-					}
-					for v, f := range fields {
-						if sweep.MaskOn(written, v) {
-							f.TileGrid(tb.local).ScatterLines(tb.geom[v][s0:s0+nb], panels[v])
-						}
-					}
-				}
-				if inBuf != nil {
-					inOff += t.Lines * carryLen
-				}
-				if outBuf != nil {
-					outOff += t.Lines * carryLen
-				}
-				continue
-			}
-
-			for li := 0; li < t.Lines; li++ {
-				for v, f := range fields {
-					f.TileGrid(tb.local).Gather(tb.geom[v][li], chunk[v][:t.ChunkLen])
-					views[v] = chunk[v][:t.ChunkLen]
-				}
-				var cIn, cOut []float64
-				if inBuf != nil {
-					cIn = inBuf[inOff : inOff+carryLen]
-					inOff += carryLen
-				}
-				if outBuf != nil {
-					cOut = outBuf[outOff : outOff+carryLen]
-					outOff += carryLen
-				}
-				if backward {
-					solver.Backward(views, cIn, cOut)
-				} else {
-					solver.Forward(views, cIn, cOut)
-				}
-				for v, f := range fields {
-					f.TileGrid(tb.local).Scatter(tb.geom[v][li], chunk[v][:t.ChunkLen])
-				}
-			}
-		}
-		if inBuf != nil {
-			r.PutPayload(inBuf)
-		}
-		r.ComputeFlops(flopsPerElem * float64(elements) * env.Overhead.ComputeFactor)
-
-		if ph.SendTo >= 0 && carryLen > 0 {
-			r.Compute(env.Overhead.PerMessage)
-			r.Send(ph.SendTo, ph.SendTag, xport.Msg{Bytes: ph.SendBytes, Payload: outBuf})
-		}
-	}
+	return pb
 }

@@ -23,6 +23,7 @@ import (
 	"genmp/internal/partition"
 	"genmp/internal/plan"
 	"genmp/internal/sim"
+	"genmp/internal/xport"
 )
 
 // Table1Procs is the processor-count column of the paper's Table 1.
@@ -322,21 +323,21 @@ type StrategyRow struct {
 // sweeps, and dynamic block with transposes, on the virtual machine
 // (model-only). Requires a p with a valid 3-D multipartitioning.
 func StrategyComparison(p int, eta []int, steps, grain int) ([]StrategyRow, error) {
-	return StrategyComparisonOn("", sim.AlgAuto, p, eta, steps, grain)
+	return StrategyComparisonOn("", xport.AlgAuto, p, eta, steps, grain)
 }
 
 // StrategyComparisonOn is StrategyComparison on the named interconnect
 // topology ("" keeps the default crossbar and reproduces StrategyComparison
 // exactly). Each strategy run gets its own fabric instance, so contention
 // state never leaks between runs.
-func StrategyComparisonOn(topology string, coll sim.Alg, p int, eta []int, steps, grain int) ([]StrategyRow, error) {
+func StrategyComparisonOn(topology string, coll xport.Alg, p int, eta []int, steps, grain int) ([]StrategyRow, error) {
 	return StrategyComparisonOverlap(topology, coll, p, eta, steps, grain, plan.Overlap{})
 }
 
 // StrategyComparisonOverlap is StrategyComparisonOn with the boundary-first
 // overlap annotation applied to the strategies that sweep (multipartition
 // and block-wavefront; the transpose strategy has no carries to overlap).
-func StrategyComparisonOverlap(topology string, coll sim.Alg, p int, eta []int, steps, grain int, o plan.Overlap) ([]StrategyRow, error) {
+func StrategyComparisonOverlap(topology string, coll xport.Alg, p int, eta []int, steps, grain int, o plan.Overlap) ([]StrategyRow, error) {
 	pb := adi.Problem{Eta: eta, Alpha: 0.3, Steps: steps}
 	var rows []StrategyRow
 
@@ -403,14 +404,14 @@ func StrategyComparisonOverlap(topology string, coll sim.Alg, p int, eta []int, 
 // so sweepbench can contribute to the committed bench trajectory and the
 // CI perf gate.
 func StrategyBenchRecords(p int, eta []int, steps, grain int) ([]obs.BenchRecord, error) {
-	return StrategyBenchRecordsOn("", sim.AlgAuto, p, eta, steps, grain)
+	return StrategyBenchRecordsOn("", xport.AlgAuto, p, eta, steps, grain)
 }
 
 // StrategyBenchRecordsOn produces the strategy bench records on the named
 // topology. Non-default topologies get their own suite, "adi-strategy@<t>",
 // so their records sit alongside the default ones without colliding in the
 // zero-tolerance perf gate.
-func StrategyBenchRecordsOn(topology string, coll sim.Alg, p int, eta []int, steps, grain int) ([]obs.BenchRecord, error) {
+func StrategyBenchRecordsOn(topology string, coll xport.Alg, p int, eta []int, steps, grain int) ([]obs.BenchRecord, error) {
 	return StrategyBenchRecordsOverlap(topology, coll, p, eta, steps, grain, plan.Overlap{})
 }
 
@@ -418,7 +419,7 @@ func StrategyBenchRecordsOn(topology string, coll sim.Alg, p int, eta []int, ste
 // annotation; overlap-on records get their own suite ("adi-strategy+overlap")
 // so they never collide with the committed overlap-off baselines in the
 // zero-tolerance perf gate.
-func StrategyBenchRecordsOverlap(topology string, coll sim.Alg, p int, eta []int, steps, grain int, o plan.Overlap) ([]obs.BenchRecord, error) {
+func StrategyBenchRecordsOverlap(topology string, coll xport.Alg, p int, eta []int, steps, grain int, o plan.Overlap) ([]obs.BenchRecord, error) {
 	rows, err := StrategyComparisonOverlap(topology, coll, p, eta, steps, grain, o)
 	if err != nil {
 		return nil, err
@@ -451,7 +452,7 @@ type TopologyRow struct {
 // topology — the experiment behind the EXPERIMENTS.md table asking which
 // distribution strategy wins on a crossbar, a bus, and a hypercube with
 // link contention.
-func TopologyComparison(topologies []string, coll sim.Alg, p int, eta []int, steps, grain int) ([]TopologyRow, error) {
+func TopologyComparison(topologies []string, coll xport.Alg, p int, eta []int, steps, grain int) ([]TopologyRow, error) {
 	out := make([]TopologyRow, 0, len(topologies))
 	for _, topo := range topologies {
 		rows, err := StrategyComparisonOn(topo, coll, p, eta, steps, grain)
@@ -498,7 +499,7 @@ func strategyMachine(p int) *sim.Machine { return nas.Origin2000Machine(p) }
 
 // strategyMachineOn builds the comparison machine on the named topology
 // with the given default collective algorithm.
-func strategyMachineOn(topology string, coll sim.Alg, p int) (*sim.Machine, error) {
+func strategyMachineOn(topology string, coll xport.Alg, p int) (*sim.Machine, error) {
 	mach, err := nas.Origin2000MachineOn(topology, p)
 	if err != nil {
 		return nil, err

@@ -7,7 +7,7 @@ import (
 
 	"genmp/internal/nas"
 	"genmp/internal/numutil"
-	"genmp/internal/sim"
+	"genmp/internal/xport"
 )
 
 func TestFigure1RenderingMatchesFormula(t *testing.T) {
@@ -209,7 +209,7 @@ func TestStrategyComparisonOnDefaultBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, topo := range []string{"", "default", "crossbar"} {
-		rows, err := StrategyComparisonOn(topo, sim.AlgAuto, 16, []int{32, 32, 32}, 1, 32)
+		rows, err := StrategyComparisonOn(topo, xport.AlgAuto, 16, []int{32, 32, 32}, 1, 32)
 		if err != nil {
 			t.Fatalf("topology %q: %v", topo, err)
 		}
@@ -224,7 +224,7 @@ func TestStrategyComparisonOnDefaultBitIdentical(t *testing.T) {
 
 func TestTopologyComparisonDistinguishesFabrics(t *testing.T) {
 	topos := []string{"crossbar", "bus", "hypercube+contention"}
-	rows, err := TopologyComparison(topos, sim.AlgAuto, 16, []int{32, 32, 32}, 1, 32)
+	rows, err := TopologyComparison(topos, xport.AlgAuto, 16, []int{32, 32, 32}, 1, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestTopologyComparisonDistinguishesFabrics(t *testing.T) {
 }
 
 func TestStrategyBenchRecordsOnSuiteNaming(t *testing.T) {
-	recs, err := StrategyBenchRecordsOn("bus", sim.AlgAuto, 16, []int{32, 32, 32}, 1, 32)
+	recs, err := StrategyBenchRecordsOn("bus", xport.AlgAuto, 16, []int{32, 32, 32}, 1, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestStrategyBenchRecordsOnSuiteNaming(t *testing.T) {
 			t.Errorf("suite = %q, want adi-strategy@bus", r.Suite)
 		}
 	}
-	recs, err = StrategyBenchRecordsOn("", sim.AlgAuto, 16, []int{32, 32, 32}, 1, 32)
+	recs, err = StrategyBenchRecordsOn("", xport.AlgAuto, 16, []int{32, 32, 32}, 1, 32)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -127,5 +128,41 @@ func TestOverlapBitIdentityShared(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameBits(t, "sp-shared", uOff, uOn)
+	}
+}
+
+// TestOverlapBitIdentityWavefront: the shared-storage wavefront pipeline
+// of a block-partitioned ADI, overlap on vs off, on the batched and the
+// scalar path. Grain 7 over 12×10 = 120 lines per slab leaves a one-line
+// last block, so every pass mixes split and unsplit phases.
+func TestOverlapBitIdentityWavefront(t *testing.T) {
+	const p = 4
+	pb := adi.Problem{Eta: []int{24, 12, 10}, Alpha: 0.3, Steps: 2}
+	want := pb.InitialCondition()
+	pb.SerialSolve(want)
+	for _, batch := range []int{0, -1} {
+		msgs := map[bool]int{}
+		for _, on := range []bool{false, true} {
+			b, err := dist.NewBlock(p, pb.Eta, 0, dist.DHPF())
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.Batch = batch
+			cfg := adi.Config{Machine: nas.Origin2000Machine(p), Strategy: adi.BlockWavefront, Block: b, Grain: 7}
+			if on {
+				cfg.Overlap = overlapOn
+			}
+			u := pb.InitialCondition()
+			res, err := adi.Run(pb, u, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			msgs[on] = res.TotalMessages()
+			sameBits(t, fmt.Sprintf("wavefront batch %d overlap %v vs serial", batch, on), want, u)
+		}
+		t.Logf("batch %d: %d messages overlap off, %d on", batch, msgs[false], msgs[true])
+		if msgs[true] <= msgs[false] {
+			t.Errorf("batch %d: overlap-on run sent %d messages, off %d: the split path did not run", batch, msgs[true], msgs[false])
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"genmp/internal/partition"
 	"genmp/internal/redist"
 	"genmp/internal/sim"
+	"genmp/internal/xport"
 )
 
 // RedistRow is one redistribution policy of the layout-switch comparison.
@@ -34,7 +35,7 @@ const redistFlopsPerElement = 50.0
 // RedistComparison runs the layout-switch comparison with the default
 // crossbar and no staging budget.
 func RedistComparison(p int, eta []int, steps int) ([]RedistRow, error) {
-	return RedistComparisonOn("", sim.AlgAuto, p, eta, steps, 0)
+	return RedistComparisonOn("", xport.AlgAuto, p, eta, steps, 0)
 }
 
 // RedistComparisonOn models a spectral-style computation whose first phase
@@ -55,7 +56,7 @@ func RedistComparison(p int, eta []int, steps int) ([]RedistRow, error) {
 //
 // All three policies execute identical arithmetic per step, so makespan
 // differences are pure redistribution policy. Model-only: no payloads flow.
-func RedistComparisonOn(topology string, coll sim.Alg, p int, eta []int, steps, maxBytes int) ([]RedistRow, error) {
+func RedistComparisonOn(topology string, coll xport.Alg, p int, eta []int, steps, maxBytes int) ([]RedistRow, error) {
 	d := len(eta)
 	if d < 2 {
 		return nil, fmt.Errorf("exp: redist comparison needs d ≥ 2")
@@ -208,12 +209,12 @@ func FormatRedistComparison(rows []RedistRow) string {
 // BENCH records (suite "redist", one record per policy) for the committed
 // bench trajectory and the CI perf gate.
 func RedistBenchRecords(p int, eta []int, steps, maxBytes int) ([]obs.BenchRecord, error) {
-	return RedistBenchRecordsOn("", sim.AlgAuto, p, eta, steps, maxBytes)
+	return RedistBenchRecordsOn("", xport.AlgAuto, p, eta, steps, maxBytes)
 }
 
 // RedistBenchRecordsOn produces the redistribution bench records on the
 // named topology (non-default topologies get suite "redist@<t>").
-func RedistBenchRecordsOn(topology string, coll sim.Alg, p int, eta []int, steps, maxBytes int) ([]obs.BenchRecord, error) {
+func RedistBenchRecordsOn(topology string, coll xport.Alg, p int, eta []int, steps, maxBytes int) ([]obs.BenchRecord, error) {
 	rows, err := RedistComparisonOn(topology, coll, p, eta, steps, maxBytes)
 	if err != nil {
 		return nil, err

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"genmp/internal/sim"
+	"genmp/internal/xport"
 )
 
 func TestRedistComparisonRows(t *testing.T) {
@@ -49,11 +49,11 @@ func TestRedistComparisonRows(t *testing.T) {
 // schedule — two runs produce bit-identical makespans (the BENCH_redist
 // golden relies on this).
 func TestRedistComparisonDeterministic(t *testing.T) {
-	a, err := RedistComparisonOn("", sim.AlgAuto, 4, []int{16, 16, 16}, 2, 2048)
+	a, err := RedistComparisonOn("", xport.AlgAuto, 4, []int{16, 16, 16}, 2, 2048)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RedistComparisonOn("", sim.AlgAuto, 4, []int{16, 16, 16}, 2, 2048)
+	b, err := RedistComparisonOn("", xport.AlgAuto, 4, []int{16, 16, 16}, 2, 2048)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +67,11 @@ func TestRedistComparisonDeterministic(t *testing.T) {
 // TestRedistComparisonBudget: handing the accountant a budget lowers the
 // declared per-rank peak of the switch plans without changing traffic.
 func TestRedistComparisonBudget(t *testing.T) {
-	loose, err := RedistComparisonOn("", sim.AlgAuto, 4, []int{16, 16, 16}, 1, 0)
+	loose, err := RedistComparisonOn("", xport.AlgAuto, 4, []int{16, 16, 16}, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight, err := RedistComparisonOn("", sim.AlgAuto, 4, []int{16, 16, 16}, 1, 2048)
+	tight, err := RedistComparisonOn("", xport.AlgAuto, 4, []int{16, 16, 16}, 1, 2048)
 	if err != nil {
 		t.Fatal(err)
 	}

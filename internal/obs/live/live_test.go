@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"genmp/internal/sim"
+	"genmp/internal/xport"
 )
 
 // End-to-end scrape: Start wires the package defaults, a machine run
@@ -26,7 +27,7 @@ func TestStartServesLiveMachineMetrics(t *testing.T) {
 		if _, err := m.Run(func(r *sim.Rank) {
 			buf := r.GetPayload(32)
 			peer := 1 - r.ID
-			r.Send(peer, 1, sim.Msg{Bytes: 256, Payload: buf})
+			r.Send(peer, 1, xport.Msg{Bytes: 256, Payload: buf})
 			msg := r.Recv(peer, 1)
 			r.PutPayload(msg.Payload)
 		}); err != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"genmp/internal/sim"
+	"genmp/internal/xport"
 )
 
 func testMachine(p int) *sim.Machine {
@@ -24,11 +25,11 @@ func pingPong(r *sim.Rank) {
 	r.Compute(float64(r.ID+1) * 1e-3)
 	r.BeginPhase("exchange")
 	if r.ID == 0 {
-		r.Send(1, 1, sim.Msg{Bytes: 4096})
+		r.Send(1, 1, xport.Msg{Bytes: 4096})
 		r.Recv(1, 2)
 	} else {
 		r.Recv(0, 1)
-		r.Send(0, 2, sim.Msg{Bytes: 512})
+		r.Send(0, 2, xport.Msg{Bytes: 512})
 	}
 	r.Mark("swapped")
 	r.BeginPhase("reduce")
@@ -82,7 +83,7 @@ func TestProfileTotalEqualsMakespanManyRanks(t *testing.T) {
 			r.BeginPhase("shift")
 			dst := (r.ID + 1) % r.P()
 			src := (r.ID + r.P() - 1) % r.P()
-			r.SendRecv(dst, step, sim.Msg{Bytes: 1024 * (r.ID + 1)}, src, step)
+			r.SendRecv(dst, step, xport.Msg{Bytes: 1024 * (r.ID + 1)}, src, step)
 			r.BeginPhase("work")
 			r.Compute(float64((r.ID*7+step*3)%5+1) * 1e-4)
 			r.BeginPhase("sync")
@@ -127,12 +128,12 @@ func TestCriticalPathSerialChain(t *testing.T) {
 	res, err := m.Run(func(r *sim.Rank) {
 		if r.ID == 0 {
 			r.Compute(1e-3)
-			r.Send(1, 0, sim.Msg{Bytes: 8})
+			r.Send(1, 0, xport.Msg{Bytes: 8})
 		} else {
 			r.Recv(r.ID-1, 0)
 			r.Compute(1e-3)
 			if r.ID < r.P()-1 {
-				r.Send(r.ID+1, 0, sim.Msg{Bytes: 8})
+				r.Send(r.ID+1, 0, xport.Msg{Bytes: 8})
 			}
 		}
 	})

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"genmp/internal/sim"
+	"genmp/internal/xport"
 )
 
 func traceForTest(t *testing.T) (*sim.Trace, sim.Result, int) {
@@ -19,7 +20,7 @@ func traceForTest(t *testing.T) (*sim.Trace, sim.Result, int) {
 		r.Compute(float64(r.ID+1) * 1e-5)
 		next := (r.ID + 1) % p
 		prev := (r.ID + p - 1) % p
-		r.SendRecv(next, 2, sim.Msg{Bytes: 640}, prev, 2)
+		r.SendRecv(next, 2, xport.Msg{Bytes: 640}, prev, 2)
 		r.Mark("lap")
 		r.Barrier()
 	})

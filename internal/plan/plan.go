@@ -3,10 +3,12 @@
 // materializes at compile time (paper Section 5). A SweepPlan is compiled
 // once from (partitioning, modular mapping, solver, per-field halo/layout,
 // batch knob) and then consumed by every subsystem that used to re-derive
-// it privately: the dist.MultiSweep executor, the dist wavefront pipeline,
-// the strict distributed-memory dmem.SweepRunner, the cost model's
-// per-phase prediction fold, and the obs plan dump. One plan, many
-// consumers — predictions and executors can no longer silently disagree.
+// it privately: the one pass executor dist.RunPass (which
+// dist.MultiSweep, the dist wavefront pipeline and the strict
+// distributed-memory dmem.SweepRunner call with their own storage
+// bindings), the cost model's per-phase prediction fold, and the obs plan
+// dump. One plan, many consumers — predictions and executors can no
+// longer silently disagree.
 //
 // The IR materializes, per rank × sweep dimension × direction, the full
 // phase schedule: neighbor ranks, tile line geometry in canonical

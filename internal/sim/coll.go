@@ -17,40 +17,10 @@ import (
 	"genmp/internal/xport"
 )
 
-// The algorithm enum and call options moved to internal/xport with the
-// transport carve-out (plan consumers carry them in transport-neutral
-// options structs); the aliases keep historical sim.AlgAuto / sim.CollOpts
-// spellings working unchanged.
-
-// Alg selects a collective algorithm (see xport.Alg).
-type Alg = xport.Alg
-
-const (
-	// AlgAuto picks the machine default (Machine.Coll), falling back to
-	// each primitive's legacy algorithm — the one whose timing matches the
-	// pre-collective hand-rolled loops bit for bit.
-	AlgAuto = xport.AlgAuto
-	// AlgPairwise exchanges directly with every peer (p−1 messages each).
-	AlgPairwise = xport.AlgPairwise
-	// AlgRing forwards blocks around a ring in p−1 steps.
-	AlgRing = xport.AlgRing
-	// AlgDoubling exchanges with hypercube partners in ⌈log₂ p⌉ rounds.
-	AlgDoubling = xport.AlgDoubling
-	// AlgBruck is the log-round store-and-forward all-to-all; for tree
-	// collectives it selects the binomial tree.
-	AlgBruck = xport.AlgBruck
-)
-
-// ParseAlg parses a collective-algorithm name (the -coll flag values).
-func ParseAlg(s string) (Alg, error) { return xport.ParseAlg(s) }
-
-// CollOpts tunes one collective call (see xport.CollOpts).
-type CollOpts = xport.CollOpts
-
 // resolveAlg applies the AlgAuto chain: call option, then machine default.
 // The caller maps a remaining AlgAuto to its own legacy algorithm.
-func (r *Rank) resolveAlg(o CollOpts) Alg {
-	if o.Alg != AlgAuto {
+func (r *Rank) resolveAlg(o xport.CollOpts) xport.Alg {
+	if o.Alg != xport.AlgAuto {
 		return o.Alg
 	}
 	return r.machine.Coll
@@ -131,7 +101,7 @@ func decodeBlocks(payload []float64) []collBlock {
 func (r *Rank) sendBlocks(dst, tag int, blocks []collBlock, pm float64) {
 	payload, modeled := encodeBlocks(blocks)
 	r.Compute(pm)
-	r.Send(dst, tag, Msg{Bytes: modeled, Payload: payload})
+	r.Send(dst, tag, xport.Msg{Bytes: modeled, Payload: payload})
 }
 
 // recvBlocks receives a bundle, charging the per-message overhead after.
@@ -150,7 +120,7 @@ func (r *Rank) recvBlocks(src, tag int, pm float64) []collBlock {
 // every send and receive bracketed by o.PerMessage of CPU time. AlgRing
 // forwards blocks around a ring in p−1 steps; AlgDoubling/AlgBruck
 // store-and-forward in ⌈log₂ p⌉ rounds.
-func (r *Rank) AllToAll(sizes []int, data [][]float64, o CollOpts) [][]float64 {
+func (r *Rank) AllToAll(sizes []int, data [][]float64, o xport.CollOpts) [][]float64 {
 	p := r.machine.P
 	if len(sizes) != p {
 		panic(fmt.Sprintf("sim: AllToAll needs %d sizes, got %d", p, len(sizes)))
@@ -161,12 +131,12 @@ func (r *Rank) AllToAll(sizes []int, data [][]float64, o CollOpts) [][]float64 {
 	alg := r.resolveAlg(o)
 	var label string
 	switch alg {
-	case AlgRing:
+	case xport.AlgRing:
 		label = "alltoall/ring"
-	case AlgDoubling, AlgBruck:
+	case xport.AlgDoubling, xport.AlgBruck:
 		label = "alltoall/bruck"
 	default:
-		alg = AlgPairwise
+		alg = xport.AlgPairwise
 		label = "alltoall/pairwise"
 	}
 	out := make([][]float64, p)
@@ -179,9 +149,9 @@ func (r *Rank) AllToAll(sizes []int, data [][]float64, o CollOpts) [][]float64 {
 	}
 	r.collective(label, func() {
 		switch alg {
-		case AlgRing:
+		case xport.AlgRing:
 			r.allToAllRing(sizes, data, o.PerMessage, out)
-		case AlgDoubling, AlgBruck:
+		case xport.AlgDoubling, xport.AlgBruck:
 			r.allToAllBruck(sizes, data, o.PerMessage, out)
 		default:
 			r.allToAllPairwise(sizes, data, o.PerMessage, out)
@@ -200,7 +170,7 @@ func (r *Rank) allToAllPairwise(sizes []int, data [][]float64, pm float64, out [
 			payload = data[dst]
 		}
 		r.Compute(pm)
-		r.Send(dst, tag, Msg{Bytes: sizes[dst], Payload: payload})
+		r.Send(dst, tag, xport.Msg{Bytes: sizes[dst], Payload: payload})
 	}
 	for off := 1; off < p; off++ {
 		src := (q + off) % p
@@ -285,17 +255,17 @@ func (r *Rank) allToAllBruck(sizes []int, data [][]float64, pm float64, out [][]
 // origin's block); AlgPairwise sends directly to every peer;
 // AlgDoubling/AlgBruck exchange held sets with hypercube-distance peers in
 // ⌈log₂ p⌉ rounds.
-func (r *Rank) AllGather(size int, mine []float64, o CollOpts) [][]float64 {
+func (r *Rank) AllGather(size int, mine []float64, o xport.CollOpts) [][]float64 {
 	p, q := r.machine.P, r.ID
 	alg := r.resolveAlg(o)
 	var label string
 	switch alg {
-	case AlgPairwise:
+	case xport.AlgPairwise:
 		label = "allgather/pairwise"
-	case AlgDoubling, AlgBruck:
+	case xport.AlgDoubling, xport.AlgBruck:
 		label = "allgather/doubling"
 	default:
-		alg = AlgRing
+		alg = xport.AlgRing
 		label = "allgather/ring"
 	}
 	out := make([][]float64, p)
@@ -307,11 +277,11 @@ func (r *Rank) AllGather(size int, mine []float64, o CollOpts) [][]float64 {
 	tag := collTags.Tag(tagAllGather)
 	r.collective(label, func() {
 		switch alg {
-		case AlgPairwise:
+		case xport.AlgPairwise:
 			for off := 1; off < p; off++ {
 				dst := (q + off) % p
 				r.Compute(o.PerMessage)
-				r.Send(dst, tag, Msg{Bytes: size, Payload: mine})
+				r.Send(dst, tag, xport.Msg{Bytes: size, Payload: mine})
 			}
 			for off := 1; off < p; off++ {
 				src := (q + off) % p
@@ -319,7 +289,7 @@ func (r *Rank) AllGather(size int, mine []float64, o CollOpts) [][]float64 {
 				r.Compute(o.PerMessage)
 				out[src] = m.Payload
 			}
-		case AlgDoubling, AlgBruck:
+		case xport.AlgDoubling, xport.AlgBruck:
 			// Bruck-style: the held set doubles each round (the last round
 			// overlaps for non-power-of-2 p; have dedups).
 			have := make([]bool, p)
@@ -339,7 +309,7 @@ func (r *Rank) AllGather(size int, mine []float64, o CollOpts) [][]float64 {
 			}
 		default: // ring
 			right, left := (q+1)%p, (q+p-1)%p
-			cur := Msg{Bytes: size, Payload: mine}
+			cur := xport.Msg{Bytes: size, Payload: mine}
 			for s := 1; s < p; s++ {
 				r.Compute(o.PerMessage)
 				r.Send(right, tag, cur)
@@ -358,7 +328,7 @@ func (r *Rank) AllGather(size int, mine []float64, o CollOpts) [][]float64 {
 // dmem.GatherToRoot loop: non-roots send to root, root receives in
 // ascending rank order. AlgRing chains bundles down the ring toward root;
 // AlgDoubling/AlgBruck climb a binomial tree in ⌈log₂ p⌉ rounds.
-func (r *Rank) GatherTo(root, size int, mine []float64, o CollOpts) [][]float64 {
+func (r *Rank) GatherTo(root, size int, mine []float64, o xport.CollOpts) [][]float64 {
 	p, q := r.machine.P, r.ID
 	if root < 0 || root >= p {
 		panic(fmt.Sprintf("sim: GatherTo root %d of %d", root, p))
@@ -366,12 +336,12 @@ func (r *Rank) GatherTo(root, size int, mine []float64, o CollOpts) [][]float64 
 	alg := r.resolveAlg(o)
 	var label string
 	switch alg {
-	case AlgRing:
+	case xport.AlgRing:
 		label = "gather/chain"
-	case AlgDoubling, AlgBruck:
+	case xport.AlgDoubling, xport.AlgBruck:
 		label = "gather/binomial"
 	default:
-		alg = AlgPairwise
+		alg = xport.AlgPairwise
 		label = "gather/linear"
 	}
 	var out [][]float64
@@ -386,7 +356,7 @@ func (r *Rank) GatherTo(root, size int, mine []float64, o CollOpts) [][]float64 
 	tag := collTags.Tag(tagGather)
 	r.collective(label, func() {
 		switch alg {
-		case AlgRing:
+		case xport.AlgRing:
 			// Offsets p−1 → 1 pass accumulated bundles toward the root.
 			o1 := (q - root + p) % p
 			var held []collBlock
@@ -401,7 +371,7 @@ func (r *Rank) GatherTo(root, size int, mine []float64, o CollOpts) [][]float64 
 					out[b.origin] = b.data
 				}
 			}
-		case AlgDoubling, AlgBruck:
+		case xport.AlgDoubling, xport.AlgBruck:
 			o1 := (q - root + p) % p
 			held := []collBlock{{origin: q, dst: root, size: size, data: mine}}
 			for k := 0; 1<<k < p; k++ {
@@ -423,7 +393,7 @@ func (r *Rank) GatherTo(root, size int, mine []float64, o CollOpts) [][]float64 
 		default: // linear
 			if q != root {
 				r.Compute(o.PerMessage)
-				r.Send(root, tag, Msg{Bytes: size, Payload: mine})
+				r.Send(root, tag, xport.Msg{Bytes: size, Payload: mine})
 				return
 			}
 			for src := 0; src < p; src++ {
@@ -443,7 +413,7 @@ func (r *Rank) GatherTo(root, size int, mine []float64, o CollOpts) [][]float64 
 // (the payload travels when data is non-nil on root). The default is the
 // binomial tree (⌈log₂ p⌉ depth); AlgPairwise sends linearly from root;
 // AlgRing chains around the ring.
-func (r *Rank) Bcast(root, size int, data []float64, o CollOpts) []float64 {
+func (r *Rank) Bcast(root, size int, data []float64, o xport.CollOpts) []float64 {
 	p, q := r.machine.P, r.ID
 	if root < 0 || root >= p {
 		panic(fmt.Sprintf("sim: Bcast root %d of %d", root, p))
@@ -451,12 +421,12 @@ func (r *Rank) Bcast(root, size int, data []float64, o CollOpts) []float64 {
 	alg := r.resolveAlg(o)
 	var label string
 	switch alg {
-	case AlgPairwise:
+	case xport.AlgPairwise:
 		label = "bcast/linear"
-	case AlgRing:
+	case xport.AlgRing:
 		label = "bcast/chain"
 	default:
-		alg = AlgDoubling
+		alg = xport.AlgDoubling
 		label = "bcast/binomial"
 	}
 	if p == 1 {
@@ -467,18 +437,18 @@ func (r *Rank) Bcast(root, size int, data []float64, o CollOpts) []float64 {
 	o1 := (q - root + p) % p
 	r.collective(label, func() {
 		switch alg {
-		case AlgPairwise:
+		case xport.AlgPairwise:
 			if q == root {
 				for off := 1; off < p; off++ {
 					r.Compute(o.PerMessage)
-					r.Send((root+off)%p, tag, Msg{Bytes: size, Payload: data})
+					r.Send((root+off)%p, tag, xport.Msg{Bytes: size, Payload: data})
 				}
 			} else {
 				m := r.Recv(root, tag)
 				r.Compute(o.PerMessage)
 				data, size = m.Payload, m.Bytes
 			}
-		case AlgRing:
+		case xport.AlgRing:
 			if o1 > 0 {
 				m := r.Recv((root+o1-1)%p, tag)
 				r.Compute(o.PerMessage)
@@ -486,7 +456,7 @@ func (r *Rank) Bcast(root, size int, data []float64, o CollOpts) []float64 {
 			}
 			if o1 < p-1 {
 				r.Compute(o.PerMessage)
-				r.Send((root+o1+1)%p, tag, Msg{Bytes: size, Payload: data})
+				r.Send((root+o1+1)%p, tag, xport.Msg{Bytes: size, Payload: data})
 			}
 		default: // binomial
 			k := 0
@@ -502,7 +472,7 @@ func (r *Rank) Bcast(root, size int, data []float64, o CollOpts) []float64 {
 				dst := o1 + 1<<k
 				if dst < p {
 					r.Compute(o.PerMessage)
-					r.Send((root+dst)%p, tag, Msg{Bytes: size, Payload: data})
+					r.Send((root+dst)%p, tag, xport.Msg{Bytes: size, Payload: data})
 				}
 			}
 		}
@@ -514,7 +484,7 @@ func (r *Rank) Bcast(root, size int, data []float64, o CollOpts) []float64 {
 // overhead, a combined send-to-dst / receive-from-src, per-message overhead
 // again — the exact bracketing the distribution layers historically used,
 // centralized so all halo paths share one convention.
-func (r *Rank) Exchange(dst, src, tag int, m Msg, perMessage float64) Msg {
+func (r *Rank) Exchange(dst, src, tag int, m xport.Msg, perMessage float64) xport.Msg {
 	r.Compute(perMessage)
 	got := r.SendRecv(dst, tag, m, src, tag)
 	r.Compute(perMessage)

@@ -5,6 +5,8 @@ import (
 	"math"
 	"runtime"
 	"testing"
+
+	"genmp/internal/xport"
 )
 
 func collMachine(p int) *Machine {
@@ -33,7 +35,7 @@ func TestAllToAllPairwiseMatchesLegacyLoop(t *testing.T) {
 		for off := 1; off < p; off++ {
 			dst := (q + off) % p
 			r.Compute(pm)
-			r.Send(dst, tag, Msg{Bytes: sz[dst]})
+			r.Send(dst, tag, xport.Msg{Bytes: sz[dst]})
 		}
 		for off := 1; off < p; off++ {
 			src := (q + off) % p
@@ -45,7 +47,7 @@ func TestAllToAllPairwiseMatchesLegacyLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	coll, err := collMachine(p).Run(func(r *Rank) {
-		r.AllToAll(sizes(r.ID), nil, CollOpts{PerMessage: pm})
+		r.AllToAll(sizes(r.ID), nil, xport.CollOpts{PerMessage: pm})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +74,7 @@ func TestGatherToLinearMatchesLegacyLoop(t *testing.T) {
 	const p, bytes = 5, 4096
 	legacy, err := collMachine(p).Run(func(r *Rank) {
 		if r.ID != 0 {
-			r.Send(0, 777, Msg{Bytes: bytes})
+			r.Send(0, 777, xport.Msg{Bytes: bytes})
 			return
 		}
 		for q := 1; q < p; q++ {
@@ -83,7 +85,7 @@ func TestGatherToLinearMatchesLegacyLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	coll, err := collMachine(p).Run(func(r *Rank) {
-		r.GatherTo(0, bytes, nil, CollOpts{})
+		r.GatherTo(0, bytes, nil, xport.CollOpts{})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +96,7 @@ func TestGatherToLinearMatchesLegacyLoop(t *testing.T) {
 }
 
 func TestAllToAllDeliversPayloads(t *testing.T) {
-	for _, alg := range []Alg{AlgPairwise, AlgRing, AlgBruck, AlgDoubling} {
+	for _, alg := range []xport.Alg{xport.AlgPairwise, xport.AlgRing, xport.AlgBruck, xport.AlgDoubling} {
 		for _, p := range []int{1, 2, 4, 5, 8} {
 			name := fmt.Sprintf("%s/p%d", alg, p)
 			_, err := collMachine(p).Run(func(r *Rank) {
@@ -104,7 +106,7 @@ func TestAllToAllDeliversPayloads(t *testing.T) {
 					data[i] = []float64{float64(100*r.ID + i)}
 					sizes[i] = 8
 				}
-				out := r.AllToAll(sizes, data, CollOpts{Alg: alg, PerMessage: 1e-6})
+				out := r.AllToAll(sizes, data, xport.CollOpts{Alg: alg, PerMessage: 1e-6})
 				for src := 0; src < p; src++ {
 					if len(out[src]) != 1 || out[src][0] != float64(100*src+r.ID) {
 						panic(fmt.Sprintf("%s: block from %d corrupted: %v", name, src, out[src]))
@@ -119,7 +121,7 @@ func TestAllToAllDeliversPayloads(t *testing.T) {
 }
 
 func TestAllToAllModelOnly(t *testing.T) {
-	for _, alg := range []Alg{AlgPairwise, AlgRing, AlgBruck} {
+	for _, alg := range []xport.Alg{xport.AlgPairwise, xport.AlgRing, xport.AlgBruck} {
 		const p = 5
 		res, err := collMachine(p).Run(func(r *Rank) {
 			sizes := make([]int, p)
@@ -128,7 +130,7 @@ func TestAllToAllModelOnly(t *testing.T) {
 					sizes[i] = 1 << 10
 				}
 			}
-			r.AllToAll(sizes, nil, CollOpts{Alg: alg})
+			r.AllToAll(sizes, nil, xport.CollOpts{Alg: alg})
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
@@ -142,11 +144,11 @@ func TestAllToAllModelOnly(t *testing.T) {
 }
 
 func TestAllGatherDeliversPayloads(t *testing.T) {
-	for _, alg := range []Alg{AlgPairwise, AlgRing, AlgDoubling} {
+	for _, alg := range []xport.Alg{xport.AlgPairwise, xport.AlgRing, xport.AlgDoubling} {
 		for _, p := range []int{1, 2, 4, 5, 8} {
 			name := fmt.Sprintf("%s/p%d", alg, p)
 			_, err := collMachine(p).Run(func(r *Rank) {
-				out := r.AllGather(8, []float64{float64(r.ID) * 3}, CollOpts{Alg: alg})
+				out := r.AllGather(8, []float64{float64(r.ID) * 3}, xport.CollOpts{Alg: alg})
 				for src := 0; src < p; src++ {
 					if len(out[src]) != 1 || out[src][0] != float64(src)*3 {
 						panic(fmt.Sprintf("%s: origin %d block corrupted: %v", name, src, out[src]))
@@ -161,12 +163,12 @@ func TestAllGatherDeliversPayloads(t *testing.T) {
 }
 
 func TestGatherToDeliversPayloads(t *testing.T) {
-	for _, alg := range []Alg{AlgPairwise, AlgRing, AlgDoubling} {
+	for _, alg := range []xport.Alg{xport.AlgPairwise, xport.AlgRing, xport.AlgDoubling} {
 		for _, root := range []int{0, 2} {
 			const p = 5
 			name := fmt.Sprintf("%s/root%d", alg, root)
 			_, err := collMachine(p).Run(func(r *Rank) {
-				out := r.GatherTo(root, 8, []float64{float64(r.ID) + 0.5}, CollOpts{Alg: alg})
+				out := r.GatherTo(root, 8, []float64{float64(r.ID) + 0.5}, xport.CollOpts{Alg: alg})
 				if r.ID != root {
 					if out != nil {
 						panic(name + ": non-root got data")
@@ -187,7 +189,7 @@ func TestGatherToDeliversPayloads(t *testing.T) {
 }
 
 func TestBcastDeliversPayload(t *testing.T) {
-	for _, alg := range []Alg{AlgPairwise, AlgRing, AlgDoubling} {
+	for _, alg := range []xport.Alg{xport.AlgPairwise, xport.AlgRing, xport.AlgDoubling} {
 		for _, root := range []int{0, 2} {
 			const p = 6
 			name := fmt.Sprintf("%s/root%d", alg, root)
@@ -196,7 +198,7 @@ func TestBcastDeliversPayload(t *testing.T) {
 				if r.ID == root {
 					mine = []float64{42, 43}
 				}
-				got := r.Bcast(root, 16, mine, CollOpts{Alg: alg})
+				got := r.Bcast(root, 16, mine, xport.CollOpts{Alg: alg})
 				if len(got) != 2 || got[0] != 42 || got[1] != 43 {
 					panic(fmt.Sprintf("%s: rank %d got %v", name, r.ID, got))
 				}
@@ -216,7 +218,7 @@ func TestCollectiveEventEmission(t *testing.T) {
 	m := collMachine(p)
 	m.Trace = &Trace{}
 	res, err := m.Run(func(r *Rank) {
-		r.AllToAll([]int{100, 100, 100, 100}, nil, CollOpts{PerMessage: 1e-6})
+		r.AllToAll([]int{100, 100, 100, 100}, nil, xport.CollOpts{PerMessage: 1e-6})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -261,10 +263,10 @@ func TestCollectivesUnderPhaseLabelReconcile(t *testing.T) {
 		for i := range sizes {
 			sizes[i] = 512
 		}
-		r.AllToAll(sizes, nil, CollOpts{Alg: AlgRing, PerMessage: 1e-6})
+		r.AllToAll(sizes, nil, xport.CollOpts{Alg: xport.AlgRing, PerMessage: 1e-6})
 		r.AllReduce([]float64{float64(r.ID)}, math.Max)
 		r.BeginPhase("drain")
-		r.GatherTo(0, 256, nil, CollOpts{})
+		r.GatherTo(0, 256, nil, xport.CollOpts{})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -287,19 +289,19 @@ func TestCollectivesUnderPhaseLabelReconcile(t *testing.T) {
 
 func TestCollectivePrimitivesP1(t *testing.T) {
 	res, err := collMachine(1).Run(func(r *Rank) {
-		out := r.AllToAll([]int{0}, [][]float64{{7}}, CollOpts{})
+		out := r.AllToAll([]int{0}, [][]float64{{7}}, xport.CollOpts{})
 		if out[0][0] != 7 {
 			panic("p=1 alltoall lost own block")
 		}
-		ag := r.AllGather(8, []float64{9}, CollOpts{})
+		ag := r.AllGather(8, []float64{9}, xport.CollOpts{})
 		if ag[0][0] != 9 {
 			panic("p=1 allgather lost own block")
 		}
-		g := r.GatherTo(0, 8, []float64{4}, CollOpts{})
+		g := r.GatherTo(0, 8, []float64{4}, xport.CollOpts{})
 		if g[0][0] != 4 {
 			panic("p=1 gather lost own block")
 		}
-		if b := r.Bcast(0, 8, []float64{5}, CollOpts{}); b[0] != 5 {
+		if b := r.Bcast(0, 8, []float64{5}, xport.CollOpts{}); b[0] != 5 {
 			panic("p=1 bcast lost data")
 		}
 	})
@@ -326,11 +328,11 @@ func TestCollectivesDeterministicUnderShuffledScheduling(t *testing.T) {
 			for y := 0; y < (r.ID*7+seed)%5; y++ {
 				runtime.Gosched()
 			}
-			r.AllToAll(sizes, nil, CollOpts{Alg: AlgBruck, PerMessage: 1e-6})
+			r.AllToAll(sizes, nil, xport.CollOpts{Alg: xport.AlgBruck, PerMessage: 1e-6})
 			runtime.Gosched()
 			r.Barrier()
 			r.AllReduce([]float64{float64(r.ID)}, func(a, b float64) float64 { return a + b })
-			r.AllGather(128, nil, CollOpts{Alg: AlgRing})
+			r.AllGather(128, nil, xport.CollOpts{Alg: xport.AlgRing})
 		}
 	}
 	first, err := collMachine(p).Run(body(0))
@@ -361,7 +363,7 @@ func TestExchangePrimitiveMatchesLegacyBracketing(t *testing.T) {
 	legacy, err := collMachine(p).Run(func(r *Rank) {
 		next, prev := (r.ID+1)%p, (r.ID+p-1)%p
 		r.Compute(pm)
-		r.SendRecv(next, 3, Msg{Bytes: 800}, prev, 3)
+		r.SendRecv(next, 3, xport.Msg{Bytes: 800}, prev, 3)
 		r.Compute(pm)
 	})
 	if err != nil {
@@ -369,7 +371,7 @@ func TestExchangePrimitiveMatchesLegacyBracketing(t *testing.T) {
 	}
 	prim, err := collMachine(p).Run(func(r *Rank) {
 		next, prev := (r.ID+1)%p, (r.ID+p-1)%p
-		r.Exchange(next, prev, 3, Msg{Bytes: 800}, pm)
+		r.Exchange(next, prev, 3, xport.Msg{Bytes: 800}, pm)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,8 @@ package sim
 import (
 	"math"
 	"testing"
+
+	"genmp/internal/xport"
 )
 
 // mixedWorkload exercises point-to-point traffic of varied sizes plus both
@@ -15,9 +17,9 @@ func mixedWorkload(r *Rank) {
 	}
 	next, prev := (r.ID+1)%p, (r.ID+p-1)%p
 	r.Compute(3e-6 * float64(r.ID+1))
-	r.SendRecv(next, 1, Msg{Bytes: 1000 + 13*r.ID}, prev, 1)
+	r.SendRecv(next, 1, xport.Msg{Bytes: 1000 + 13*r.ID}, prev, 1)
 	r.Barrier()
-	r.SendRecv(prev, 2, Msg{Bytes: 77}, next, 2)
+	r.SendRecv(prev, 2, xport.Msg{Bytes: 77}, next, 2)
 	r.AllReduce([]float64{float64(r.ID)}, math.Max)
 }
 
@@ -84,7 +86,7 @@ func TestHypercubeHopLatency(t *testing.T) {
 	m.Fabric = NewHypercube(m.Net, 4)
 	res, err := m.Run(func(r *Rank) {
 		if r.ID == 0 {
-			r.Send(3, 9, Msg{Bytes: 1000})
+			r.Send(3, 9, xport.Msg{Bytes: 1000})
 		} else if r.ID == 3 {
 			r.Recv(0, 9)
 		}
@@ -118,8 +120,8 @@ func TestContentionSerializesEgress(t *testing.T) {
 	body := func(r *Rank) {
 		switch r.ID {
 		case 0:
-			r.Send(1, 1, Msg{Bytes: 1000})
-			r.Send(2, 2, Msg{Bytes: 1000})
+			r.Send(1, 1, xport.Msg{Bytes: 1000})
+			r.Send(2, 2, xport.Msg{Bytes: 1000})
 		case 1:
 			r.Recv(0, 1)
 		case 2:
@@ -157,7 +159,7 @@ func TestContentionDeterministic(t *testing.T) {
 	body := func(r *Rank) {
 		p := r.P()
 		for off := 1; off < p; off++ {
-			r.Send((r.ID+off)%p, 5, Msg{Bytes: 4096})
+			r.Send((r.ID+off)%p, 5, xport.Msg{Bytes: 4096})
 		}
 		for off := 1; off < p; off++ {
 			r.Recv((r.ID+off)%p, 5)
@@ -191,7 +193,7 @@ func TestCollectiveCostRingAlgorithm(t *testing.T) {
 		t.Fatal(err)
 	}
 	ring := NewMachine(8, net, CPU{FlopsPerSec: 1e9})
-	ring.Coll = AlgRing
+	ring.Coll = xport.AlgRing
 	rres, err := ring.Run(barrier)
 	if err != nil {
 		t.Fatal(err)

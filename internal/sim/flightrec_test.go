@@ -3,6 +3,8 @@ package sim
 import (
 	"strings"
 	"testing"
+
+	"genmp/internal/xport"
 )
 
 // A deliberately deadlocked 2-rank program: rank 0 sends to rank 1 on tag
@@ -14,7 +16,7 @@ func TestFlightReportNamesDeadlockedPair(t *testing.T) {
 	m.Flight = NewFlightRecorder(16)
 	_, err := m.Run(func(r *Rank) {
 		if r.ID == 0 {
-			r.Send(1, 7, Msg{Bytes: 64})
+			r.Send(1, 7, xport.Msg{Bytes: 64})
 			r.Recv(1, 8) // never satisfied
 		} else {
 			r.Recv(0, 9) // wrong tag: rank 0 sent tag 7
@@ -94,7 +96,7 @@ func TestFlightRecorderSeesInsideCollectives(t *testing.T) {
 	m.Flight = NewFlightRecorder(64)
 	m.Trace = &Trace{}
 	if _, err := m.Run(func(r *Rank) {
-		r.AllToAll([]int{8, 8, 8, 8}, nil, CollOpts{})
+		r.AllToAll([]int{8, 8, 8, 8}, nil, xport.CollOpts{})
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +141,7 @@ func TestFlightRecorderDoesNotPerturbTiming(t *testing.T) {
 			next := (r.ID + 1) % m.P
 			prev := (r.ID + m.P - 1) % m.P
 			r.Compute(float64(r.ID+1) * 1e-6)
-			r.SendRecv(next, 3, Msg{Bytes: 256}, prev, 3)
+			r.SendRecv(next, 3, xport.Msg{Bytes: 256}, prev, 3)
 			r.Barrier()
 		})
 		if err != nil {

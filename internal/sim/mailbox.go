@@ -18,6 +18,8 @@ package sim
 import (
 	"fmt"
 	"sync"
+
+	"genmp/internal/xport"
 )
 
 // msgKey identifies one (src, dst, tag) channel.
@@ -30,7 +32,7 @@ type chanKey struct{ src, tag int }
 // timestamp (the sender's virtual time when the fabric accepted it), kept
 // out of Msg so Msg stays transport-neutral.
 type envelope struct {
-	msg  Msg
+	msg  xport.Msg
 	sent float64
 }
 
@@ -121,7 +123,7 @@ func (mb *mailbox) isDeadlocked() bool {
 	return mb.deadlock
 }
 
-func (mb *mailbox) put(k msgKey, m Msg, sent float64) {
+func (mb *mailbox) put(k msgKey, m xport.Msg, sent float64) {
 	b := &mb.boxes[k.dst]
 	ck := chanKey{src: k.src, tag: k.tag}
 	b.mu.Lock()
@@ -156,7 +158,7 @@ func (mb *mailbox) put(k msgKey, m Msg, sent float64) {
 	}
 }
 
-func (mb *mailbox) get(k msgKey) (Msg, float64, error) {
+func (mb *mailbox) get(k msgKey) (xport.Msg, float64, error) {
 	b := &mb.boxes[k.dst]
 	ck := chanKey{src: k.src, tag: k.tag}
 	b.mu.Lock()
@@ -179,7 +181,7 @@ func (mb *mailbox) get(k msgKey) (Msg, float64, error) {
 			mb.mu.Unlock()
 			b.stuck = true
 			b.mu.Unlock()
-			return Msg{}, 0, fmt.Errorf("sim: deadlock: rank %d waiting for message from %d tag %d", k.dst, k.src, k.tag)
+			return xport.Msg{}, 0, fmt.Errorf("sim: deadlock: rank %d waiting for message from %d tag %d", k.dst, k.src, k.tag)
 		}
 		mb.blocked++
 		if mb.blocked == mb.alive {
@@ -189,7 +191,7 @@ func (mb *mailbox) get(k msgKey) (Msg, float64, error) {
 			b.stuck = true
 			b.mu.Unlock()
 			mb.wakeAll()
-			return Msg{}, 0, fmt.Errorf("sim: deadlock: all ranks blocked with nothing deliverable (rank %d waits on src %d tag %d)", k.dst, k.src, k.tag)
+			return xport.Msg{}, 0, fmt.Errorf("sim: deadlock: all ranks blocked with nothing deliverable (rank %d waits on src %d tag %d)", k.dst, k.src, k.tag)
 		}
 		mb.mu.Unlock()
 		b.blocked = true

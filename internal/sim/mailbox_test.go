@@ -38,10 +38,10 @@ func TestMailboxStressNoFalseDeadlock(t *testing.T) {
 					}
 				}
 				for _, dst := range sendOrder[r.ID] {
-					r.Send(dst, round, Msg{Bytes: stressBytes(r.ID, dst, round)})
+					r.Send(dst, round, xport.Msg{Bytes: stressBytes(r.ID, dst, round)})
 				}
 				for i, src := range recvOrder[r.ID] {
-					var msg Msg
+					var msg xport.Msg
 					if nonblocking {
 						msg = reqs[i].Wait()
 					} else {
@@ -108,7 +108,7 @@ func TestMailboxDeadlockP64(t *testing.T) {
 		ringBody(m)(r)
 		for _, k := range orphans {
 			if k.src == r.ID {
-				r.Send(k.dst, k.tag, Msg{Bytes: 64})
+				r.Send(k.dst, k.tag, xport.Msg{Bytes: 64})
 			}
 		}
 		if k, ok := blocked[r.ID]; ok {

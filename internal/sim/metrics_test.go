@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"genmp/internal/obs/metrics"
+	"genmp/internal/xport"
 )
 
 // ringBody is a small program exercising sends, receives, computes, a
@@ -16,7 +17,7 @@ func ringBody(m *Machine) func(r *Rank) {
 		for i := range buf {
 			buf[i] = float64(r.ID)
 		}
-		got := r.SendRecv(next, 5, Msg{Payload: buf}, prev, 5)
+		got := r.SendRecv(next, 5, xport.Msg{Payload: buf}, prev, 5)
 		r.PutPayload(got.Payload)
 		r.Compute(1e-6)
 		r.Barrier()
@@ -94,8 +95,8 @@ func TestMachineMetricsDeadlockAndStalls(t *testing.T) {
 		if r.ID == 0 {
 			// Back-to-back sends from one rank: the second stalls behind the
 			// first body on the egress link.
-			r.Send(1, 1, Msg{Bytes: 1 << 20})
-			r.Send(1, 2, Msg{Bytes: 1 << 20})
+			r.Send(1, 1, xport.Msg{Bytes: 1 << 20})
+			r.Send(1, 2, xport.Msg{Bytes: 1 << 20})
 		} else {
 			r.Recv(0, 1)
 			r.Recv(0, 2)
@@ -158,7 +159,7 @@ func TestMetricsDoNotPerturbTiming(t *testing.T) {
 	}
 	body := func(m *Machine) func(r *Rank) {
 		return func(r *Rank) {
-			r.AllToAll([]int{512, 512, 512, 512}, nil, CollOpts{})
+			r.AllToAll([]int{512, 512, 512, 512}, nil, xport.CollOpts{})
 			r.Compute(float64(r.ID) * 1e-6)
 			r.Barrier()
 		}

@@ -70,7 +70,7 @@ func (q *Request) Tag() int { return q.tag }
 // bit-identical to Send posted at the same clock; the request handle exists
 // for completion discipline and post-mortems. The event kind is EvIsend so
 // traces and the causal DAG distinguish overlapped injections.
-func (r *Rank) Isend(dst, tag int, m Msg) xport.Request {
+func (r *Rank) Isend(dst, tag int, m xport.Msg) xport.Request {
 	if dst < 0 || dst >= r.machine.P {
 		panic(fmt.Sprintf("sim: Isend to rank %d of %d", dst, r.machine.P))
 	}
@@ -128,7 +128,7 @@ func (r *Rank) Irecv(src, tag int) xport.Request {
 // the Irecv — then the fabric body time and RecvOverhead, and the matched
 // message is returned. For send requests (eager injection) it returns the
 // zero Msg at no cost. Waiting a request twice panics.
-func (q *Request) Wait() Msg {
+func (q *Request) Wait() xport.Msg {
 	r := q.r
 	if q.done || r == nil {
 		panic("sim: Wait on a completed (or recycled) request")
@@ -139,7 +139,7 @@ func (q *Request) Wait() Msg {
 	}
 	if q.isSend {
 		r.retireRequest(q)
-		return Msg{}
+		return xport.Msg{}
 	}
 	key := msgKey{src: q.peer, dst: r.ID, tag: q.tag}
 	co := r.chanSeq[key]

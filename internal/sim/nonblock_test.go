@@ -16,11 +16,11 @@ func TestIsendTimingMatchesSend(t *testing.T) {
 		res, err := m.Run(func(r *Rank) {
 			if r.ID == 0 {
 				if nonblocking {
-					q := r.Isend(1, 3, Msg{Bytes: 1000})
+					q := r.Isend(1, 3, xport.Msg{Bytes: 1000})
 					r.Compute(5e-6)
 					q.Wait()
 				} else {
-					r.Send(1, 3, Msg{Bytes: 1000})
+					r.Send(1, 3, xport.Msg{Bytes: 1000})
 					r.Compute(5e-6)
 				}
 			} else {
@@ -45,9 +45,9 @@ func TestIrecvWaitTimingMatchesRecv(t *testing.T) {
 		res, err := m.Run(func(r *Rank) {
 			if r.ID == 0 {
 				r.Compute(30e-6)
-				r.Send(1, 0, Msg{Bytes: 1000})
+				r.Send(1, 0, xport.Msg{Bytes: 1000})
 			} else {
-				var msg Msg
+				var msg xport.Msg
 				if nonblocking {
 					q := r.Irecv(0, 0)
 					msg = q.Wait()
@@ -77,7 +77,7 @@ func TestWaitShrinksWithOverlappedCompute(t *testing.T) {
 		m := testMachine(2)
 		res, err := m.Run(func(r *Rank) {
 			if r.ID == 0 {
-				r.Send(1, 0, Msg{Bytes: 1000})
+				r.Send(1, 0, xport.Msg{Bytes: 1000})
 			} else {
 				q := r.Irecv(0, 0)
 				if overlap > 0 {
@@ -114,7 +114,7 @@ func TestNonblockingFIFOMatching(t *testing.T) {
 		if r.ID == 0 {
 			var reqs []xport.Request
 			for k := 0; k < n; k++ {
-				reqs = append(reqs, r.Isend(1, 7, Msg{Payload: []float64{float64(k)}}))
+				reqs = append(reqs, r.Isend(1, 7, xport.Msg{Payload: []float64{float64(k)}}))
 			}
 			r.WaitAll(reqs...)
 		} else {
@@ -140,8 +140,8 @@ func TestNonblockingTagsIndependent(t *testing.T) {
 	m := testMachine(2)
 	_, err := m.Run(func(r *Rank) {
 		if r.ID == 0 {
-			r.Send(1, 2, Msg{Payload: []float64{22}})
-			r.Send(1, 1, Msg{Payload: []float64{11}})
+			r.Send(1, 2, xport.Msg{Payload: []float64{22}})
+			r.Send(1, 1, xport.Msg{Payload: []float64{11}})
 		} else {
 			q1 := r.Irecv(0, 1)
 			q2 := r.Irecv(0, 2)
@@ -162,8 +162,8 @@ func TestWaitOutOfPostOrderPanics(t *testing.T) {
 	m := testMachine(2)
 	_, err := m.Run(func(r *Rank) {
 		if r.ID == 0 {
-			r.Send(1, 0, Msg{Bytes: 8})
-			r.Send(1, 0, Msg{Bytes: 8})
+			r.Send(1, 0, xport.Msg{Bytes: 8})
+			r.Send(1, 0, xport.Msg{Bytes: 8})
 		} else {
 			first := r.Irecv(0, 0)
 			second := r.Irecv(0, 0)
@@ -181,7 +181,7 @@ func TestDoubleWaitPanics(t *testing.T) {
 	m := testMachine(2)
 	_, err := m.Run(func(r *Rank) {
 		if r.ID == 0 {
-			r.Send(1, 0, Msg{Bytes: 8})
+			r.Send(1, 0, xport.Msg{Bytes: 8})
 		} else {
 			q := r.Irecv(0, 0)
 			q.Wait()
@@ -202,9 +202,9 @@ func TestFlightReportNamesUnwaitedRequests(t *testing.T) {
 	_, err := m.Run(func(r *Rank) {
 		if r.ID == 0 {
 			r.BeginPhase("solve0")
-			r.Irecv(1, 5)                 // leaked: never Waited
-			r.Isend(1, 6, Msg{Bytes: 64}) // leaked: never Waited
-			r.Irecv(1, 9).Wait()          // never satisfied: deadlock here
+			r.Irecv(1, 5)                       // leaked: never Waited
+			r.Isend(1, 6, xport.Msg{Bytes: 64}) // leaked: never Waited
+			r.Irecv(1, 9).Wait()                // never satisfied: deadlock here
 		}
 		// Rank 1 exits immediately.
 	})
@@ -232,11 +232,11 @@ func TestPendingRequestsTracksDiscipline(t *testing.T) {
 	m := testMachine(2)
 	_, err := m.Run(func(r *Rank) {
 		if r.ID == 0 {
-			r.Send(1, 0, Msg{Bytes: 8})
+			r.Send(1, 0, xport.Msg{Bytes: 8})
 			return
 		}
 		q1 := r.Irecv(0, 0)
-		q2 := r.Isend(0, 1, Msg{Bytes: 8})
+		q2 := r.Isend(0, 1, xport.Msg{Bytes: 8})
 		if n := len(r.PendingRequests()); n != 2 {
 			panic("expected 2 pending requests")
 		}
@@ -261,7 +261,7 @@ func TestNonblockingTraceEvents(t *testing.T) {
 	m.Trace = &Trace{}
 	_, err := m.Run(func(r *Rank) {
 		if r.ID == 0 {
-			q := r.Isend(1, 0, Msg{Bytes: 1000})
+			q := r.Isend(1, 0, xport.Msg{Bytes: 1000})
 			q.Wait()
 		} else {
 			q := r.Irecv(0, 0)

@@ -116,7 +116,7 @@ type Machine struct {
 	Fabric Fabric
 	// Coll is the default collective algorithm applied when a call passes
 	// AlgAuto; zero (AlgAuto) keeps each primitive's legacy algorithm.
-	Coll  Alg
+	Coll  xport.Alg
 	Trace *Trace
 	// Metrics mirrors run activity (messages, bytes, per-link traffic,
 	// collectives, pool and mailbox recycling, contention stalls) into a
@@ -257,11 +257,6 @@ func (r Result) TotalMessages() int {
 	}
 	return n
 }
-
-// Msg is a point-to-point message (see xport.Msg; the struct moved with
-// the transport carve-out so plan consumers can build messages without
-// importing the simulator).
-type Msg = xport.Msg
 
 // barrier implements a clock-synchronizing barrier / reduction rendezvous.
 // Completion publishes a per-generation snapshot (outT, out) so that a fast
@@ -515,7 +510,7 @@ func (r *Rank) ComputeFlops(flops float64) {
 
 // Send posts a message to dst. Sends are eager (buffered): the sender only
 // pays its injection overhead.
-func (r *Rank) Send(dst, tag int, m Msg) {
+func (r *Rank) Send(dst, tag int, m xport.Msg) {
 	if dst < 0 || dst >= r.machine.P {
 		panic(fmt.Sprintf("sim: Send to rank %d of %d", dst, r.machine.P))
 	}
@@ -542,7 +537,7 @@ func (r *Rank) Send(dst, tag int, m Msg) {
 
 // Recv blocks until the next message from src with the given tag arrives,
 // advancing the clock to max(now, arrival) + receive overhead.
-func (r *Rank) Recv(src, tag int) Msg {
+func (r *Rank) Recv(src, tag int) xport.Msg {
 	if src < 0 || src >= r.machine.P {
 		panic(fmt.Sprintf("sim: Recv from rank %d of %d", src, r.machine.P))
 	}
@@ -582,7 +577,7 @@ func (r *Rank) Recv(src, tag int) Msg {
 
 // SendRecv posts a send to dst and then receives from src (safe in rings
 // and shifts because sends never block).
-func (r *Rank) SendRecv(dst, sendTag int, m Msg, src, recvTag int) Msg {
+func (r *Rank) SendRecv(dst, sendTag int, m xport.Msg, src, recvTag int) xport.Msg {
 	r.Send(dst, sendTag, m)
 	return r.Recv(src, recvTag)
 }
@@ -651,7 +646,7 @@ func (r *Rank) collectiveCost(bytes int) float64 {
 	fab := r.machine.Fabric
 	so, ro := r.machine.Net.SendOverhead, r.machine.Net.RecvOverhead
 	switch r.machine.Coll {
-	case AlgRing, AlgPairwise:
+	case xport.AlgRing, xport.AlgPairwise:
 		per := so + ro + fab.Transit(r.ID, (r.ID+1)%p, bytes)
 		return float64(p-1) * per
 	default: // AlgAuto, AlgDoubling, AlgBruck: the ⌈log₂ p⌉ tree

@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"genmp/internal/xport"
 )
 
 func testMachine(p int) *Machine {
@@ -16,7 +18,7 @@ func TestPingPongTiming(t *testing.T) {
 	m := testMachine(2)
 	res, err := m.Run(func(r *Rank) {
 		if r.ID == 0 {
-			r.Send(1, 7, Msg{Bytes: 1000})
+			r.Send(1, 7, xport.Msg{Bytes: 1000})
 		} else {
 			msg := r.Recv(0, 7)
 			if msg.Bytes != 1000 || msg.Src != 0 || msg.Tag != 7 {
@@ -42,7 +44,7 @@ func TestPayloadDelivery(t *testing.T) {
 	m := testMachine(2)
 	_, err := m.Run(func(r *Rank) {
 		if r.ID == 0 {
-			r.Send(1, 0, Msg{Payload: []float64{1, 2, 3}})
+			r.Send(1, 0, xport.Msg{Payload: []float64{1, 2, 3}})
 		} else {
 			msg := r.Recv(0, 0)
 			if len(msg.Payload) != 3 || msg.Payload[2] != 3 {
@@ -63,7 +65,7 @@ func TestFIFOOrderPerChannel(t *testing.T) {
 	_, err := m.Run(func(r *Rank) {
 		if r.ID == 0 {
 			for i := 0; i < 20; i++ {
-				r.Send(1, 3, Msg{Payload: []float64{float64(i)}})
+				r.Send(1, 3, xport.Msg{Payload: []float64{float64(i)}})
 			}
 		} else {
 			for i := 0; i < 20; i++ {
@@ -83,8 +85,8 @@ func TestTagsAreIndependent(t *testing.T) {
 	m := testMachine(2)
 	_, err := m.Run(func(r *Rank) {
 		if r.ID == 0 {
-			r.Send(1, 1, Msg{Payload: []float64{1}})
-			r.Send(1, 2, Msg{Payload: []float64{2}})
+			r.Send(1, 1, xport.Msg{Payload: []float64{1}})
+			r.Send(1, 2, xport.Msg{Payload: []float64{2}})
 		} else {
 			// Receive in reverse tag order.
 			if r.Recv(0, 2).Payload[0] != 2 {
@@ -122,7 +124,7 @@ func TestWaitTimeAccounting(t *testing.T) {
 	res, err := m.Run(func(r *Rank) {
 		if r.ID == 0 {
 			r.Compute(1.0)
-			r.Send(1, 0, Msg{Bytes: 8})
+			r.Send(1, 0, xport.Msg{Bytes: 8})
 		} else {
 			r.Recv(0, 0) // idles ~1 second
 		}
@@ -145,7 +147,7 @@ func TestDeterministicMakespan(t *testing.T) {
 				r.Compute(float64(r.ID+1) * 1e-4)
 				next := (r.ID + 1) % r.P()
 				prev := (r.ID + r.P() - 1) % r.P()
-				r.SendRecv(next, round, Msg{Bytes: 4096}, prev, round)
+				r.SendRecv(next, round, xport.Msg{Bytes: 4096}, prev, round)
 			}
 		})
 		if err != nil {
@@ -243,7 +245,7 @@ func TestSendRecvRingDoesNotDeadlock(t *testing.T) {
 	_, err := m.Run(func(r *Rank) {
 		next := (r.ID + 1) % r.P()
 		prev := (r.ID + r.P() - 1) % r.P()
-		got := r.SendRecv(next, 0, Msg{Payload: []float64{float64(r.ID)}}, prev, 0)
+		got := r.SendRecv(next, 0, xport.Msg{Payload: []float64{float64(r.ID)}}, prev, 0)
 		if got.Payload[0] != float64(prev) {
 			panic("ring value wrong")
 		}
@@ -257,7 +259,7 @@ func TestInvalidRankPanics(t *testing.T) {
 	m := testMachine(2)
 	_, err := m.Run(func(r *Rank) {
 		if r.ID == 0 {
-			r.Send(5, 0, Msg{})
+			r.Send(5, 0, xport.Msg{})
 		}
 	})
 	if err == nil {
@@ -269,8 +271,8 @@ func TestStatsTotals(t *testing.T) {
 	m := testMachine(2)
 	res, err := m.Run(func(r *Rank) {
 		if r.ID == 0 {
-			r.Send(1, 0, Msg{Bytes: 100})
-			r.Send(1, 0, Msg{Bytes: 200})
+			r.Send(1, 0, xport.Msg{Bytes: 100})
+			r.Send(1, 0, xport.Msg{Bytes: 200})
 		} else {
 			r.Recv(0, 0)
 			r.Recv(0, 0)
@@ -312,10 +314,10 @@ func TestPhaseStatsPartitionTotals(t *testing.T) {
 		r.Compute(1e-3) // lands in the unlabeled phase
 		r.BeginPhase("exchange")
 		if r.ID == 0 {
-			r.Send(1, 3, Msg{Bytes: 1 << 12})
+			r.Send(1, 3, xport.Msg{Bytes: 1 << 12})
 			r.Recv(1, 4)
 		} else {
-			r.Send(0, 4, Msg{Bytes: 256})
+			r.Send(0, 4, xport.Msg{Bytes: 256})
 			r.Recv(0, 3)
 		}
 		r.BeginPhase("reduce")
@@ -419,7 +421,7 @@ func TestRankStatsMidRun(t *testing.T) {
 		peer := 1 - r.ID
 		r.BeginPhase("x")
 		if r.ID == 0 {
-			r.Send(peer, 1, Msg{Bytes: 100})
+			r.Send(peer, 1, xport.Msg{Bytes: 100})
 		} else {
 			r.Recv(peer, 1)
 		}
@@ -436,7 +438,7 @@ func TestRankStatsMidRun(t *testing.T) {
 		}
 		r.BeginPhase("y")
 		r.Compute(1e-3)
-		r.Send(peer, 2, Msg{Bytes: 8})
+		r.Send(peer, 2, xport.Msg{Bytes: 8})
 		if later := r.Stats(); later.Phases["y"].ComputeTime != 1e-3 || later.Peers[peer].MsgsSent != io.MsgsSent+1 {
 			t.Errorf("rank %d: later snapshot %+v", r.ID, later)
 		}

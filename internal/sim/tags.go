@@ -2,25 +2,6 @@ package sim
 
 import "genmp/internal/xport"
 
-// The tag registry moved to internal/xport with the transport carve-out:
-// tag values are part of the compiled schedule, so they must be shared by
-// every backend. These aliases keep the historical sim.ReserveTags /
-// sim.TagSpace spellings (and every reservation made through them) working
-// unchanged — there is exactly one registry.
-
-// TagSpace is a reserved, half-open range [Base, Base+Size) of message
-// tags (see xport.TagSpace).
-type TagSpace = xport.TagSpace
-
-// ReserveTags registers the half-open tag range [base, base+size) under
-// the given owner name in the shared registry (see xport.ReserveTags).
-func ReserveTags(name string, base, size int) TagSpace {
-	return xport.ReserveTags(name, base, size)
-}
-
-// TagSpaces returns a snapshot of all reservations sorted by base.
-func TagSpaces() []TagSpace { return xport.TagSpaces() }
-
 // collTags is the tag space of the built-in collective primitives
 // (AllToAll, AllGather, GatherTo, Bcast).
-var collTags = ReserveTags("sim/collective", 1<<30, 16)
+var collTags = xport.ReserveTags("sim/collective", 1<<30, 16)

@@ -3,6 +3,8 @@ package sim
 import (
 	"strings"
 	"testing"
+
+	"genmp/internal/xport"
 )
 
 func mustPanic(t *testing.T, want string, f func()) {
@@ -22,24 +24,24 @@ func mustPanic(t *testing.T, want string, f func()) {
 // Successful reservations live at package level: the registry is global
 // and init-once, so re-running the tests (-count=2) must not re-reserve.
 var (
-	_ = ReserveTags("test/a", 5000, 10)
-	_ = ReserveTags("test/e", 5010, 10) // adjacent to test/a: no overlap
+	_ = xport.ReserveTags("test/a", 5000, 10)
+	_ = xport.ReserveTags("test/e", 5010, 10) // adjacent to test/a: no overlap
 )
 
 func TestReserveTagsOverlapPanics(t *testing.T) {
-	mustPanic(t, "overlaps", func() { ReserveTags("test/b", 5009, 10) })
-	mustPanic(t, "overlaps", func() { ReserveTags("test/c", 4991, 10) })
-	mustPanic(t, "overlaps", func() { ReserveTags("test/d", 5003, 2) })
-	mustPanic(t, "already reserved", func() { ReserveTags("test/a", 6000, 1) })
+	mustPanic(t, "overlaps", func() { xport.ReserveTags("test/b", 5009, 10) })
+	mustPanic(t, "overlaps", func() { xport.ReserveTags("test/c", 4991, 10) })
+	mustPanic(t, "overlaps", func() { xport.ReserveTags("test/d", 5003, 2) })
+	mustPanic(t, "already reserved", func() { xport.ReserveTags("test/a", 6000, 1) })
 }
 
 func TestReserveTagsValidation(t *testing.T) {
-	mustPanic(t, "owner name", func() { ReserveTags("", 7000, 1) })
-	mustPanic(t, "non-empty", func() { ReserveTags("test/empty", 7000, 0) })
-	mustPanic(t, "non-negative", func() { ReserveTags("test/neg", -1, 5) })
+	mustPanic(t, "owner name", func() { xport.ReserveTags("", 7000, 1) })
+	mustPanic(t, "non-empty", func() { xport.ReserveTags("test/empty", 7000, 0) })
+	mustPanic(t, "non-negative", func() { xport.ReserveTags("test/neg", -1, 5) })
 }
 
-var tagTestBounds = ReserveTags("test/bounds", 8000, 4)
+var tagTestBounds = xport.ReserveTags("test/bounds", 8000, 4)
 
 func TestTagSpaceTagBounds(t *testing.T) {
 	ts := tagTestBounds
@@ -56,9 +58,9 @@ func TestTagSpaceTagBounds(t *testing.T) {
 func TestTagSpacesRegistryListsCollectives(t *testing.T) {
 	var found bool
 	prev := -1
-	for _, ts := range TagSpaces() {
+	for _, ts := range xport.TagSpaces() {
 		if ts.Base() < prev {
-			t.Error("TagSpaces not sorted by base")
+			t.Error("xport.TagSpaces not sorted by base")
 		}
 		prev = ts.Base()
 		if ts.Name() == "sim/collective" {

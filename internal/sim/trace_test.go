@@ -3,6 +3,8 @@ package sim
 import (
 	"strings"
 	"testing"
+
+	"genmp/internal/xport"
 )
 
 func TestTraceCollectsEvents(t *testing.T) {
@@ -11,7 +13,7 @@ func TestTraceCollectsEvents(t *testing.T) {
 	res, err := m.Run(func(r *Rank) {
 		r.Compute(1e-3)
 		if r.ID == 0 {
-			r.Send(1, 0, Msg{Bytes: 100})
+			r.Send(1, 0, xport.Msg{Bytes: 100})
 		} else {
 			r.Recv(0, 0)
 		}
@@ -48,7 +50,7 @@ func TestTraceSendRecvPeersAndBytes(t *testing.T) {
 	m.Trace = &Trace{}
 	if _, err := m.Run(func(r *Rank) {
 		if r.ID == 0 {
-			r.Send(1, 5, Msg{Bytes: 4096})
+			r.Send(1, 5, xport.Msg{Bytes: 4096})
 		} else {
 			r.Recv(0, 5)
 		}
@@ -165,7 +167,7 @@ func TestEventPhaseAndWait(t *testing.T) {
 		r.BeginPhase("p0")
 		if r.ID == 0 {
 			r.Compute(5e-3) // make rank 1 wait on the recv
-			r.Send(1, 7, Msg{Bytes: 64})
+			r.Send(1, 7, xport.Msg{Bytes: 64})
 		} else {
 			r.Recv(0, 7)
 		}
@@ -241,7 +243,7 @@ func TestEventBusyWithWait(t *testing.T) {
 	if _, err := m.Run(func(r *Rank) {
 		if r.ID == 0 {
 			r.Compute(3e-3)
-			r.Send(1, 0, Msg{Bytes: 64})
+			r.Send(1, 0, xport.Msg{Bytes: 64})
 		} else {
 			r.Recv(0, 0)
 		}

@@ -10,8 +10,7 @@
 //
 // The package also hosts the transport-neutral vocabulary the interface
 // needs: the message struct, the global tag registry, and the collective
-// algorithm/options types. sim re-exports them under aliases, so historical
-// sim.Msg / sim.ReserveTags / sim.AlgAuto spellings keep working.
+// algorithm/options types.
 package xport
 
 import "genmp/internal/obs/metrics"
