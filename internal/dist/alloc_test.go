@@ -7,6 +7,7 @@ import (
 	"genmp/internal/core"
 	"genmp/internal/sim"
 	"genmp/internal/sweep"
+	"genmp/internal/xport/mbox"
 )
 
 // TestWavefrontPerBlockAllocFree verifies the wavefront inner loop no longer
@@ -114,7 +115,7 @@ func resetScratchStats(buf []Scratch) {
 // a rank request a payload before a peer has returned one, so a warmed pool
 // may still miss occasionally; ≥ 90% recycled means the hot path is served
 // by the pool, not the heap.
-func assertPoolSteadyState(t *testing.T, mach *sim.Machine, pre sim.PoolStats) {
+func assertPoolSteadyState(t *testing.T, mach *sim.Machine, pre mbox.PoolStats) {
 	t.Helper()
 	post := mach.PayloadPoolStats()
 	gets, hits := post.Gets-pre.Gets, post.Hits-pre.Hits

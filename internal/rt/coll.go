@@ -1,4 +1,4 @@
-// Collectives over the shared-memory mailbox. The return-shape contracts
+// Collectives over the shared message store. The return-shape contracts
 // match the simulator exactly — out indexed by origin, own slot filled
 // locally, root-only results on GatherTo — so plan consumers cannot tell
 // the backends apart. Every algorithm option maps to the direct exchange:
@@ -26,16 +26,23 @@ const (
 )
 
 // Barrier synchronizes all ranks.
-func (r *Rank) Barrier() {
-	r.bar.sync(r.ID, nil, nil)
+func (r *Rank) Barrier() { r.rendezvous("barrier", nil, nil) }
+
+// AllReduce combines each rank's values elementwise and returns each rank
+// its own copy of the combined vector. The combine runs in ascending rank
+// order regardless of arrival order, so results are deterministic.
+func (r *Rank) AllReduce(vals []float64, combine func(a, b float64) float64) []float64 {
+	return r.rendezvous("allreduce", vals, combine)
 }
 
-// AllReduce combines each rank's values elementwise and returns the
-// combined vector to every rank. The combine runs in ascending rank order
-// regardless of arrival order, so results are deterministic; callers must
-// not mutate the returned (shared) slice.
-func (r *Rank) AllReduce(vals []float64, combine func(a, b float64) float64) []float64 {
-	return r.bar.sync(r.ID, vals, combine)
+// rendezvous runs Barrier and AllReduce through the store's rendezvous,
+// which sends no message.
+func (r *Rank) rendezvous(op string, vals []float64, combine func(a, b float64) float64) []float64 {
+	_, out, err := r.machine.store.Rendezvous(r.ID, op, 0, vals, combine)
+	if err != nil {
+		r.fail(err)
+	}
+	return out
 }
 
 // AllToAll performs a personalized total exchange: rank q contributes

@@ -1,11 +1,14 @@
 // Package rt is the real-parallel runtime: the second implementation of
 // xport.Transport, executing the same compiled schedules as the virtual-
 // time simulator on real OS goroutines measured in wall-clock time. One
-// goroutine runs per rank; messages move through shared-memory mailboxes
-// (per-channel FIFO queues under a mutex+cond), carrying line-major SoA
-// carry panels zero-copy — a Send hands the payload slice to the receiver,
-// exactly the ownership discipline the executors already follow for the
-// simulator's pooled payloads.
+// goroutine runs per rank; messages move through the message core both
+// backends share (internal/xport/mbox: per-channel FIFO queues in
+// per-rank inboxes), carrying line-major SoA carry panels zero-copy — a
+// Send hands the payload slice to the receiver, exactly the ownership
+// discipline the executors already follow for the simulator's pooled
+// payloads. The same core detects deadlock exactly: once every live rank
+// waits on a receive or in Barrier/AllReduce, the run fails with each
+// blocked rank's receive or collective and phase instead of hanging.
 //
 // The cost-accounting hooks of the interface are free here: Compute and
 // ComputeFlops do nothing, because on a real backend the work itself took
@@ -26,14 +29,16 @@ import (
 
 	"genmp/internal/obs/metrics"
 	"genmp/internal/xport"
+	"genmp/internal/xport/mbox"
 )
 
 // Machine is a real-parallel machine of P ranks. Zero-value fields are
-// valid; a Machine may be reused across Runs (mailboxes are reset).
+// valid; a Machine may be reused across Runs, one at a time (its message
+// store and payload pool persist and are reset per Run).
 type Machine struct {
 	P int
 
-	pool payloadPool
+	store mbox.Store
 }
 
 // NewMachine returns a real-parallel machine of p ranks.
@@ -84,8 +89,6 @@ type Rank struct {
 	ID int
 
 	machine *Machine
-	mb      *mailbox
-	bar     *barrier
 	phase   string
 	stats   Stats
 }
@@ -93,27 +96,25 @@ type Rank struct {
 var _ xport.Transport = (*Rank)(nil)
 
 // Run executes body on every rank concurrently and returns the run's
-// Result. A panic in any rank aborts the run (blocked peers are woken and
-// fail too) and is returned as an error.
+// Result. A panic in any rank ends that rank; peers it leaves blocked fail
+// with the deadlock diagnosis, and every failure is returned as one error
+// that also lists the messages sent but never received.
 func (m *Machine) Run(body func(r *Rank)) (Result, error) {
-	mb := newMailbox(m.P)
-	bar := newBarrier(m.P)
+	st := &m.store
+	st.Reset(m.P, nil)
 	ranks := make([]*Rank, m.P)
 	errs := make([]error, m.P)
 	var wg sync.WaitGroup
 	start := time.Now()
 	for id := 0; id < m.P; id++ {
-		ranks[id] = &Rank{ID: id, machine: m, mb: mb, bar: bar}
+		ranks[id] = &Rank{ID: id, machine: m}
 		wg.Add(1)
 		go func(r *Rank) {
 			defer wg.Done()
-			defer mb.exit()
-			defer bar.exit()
+			defer st.Exit()
 			defer func() {
 				if rec := recover(); rec != nil {
 					errs[r.ID] = fmt.Errorf("rt: rank %d: %v", r.ID, rec)
-					mb.abort()
-					bar.abort()
 				}
 			}()
 			body(r)
@@ -122,6 +123,9 @@ func (m *Machine) Run(body func(r *Rank)) (Result, error) {
 	wg.Wait()
 	wall := time.Since(start)
 	if err := errors.Join(errs...); err != nil {
+		if undelivered := st.Undelivered(); undelivered != "" {
+			err = fmt.Errorf("%w\n\n%s", err, undelivered)
+		}
 		return Result{}, err
 	}
 	res := Result{Wall: wall, Ranks: make([]Stats, m.P)}
@@ -173,7 +177,7 @@ func (r *Rank) Send(dst, tag int, m xport.Msg) {
 	m.Tag = tag
 	r.stats.MsgsSent++
 	r.stats.BytesSent += m.Bytes
-	r.mb.put(r.ID, dst, tag, m)
+	r.machine.store.Put(r.ID, dst, tag, m, 0)
 }
 
 // Recv blocks until the next message from src with the given tag.
@@ -181,10 +185,21 @@ func (r *Rank) Recv(src, tag int) xport.Msg {
 	if src < 0 || src >= r.machine.P {
 		panic(fmt.Sprintf("rt: Recv from rank %d of %d", src, r.machine.P))
 	}
-	m := r.mb.get(src, r.ID, tag, r.phase)
+	m, _, err := r.machine.store.Get(src, r.ID, tag)
+	if err != nil {
+		r.fail(err)
+	}
 	r.stats.MsgsRecvd++
 	r.stats.BytesRecvd += m.Bytes
 	return m
+}
+
+// fail ends the rank with err, naming its phase.
+func (r *Rank) fail(err error) {
+	if r.phase != "" {
+		err = fmt.Errorf("%w [phase %s]", err, r.phase)
+	}
+	panic(err)
 }
 
 // SendRecv posts the send and then receives; safe in rings and shifts
@@ -258,12 +273,12 @@ func (r *Rank) WaitAll(reqs ...xport.Request) {
 
 // GetPayload returns a pooled length-n buffer (contents unspecified).
 func (r *Rank) GetPayload(n int) []float64 {
-	return r.machine.pool.get(n)
+	return r.machine.store.GetPayload(n)
 }
 
 // PutPayload recycles a payload buffer. As with the simulator, ownership
 // follows the message: only the receiver of a message may recycle its
 // payload.
 func (r *Rank) PutPayload(buf []float64) {
-	r.machine.pool.put(buf)
+	r.machine.store.PutPayload(buf)
 }

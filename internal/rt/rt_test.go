@@ -1,8 +1,10 @@
 package rt
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"genmp/internal/xport"
 )
@@ -236,7 +238,92 @@ func TestPoolAndMachineReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := m.pool.get(64); cap(got) < 64 {
+	if got := m.store.GetPayload(64); cap(got) < 64 {
 		t.Errorf("pool did not retain a recycled buffer")
 	}
 }
+
+// Every rank sends one message to every peer in one seeded order and then
+// receives from every peer in another, for two rounds on distinct tags
+// with an AllReduce between them, so rendezvous waiters mix with receive
+// waiters in the blocked-rank counter; odd seeds receive through Irecv
+// (posted before the sends) and Wait. The program cannot deadlock, so
+// every run must finish — a targeted wake-up lost or a blocked-rank count
+// gone stale shows up here as a false deadlock or a hang.
+func TestStressNoFalseDeadlock(t *testing.T) {
+	const p, runs, rounds = 48, 100, 2
+	m := NewMachine(p)
+	for seed := int64(0); seed < runs; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		sendOrder := make([][]int, p)
+		recvOrder := make([][]int, p)
+		for q := 0; q < p; q++ {
+			sendOrder[q] = peersOf(q, rng.Perm(p))
+			recvOrder[q] = peersOf(q, rng.Perm(p))
+		}
+		nonblocking := seed%2 == 1
+		body := func(r *Rank) {
+			for round := 0; round < rounds; round++ {
+				if round > 0 {
+					r.AllReduce([]float64{1}, func(a, b float64) float64 { return a + b })
+				}
+				var reqs []xport.Request
+				if nonblocking {
+					for _, src := range recvOrder[r.ID] {
+						reqs = append(reqs, r.Irecv(src, round))
+					}
+				}
+				for _, dst := range sendOrder[r.ID] {
+					r.Send(dst, round, xport.Msg{Bytes: stressBytes(r.ID, dst, round)})
+				}
+				for i, src := range recvOrder[r.ID] {
+					var msg xport.Msg
+					if nonblocking {
+						msg = reqs[i].Wait()
+					} else {
+						msg = r.Recv(src, round)
+					}
+					if want := stressBytes(src, r.ID, round); msg.Bytes != want {
+						panic("mismatched message")
+					}
+				}
+			}
+		}
+		var res Result
+		done := make(chan error, 1)
+		go func() {
+			var err error
+			res, err = m.Run(body)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("seed %d (nonblocking=%v): %v", seed, nonblocking, err)
+			}
+		case <-time.After(time.Minute):
+			t.Fatalf("seed %d (nonblocking=%v): run hung", seed, nonblocking)
+		}
+		for q, s := range res.Ranks {
+			if s.MsgsRecvd != rounds*(p-1) || s.MsgsSent != rounds*(p-1) {
+				t.Fatalf("seed %d: rank %d sent %d / received %d messages, want %d each",
+					seed, q, s.MsgsSent, s.MsgsRecvd, rounds*(p-1))
+			}
+		}
+	}
+}
+
+// peersOf drops q from a permutation of the ranks.
+func peersOf(q int, perm []int) []int {
+	out := perm[:0]
+	for _, v := range perm {
+		if v != q {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// stressBytes is the size of the round's message from src to dst, unique
+// per channel so a mismatched delivery is caught.
+func stressBytes(src, dst, round int) int { return 8 * (1 + src + 100*dst + 10000*round) }

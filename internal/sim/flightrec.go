@@ -132,68 +132,23 @@ func formatFlightEvent(e Event) string {
 	return b.String()
 }
 
-// pendingMsg summarizes one undelivered mailbox channel in the report.
-type pendingMsg struct {
-	src, dst, tag, count, bytes int
-}
-
-// mailboxState snapshots what the post-mortem needs: which ranks failed
-// blocked on which (src, tag), and which channels hold sent-but-unreceived
-// messages, sorted by (src, dst, tag).
-func (mb *mailbox) mailboxState() (waiting map[int]msgKey, pending []pendingMsg) {
-	waiting = make(map[int]msgKey)
-	for dst := range mb.boxes {
-		b := &mb.boxes[dst]
-		b.mu.Lock()
-		if b.stuck {
-			waiting[dst] = msgKey{src: b.want.src, dst: dst, tag: b.want.tag}
-		}
-		for k, q := range b.queues {
-			if len(q) == 0 {
-				continue
-			}
-			bytes := 0
-			for _, env := range q {
-				bytes += env.msg.Bytes
-			}
-			pending = append(pending, pendingMsg{src: k.src, dst: dst, tag: k.tag, count: len(q), bytes: bytes})
-		}
-		b.mu.Unlock()
-	}
-	sort.Slice(pending, func(a, b int) bool {
-		if pending[a].src != pending[b].src {
-			return pending[a].src < pending[b].src
-		}
-		if pending[a].dst != pending[b].dst {
-			return pending[a].dst < pending[b].dst
-		}
-		return pending[a].tag < pending[b].tag
-	})
-	return waiting, pending
-}
-
 // FlightReport renders the post-mortem of the machine's most recent run:
-// per rank, its blocked receive (if any) and the last events in its ring,
-// followed by the sent-but-never-received messages still queued in the
-// mailbox. It is what Run appends to the error when a flight recorder is
+// per rank, the receive or collective it failed blocked in (if any) and
+// the last events in its ring, followed by the sent-but-never-received
+// messages still queued in the mailbox. It is what Run appends to the error when a flight recorder is
 // attached; callers can also invoke it directly after a failed run.
 func (m *Machine) FlightReport() string {
 	f := m.Flight
 	if f == nil {
 		return "sim: no flight recorder attached"
 	}
-	var waiting map[int]msgKey
-	var pending []pendingMsg
-	if m.mbox != nil {
-		waiting, pending = m.mbox.mailboxState()
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "flight recorder (last %d events per rank):\n", f.depth)
 	for rank := range f.rings {
 		events, total := f.RankEvents(rank)
 		fmt.Fprintf(&b, "rank %d", rank)
-		if k, ok := waiting[rank]; ok {
-			fmt.Fprintf(&b, "  BLOCKED in Recv(src=%d, tag=%d)", k.src, k.tag)
+		if where := m.store.Stuck(rank); where != "" {
+			fmt.Fprintf(&b, "  BLOCKED in %s", where)
 		}
 		fmt.Fprintf(&b, ":\n")
 		if total > len(events) {
@@ -223,12 +178,6 @@ func (m *Machine) FlightReport() string {
 			}
 		}
 	}
-	if len(pending) > 0 {
-		fmt.Fprintf(&b, "sent but never received:\n")
-		for _, pm := range pending {
-			fmt.Fprintf(&b, "  rank %d -> rank %d tag %d: %d message(s), %d bytes\n",
-				pm.src, pm.dst, pm.tag, pm.count, pm.bytes)
-		}
-	}
+	b.WriteString(m.store.Undelivered())
 	return b.String()
 }

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 
 	"genmp/internal/obs/metrics"
+	"genmp/internal/xport/mbox"
 )
 
 // defaultMetricsReg is the package-level registry Machine.Run falls back to
@@ -63,12 +64,9 @@ type machMetrics struct {
 	links  []*metrics.Counter
 	stalls *metrics.FloatCounter
 
-	poolGets  *metrics.Counter
-	poolHits  *metrics.Counter
-	poolPuts  *metrics.Counter
-	poolDrops *metrics.Counter
-	envNew    *metrics.Counter
-	envReused *metrics.Counter
+	// store holds the payload-pool and envelope counters the shared
+	// message core updates itself.
+	store mbox.Meters
 
 	nbIsend *metrics.Counter
 	nbIrecv *metrics.Counter
@@ -89,12 +87,14 @@ func newMachMetrics(reg *metrics.Registry, p int) *machMetrics {
 	mm.msgSizes = reg.Histogram("sim_message_bytes", "point-to-point message size distribution", metrics.DefaultBytesBuckets)
 	mm.links = make([]*metrics.Counter, p*p)
 	mm.stalls = reg.FloatCounter("sim_contention_stall_seconds_total", "virtual seconds message departures were delayed by egress-link contention")
-	mm.poolGets = reg.Counter("sim_payload_pool_gets_total", "payload buffers requested from the machine pool")
-	mm.poolHits = reg.Counter("sim_payload_pool_hits_total", "payload requests served by recycling a pooled buffer")
-	mm.poolPuts = reg.Counter("sim_payload_pool_puts_total", "payload buffers returned to the machine pool")
-	mm.poolDrops = reg.Counter("sim_payload_pool_drops_total", "returned payload buffers dropped because the pool was full")
-	mm.envNew = reg.Counter("sim_mailbox_envelopes_total", "message envelopes by provenance", metrics.L("source", "new"))
-	mm.envReused = reg.Counter("sim_mailbox_envelopes_total", "message envelopes by provenance", metrics.L("source", "reused"))
+	mm.store = mbox.Meters{
+		PoolGets:  reg.Counter("sim_payload_pool_gets_total", "payload buffers requested from the machine pool"),
+		PoolHits:  reg.Counter("sim_payload_pool_hits_total", "payload requests served by recycling a pooled buffer"),
+		PoolPuts:  reg.Counter("sim_payload_pool_puts_total", "payload buffers returned to the machine pool"),
+		PoolDrops: reg.Counter("sim_payload_pool_drops_total", "returned payload buffers dropped because the pool was full"),
+		EnvNew:    reg.Counter("sim_mailbox_envelopes_total", "message envelopes by provenance", metrics.L("source", "new")),
+		EnvReused: reg.Counter("sim_mailbox_envelopes_total", "message envelopes by provenance", metrics.L("source", "reused")),
+	}
 	mm.nbIsend = reg.Counter("sim_nonblocking_total", "nonblocking operations by kind", metrics.L("op", "isend"))
 	mm.nbIrecv = reg.Counter("sim_nonblocking_total", "nonblocking operations by kind", metrics.L("op", "irecv"))
 	mm.nbWait = reg.Counter("sim_nonblocking_total", "nonblocking operations by kind", metrics.L("op", "wait"))

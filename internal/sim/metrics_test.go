@@ -5,6 +5,7 @@ import (
 
 	"genmp/internal/obs/metrics"
 	"genmp/internal/xport"
+	"genmp/internal/xport/mbox"
 )
 
 // ringBody is a small program exercising sends, receives, computes, a
@@ -180,7 +181,7 @@ func TestMetricsDoNotPerturbTiming(t *testing.T) {
 
 func TestPoolAndMailboxStatsAccessors(t *testing.T) {
 	m := testMachine(2)
-	if s := m.PayloadPoolStats(); s != (PoolStats{}) {
+	if s := m.PayloadPoolStats(); s != (mbox.PoolStats{}) {
 		t.Errorf("fresh machine pool stats = %+v", s)
 	}
 	if s := m.MailboxStats(); s != (MailboxStats{}) {
@@ -202,7 +203,7 @@ func TestPoolAndMailboxStatsAccessors(t *testing.T) {
 	if got := ps.HitRate(); got != float64(ps.Hits)/float64(ps.Gets) {
 		t.Errorf("HitRate = %g", got)
 	}
-	if (PoolStats{}).HitRate() != 0 {
+	if (mbox.PoolStats{}).HitRate() != 0 {
 		t.Error("zero-traffic HitRate should be 0")
 	}
 	ms := m.MailboxStats()

@@ -49,6 +49,9 @@ type Request struct {
 	idx    int // position in r.pending while outstanding
 }
 
+// msgKey identifies one (src, dst, tag) channel.
+type msgKey struct{ src, dst, tag int }
+
 // chanOrder tracks Irecv post order per mailbox channel so Waits cannot
 // reorder matching: the mailbox matches at Wait time, so waiting requests
 // out of post order on one channel would silently swap message contents
@@ -90,7 +93,7 @@ func (r *Rank) Isend(dst, tag int, m xport.Msg) xport.Request {
 	if r.observing() {
 		r.emit(Event{Rank: r.ID, Kind: EvIsend, Start: r.clock - r.machine.Net.SendOverhead, End: r.clock, Peer: dst, Bytes: m.Bytes, Tag: tag, Phase: r.phase})
 	}
-	r.mb.put(msgKey{src: r.ID, dst: dst, tag: tag}, m, sent)
+	r.machine.store.Put(r.ID, dst, tag, m, sent)
 	return r.newRequest(true, dst, tag, m.Bytes)
 }
 
@@ -155,7 +158,7 @@ func (q *Request) Wait() xport.Msg {
 	if fr := r.machine.Flight; fr != nil {
 		fr.record(r.ID, Event{Rank: r.ID, Kind: EvBlocked, Start: waitStart, End: waitStart, Peer: q.peer, Tag: q.tag, Phase: r.phase})
 	}
-	m, sent, err := r.mb.get(key)
+	m, sent, err := r.machine.store.Get(q.peer, r.ID, q.tag)
 	if err != nil {
 		panic(err)
 	}

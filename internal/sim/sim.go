@@ -15,7 +15,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime/pprof"
 	"sort"
 	"strconv"
@@ -23,6 +22,7 @@ import (
 
 	"genmp/internal/obs/metrics"
 	"genmp/internal/xport"
+	"genmp/internal/xport/mbox"
 )
 
 // A Rank is the virtual-time implementation of the transport interface the
@@ -137,13 +137,10 @@ type Machine struct {
 	PProfLabels bool
 	// mm holds the resolved metric handles of the effective registry.
 	mm *machMetrics
-	// pool recycles message payload buffers across ranks (Rank.GetPayload/
-	// PutPayload); zero value ready to use.
-	pool payloadPool
-	// mbox is the reusable mailbox: the per-rank inboxes with their queues
-	// and envelope free lists persist across runs (reset each Run) so
-	// repeated runs on one machine do not re-allocate messaging state.
-	mbox *mailbox
+	// store is the reusable message core: inboxes, envelope free lists and
+	// the payload pool persist across runs (reset each Run), so repeated
+	// runs on one machine do not re-allocate messaging state.
+	store mbox.Store
 	// ranks retains the most recent run's rank states so FlightReport can
 	// name nonblocking requests that were posted but never Waited.
 	ranks []*Rank
@@ -258,84 +255,10 @@ func (r Result) TotalMessages() int {
 	return n
 }
 
-// barrier implements a clock-synchronizing barrier / reduction rendezvous.
-// Completion publishes a per-generation snapshot (outT, out) so that a fast
-// rank re-entering the next generation cannot clobber what slower ranks of
-// the previous generation still need to read; a new generation cannot
-// complete before every rank (including the slow readers) participates in
-// it.
-type barrier struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	p       int
-	count   int
-	gen     int
-	maxT    float64
-	reduced []float64
-	outT    float64
-	out     []float64
-	dead    bool
-}
-
-func newBarrier(p int) *barrier {
-	b := &barrier{p: p}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// abort wakes and fails every present and future waiter; called when a rank
-// exits (normally or by panic) so collectives cannot hang.
-func (b *barrier) abort() {
-	b.mu.Lock()
-	b.dead = true
-	b.mu.Unlock()
-	b.cond.Broadcast()
-}
-
-// sync blocks until all p ranks arrive; returns the max arrival clock and
-// the elementwise-combined values (combine may be nil when vals is nil).
-func (b *barrier) sync(t float64, vals []float64, combine func(a, b float64) float64) (float64, []float64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.dead {
-		panic("sim: collective entered after a rank exited")
-	}
-	gen := b.gen
-	if b.count == 0 {
-		b.maxT = t
-		b.reduced = append(b.reduced[:0], vals...)
-	} else {
-		b.maxT = math.Max(b.maxT, t)
-		for i, v := range vals {
-			b.reduced[i] = combine(b.reduced[i], v)
-		}
-	}
-	b.count++
-	if b.count == b.p {
-		b.outT = b.maxT
-		b.out = append([]float64(nil), b.reduced...)
-		b.count = 0
-		b.gen++
-		b.cond.Broadcast()
-	} else {
-		for gen == b.gen && !b.dead {
-			b.cond.Wait()
-		}
-		if gen == b.gen {
-			panic("sim: collective aborted: a rank exited while others waited")
-		}
-	}
-	out := make([]float64, len(b.out))
-	copy(out, b.out)
-	return b.outT, out
-}
-
 // Rank is one simulated processor, usable only inside Machine.Run's body.
 type Rank struct {
 	ID      int
 	machine *Machine
-	mb      *mailbox
-	bar     *barrier
 	clock   float64
 	// stats holds the totals and Peers; the per-phase buckets live in
 	// buckets (copied into Stats.Phases by Stats and at the end of Run),
@@ -532,7 +455,7 @@ func (r *Rank) Send(dst, tag int, m xport.Msg) {
 	if r.observing() {
 		r.emit(Event{Rank: r.ID, Kind: EvSend, Start: r.clock - r.machine.Net.SendOverhead, End: r.clock, Peer: dst, Bytes: m.Bytes, Tag: tag, Phase: r.phase})
 	}
-	r.mb.put(msgKey{src: r.ID, dst: dst, tag: tag}, m, sent)
+	r.machine.store.Put(r.ID, dst, tag, m, sent)
 }
 
 // Recv blocks until the next message from src with the given tag arrives,
@@ -549,7 +472,7 @@ func (r *Rank) Recv(src, tag int) xport.Msg {
 	if fr := r.machine.Flight; fr != nil {
 		fr.record(r.ID, Event{Rank: r.ID, Kind: EvBlocked, Start: recvStart, End: recvStart, Peer: src, Tag: tag, Phase: r.phase})
 	}
-	m, sent, err := r.mb.get(msgKey{src: src, dst: r.ID, tag: tag})
+	m, sent, err := r.machine.store.Get(src, r.ID, tag)
 	if err != nil {
 		panic(err)
 	}
@@ -584,34 +507,24 @@ func (r *Rank) SendRecv(dst, sendTag int, m xport.Msg, src, recvTag int) xport.M
 
 // Barrier synchronizes all ranks; every clock advances to the latest
 // arrival plus a log₂(p)-round latency cost.
-func (r *Rank) Barrier() {
-	start := r.clock
-	t, _ := r.bar.sync(r.clock, nil, nil)
-	cost := r.collectiveCost(0)
-	wait := 0.0
-	if t > r.clock {
-		wait = t - r.clock
-		r.addWait(wait)
-	}
-	r.clock = t + cost
-	r.addComm(cost)
-	if mm := r.machine.mm; mm != nil {
-		mm.collective("barrier").Inc()
-	}
-	if fr := r.machine.Flight; fr != nil {
-		fr.record(r.ID, Event{Rank: r.ID, Kind: EvCollective, Start: start, End: r.clock, Peer: -1, Label: "barrier", Wait: wait, Phase: r.phase})
-	}
-	if tr := r.machine.Trace; tr != nil {
-		tr.add(Event{Rank: r.ID, Kind: EvCollective, Start: start, End: r.clock, Peer: -1, Label: "barrier", Wait: wait, Phase: r.phase})
-	}
-}
+func (r *Rank) Barrier() { r.rendezvous("barrier", nil, nil) }
 
 // AllReduce combines each rank's values elementwise with the given function
-// (e.g. math.Max, or addition) and returns the combined vector to every
-// rank, modeled as ⌈log₂ p⌉ exchange rounds.
+// (e.g. math.Max, or addition) in ascending rank order and returns each
+// rank its own copy of the combined vector, modeled as ⌈log₂ p⌉ exchange
+// rounds.
 func (r *Rank) AllReduce(vals []float64, combine func(a, b float64) float64) []float64 {
+	return r.rendezvous("allreduce", vals, combine)
+}
+
+// rendezvous runs Barrier and AllReduce through the store's rendezvous:
+// the clock advances to the latest arrival plus the collective's cost.
+func (r *Rank) rendezvous(label string, vals []float64, combine func(a, b float64) float64) []float64 {
 	start := r.clock
-	t, out := r.bar.sync(r.clock, vals, combine)
+	t, out, err := r.machine.store.Rendezvous(r.ID, label, r.clock, vals, combine)
+	if err != nil {
+		panic(err)
+	}
 	cost := r.collectiveCost(8 * len(vals))
 	wait := 0.0
 	if t > r.clock {
@@ -621,13 +534,13 @@ func (r *Rank) AllReduce(vals []float64, combine func(a, b float64) float64) []f
 	r.clock = t + cost
 	r.addComm(cost)
 	if mm := r.machine.mm; mm != nil {
-		mm.collective("allreduce").Inc()
+		mm.collective(label).Inc()
 	}
 	if fr := r.machine.Flight; fr != nil {
-		fr.record(r.ID, Event{Rank: r.ID, Kind: EvCollective, Start: start, End: r.clock, Peer: -1, Label: "allreduce", Wait: wait, Phase: r.phase})
+		fr.record(r.ID, Event{Rank: r.ID, Kind: EvCollective, Start: start, End: r.clock, Peer: -1, Label: label, Wait: wait, Phase: r.phase})
 	}
 	if tr := r.machine.Trace; tr != nil {
-		tr.add(Event{Rank: r.ID, Kind: EvCollective, Start: start, End: r.clock, Peer: -1, Label: "allreduce", Wait: wait, Phase: r.phase})
+		tr.add(Event{Rank: r.ID, Kind: EvCollective, Start: start, End: r.clock, Peer: -1, Label: label, Wait: wait, Phase: r.phase})
 	}
 	return out
 }
@@ -694,26 +607,25 @@ func (m *Machine) Run(body func(r *Rank)) (Result, error) {
 	if m.Flight != nil {
 		m.Flight.attach(m.P)
 	}
-	if m.mbox == nil || len(m.mbox.boxes) != m.P {
-		m.mbox = newMailbox(m.P)
+	var meters *mbox.Meters
+	if m.mm != nil {
+		meters = &m.mm.store
 	}
-	m.mbox.reset(m.P, m.mm)
-	mb := m.mbox
-	bar := newBarrier(m.P)
+	st := &m.store
+	st.Reset(m.P, meters)
 	ranks := make([]*Rank, m.P)
 	m.ranks = ranks
 	errs := make([]error, m.P)
 	var wg sync.WaitGroup
 	for id := 0; id < m.P; id++ {
-		ranks[id] = &Rank{ID: id, machine: m, mb: mb, bar: bar}
+		ranks[id] = &Rank{ID: id, machine: m}
 		if m.PProfLabels {
 			ranks[id].idStr = strconv.Itoa(id)
 		}
 		wg.Add(1)
 		go func(r *Rank) {
 			defer wg.Done()
-			defer mb.exit()
-			defer bar.abort()
+			defer st.Exit()
 			defer func() {
 				if rec := recover(); rec != nil {
 					errs[r.ID] = fmt.Errorf("sim: rank %d: %v", r.ID, rec)
@@ -731,7 +643,7 @@ func (m *Machine) Run(body func(r *Rank)) (Result, error) {
 	wg.Wait()
 	if m.mm != nil {
 		m.mm.runs.Inc()
-		if mb.isDeadlocked() {
+		if st.Deadlocked() {
 			m.mm.deadlocks.Inc()
 		}
 	}

@@ -54,7 +54,7 @@ func ParseAlg(s string) (Alg, error) {
 	case "bruck":
 		return AlgBruck, nil
 	}
-	return AlgAuto, fmt.Errorf("sim: unknown collective algorithm %q (want auto, pairwise, ring, doubling or bruck)", s)
+	return AlgAuto, fmt.Errorf("xport: unknown collective algorithm %q (want auto, pairwise, ring, doubling or bruck)", s)
 }
 
 // CollOpts tunes one collective call.

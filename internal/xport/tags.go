@@ -31,7 +31,7 @@ func (t TagSpace) Size() int { return t.size }
 // an out-of-range offset would silently collide with a neighboring space.
 func (t TagSpace) Tag(off int) int {
 	if off < 0 || off >= t.size {
-		panic(fmt.Sprintf("sim: tag offset %d outside space %q [%d,+%d)", off, t.name, t.base, t.size))
+		panic(fmt.Sprintf("xport: tag offset %d outside space %q [%d,+%d)", off, t.name, t.base, t.size))
 	}
 	return t.base + off
 }
@@ -50,21 +50,21 @@ var (
 // match each other's receives, which no backend can detect at runtime.
 func ReserveTags(name string, base, size int) TagSpace {
 	if name == "" {
-		panic("sim: ReserveTags needs a non-empty owner name")
+		panic("xport: ReserveTags needs a non-empty owner name")
 	}
 	if base < 0 || size < 1 {
-		panic(fmt.Sprintf("sim: ReserveTags(%q, %d, %d): range must be non-negative and non-empty", name, base, size))
+		panic(fmt.Sprintf("xport: ReserveTags(%q, %d, %d): range must be non-negative and non-empty", name, base, size))
 	}
 	t := TagSpace{name: name, base: base, size: size}
 	tagMu.Lock()
 	defer tagMu.Unlock()
 	for _, ex := range tagSpaces {
 		if t.base < ex.base+ex.size && ex.base < t.base+t.size {
-			panic(fmt.Sprintf("sim: tag space %q [%d,+%d) overlaps %q [%d,+%d)",
+			panic(fmt.Sprintf("xport: tag space %q [%d,+%d) overlaps %q [%d,+%d)",
 				name, base, size, ex.name, ex.base, ex.size))
 		}
 		if ex.name == name {
-			panic(fmt.Sprintf("sim: tag space name %q already reserved", name))
+			panic(fmt.Sprintf("xport: tag space name %q already reserved", name))
 		}
 	}
 	tagSpaces = append(tagSpaces, t)

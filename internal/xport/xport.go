@@ -10,7 +10,9 @@
 //
 // The package also hosts the transport-neutral vocabulary the interface
 // needs: the message struct, the global tag registry, and the collective
-// algorithm/options types.
+// algorithm/options types. Its subpackage mbox is the message store both
+// backends share, so they match messages, meet in collectives and detect
+// deadlock by one set of rules.
 package xport
 
 import "genmp/internal/obs/metrics"
@@ -80,8 +82,8 @@ type Transport interface {
 
 	// Barrier synchronizes all ranks.
 	Barrier()
-	// AllReduce combines each rank's values elementwise and returns the
-	// combined vector to every rank.
+	// AllReduce combines each rank's values elementwise in ascending rank
+	// order and returns each rank its own copy of the combined vector.
 	AllReduce(vals []float64, combine func(a, b float64) float64) []float64
 	// AllToAll exchanges sizes[dst] bytes (and data[dst], when non-nil) with
 	// every peer; out[src] holds the payload received from src.
