@@ -64,8 +64,7 @@ func adiBody(pb adi.Problem, env *dist.Env, sweepPlan *plan.SweepPlan, out **gri
 	solver := sweep.Tridiag{}
 	return func(t xport.Transport) {
 		u := NewField(env, t.Rank(), 0)
-		init := pb.InitialCondition()
-		u.FillFunc(func(g []int) float64 { return init.At(g...) })
+		u.FillFunc(pb.InitialAt)
 		vecs := make([]*Field, solver.NumVecs()) // lower, diag, upper, rhs
 		for v := range vecs {
 			vecs[v] = NewField(env, t.Rank(), 0)

@@ -52,7 +52,7 @@ func sameBits(t *testing.T, what string, off, on *grid.Grid) {
 	}
 }
 
-var overlapGamma = map[int][]int{4: {2, 2, 2}, 16: {4, 4, 4}}
+var overlapGamma = map[int][]int{2: {1, 2, 2}, 4: {2, 2, 2}, 16: {4, 4, 4}}
 
 // TestOverlapBitIdentitySP: strict distributed-memory SP, overlap on vs
 // off, at p ∈ {4, 16}.

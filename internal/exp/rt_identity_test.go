@@ -21,10 +21,11 @@ import (
 // the kernels; any divergence means a backend reordered the arithmetic.
 
 // TestRTBitIdentitySP: strict distributed-memory SP, sim vs rt backends,
-// overlap off and on, at p ∈ {4, 16}.
+// overlap off and on, at p ∈ {2, 4, 16}. At p=2 on a host with two or
+// more CPUs the rt receivers spin on the shared store before they park.
 func TestRTBitIdentitySP(t *testing.T) {
 	eta := []int{12, 12, 12}
-	for _, p := range []int{4, 16} {
+	for _, p := range []int{2, 4, 16} {
 		for _, o := range []plan.Overlap{{}, overlapOn} {
 			env := overlapEnv(t, p, overlapGamma[p], eta)
 			want, _, err := dmem.RunSPOverlap(env, nas.Origin2000Machine(p), 2, o)
@@ -91,10 +92,10 @@ func TestRTBitIdentityBT(t *testing.T) {
 }
 
 // TestRTBitIdentityADI: strict ADI (tridiagonal carries, no halos), sim vs
-// rt, p ∈ {4, 16}.
+// rt, p ∈ {2, 4, 16}; p=2 spins as in TestRTBitIdentitySP.
 func TestRTBitIdentityADI(t *testing.T) {
 	eta := []int{16, 16, 16}
-	for _, p := range []int{4, 16} {
+	for _, p := range []int{2, 4, 16} {
 		for _, o := range []plan.Overlap{{}, overlapOn} {
 			env := overlapEnv(t, p, overlapGamma[p], eta)
 			pb := adi.Problem{Eta: eta, Alpha: 0.3, Steps: 2}

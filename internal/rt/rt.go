@@ -8,7 +8,12 @@
 // discipline the executors already follow for the simulator's pooled
 // payloads. The same core detects deadlock exactly: once every live rank
 // waits on a receive or in Barrier/AllReduce, the run fails with each
-// blocked rank's receive or collective and phase instead of hanging.
+// blocked rank's receive or collective and phase instead of hanging. A
+// receive whose message has not arrived spins, yielding the processor,
+// while its sender is still running and every rank has a CPU of its own
+// (P ≤ min(GOMAXPROCS, NumCPU)), and parks only once the sender waits too
+// or a rank has exited: at p=2 that saves the futex park and wake-up on
+// most of a sweep's small carries. An oversubscribed machine never spins.
 //
 // The cost-accounting hooks of the interface are free here: Compute and
 // ComputeFlops do nothing, because on a real backend the work itself took

@@ -11,23 +11,40 @@
 // it is blocked on exactly the channel that just became non-empty, so
 // message traffic never wakes bystanders.
 //
+// A receive that finds its channel empty spins before it parks, but only
+// while spinning can pay: the machine has no more ranks than CPUs it may
+// use (p ≤ min(GOMAXPROCS, NumCPU), decided once per run), the sending rank
+// is still running — not itself waiting in a receive or the rendezvous —
+// and no rank has exited. Each spin round yields the processor, and the
+// spin watches an arrival count of the receiver's own inbox that every
+// send bumps under the inbox lock; once the spin ends, the receiver
+// re-checks its channel under that lock before it parks, so no wake-up is
+// lost. Every waiting rank (receive or rendezvous) sets a waiting mark
+// before it reads its source's, so in a cycle of receives some rank always
+// sees its source waiting and parks, and the rest follow. Parking costs a
+// futex wake-up per message, which at p=2 costs more than the work between
+// messages of a small sweep.
+//
 // Deadlock detection is exact. A run-wide counter holds the number of ranks
-// parked on an empty channel or in the rendezvous. A rank joins it only
-// while it cannot proceed, and whoever releases it — the send that fills
-// its channel, the last rank into the rendezvous — takes it out again
-// before waking it. When the counter reaches the number of live ranks,
-// nobody can ever send or arrive again: the run is deadlocked, and every
-// parked rank is woken to fail. A rendezvous also fails once any rank has
-// exited, before or during the wait, because it can never complete.
+// parked on an empty channel or in the rendezvous; a spinning receiver is
+// not counted until it parks. A rank joins the counter only while it cannot
+// proceed, and whoever releases it — the send that fills its channel, the
+// last rank into the rendezvous — takes it out again before waking it. When
+// the counter reaches the number of live ranks, nobody can ever send or
+// arrive again: the run is deadlocked, and every parked rank is woken to
+// fail. A rendezvous also fails once any rank has exited, before or during
+// the wait, because it can never complete.
 //
 // Lock order is inbox, then store; no code holds two inboxes at once.
 package mbox
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"genmp/internal/obs/metrics"
 	"genmp/internal/xport"
@@ -60,8 +77,16 @@ type inbox struct {
 	// want with want empty, and is counted in Store.blocked.
 	want    chanKey
 	blocked bool
-	// envNew/envReused count envelope provenance (summed by Envelopes).
-	envNew, envReused int64
+	// waiting marks the owner as waiting in Get or the rendezvous, so a
+	// rank spinning on a message from it parks instead.
+	waiting atomic.Bool
+	// arrivals counts the messages ever queued here: Put bumps it under mu,
+	// and a spinning owner watches it. envReused of them took a recycled
+	// envelope, the rest a new one (summed by Envelopes). The inbox stays
+	// compact, since a Table 1 run allocates about a thousand: waiting
+	// fills blocked's padding, and the new-envelope count is derived.
+	arrivals  atomic.Uint64
+	envReused int64
 }
 
 // Meters mirrors store activity into a live metrics registry.
@@ -76,13 +101,18 @@ type Store struct {
 	boxes  []inbox
 	meters *Meters // set by Reset before the rank goroutines start
 
-	mu       sync.Mutex // guards everything below; taken after an inbox lock
+	mu       sync.Mutex // guards everything below but spin; taken after an inbox lock
 	alive    int        // rank goroutines still running their body
 	blocked  int        // ranks parked on an empty channel or in the rendezvous
 	deadlock bool
-	exited   bool     // some rank has exited: no rendezvous can complete
-	stuck    []string // per rank, where it failed ("" if it did not)
-	rv       struct {
+	// spin lets an empty receive spin before it parks: every rank has a
+	// CPU of its own. Set by Reset before the rank goroutines start.
+	spin bool
+	// exited is set once some rank has exited: no rendezvous can complete,
+	// and no receiver spins. Written under mu, read anywhere.
+	exited atomic.Bool
+	stuck  []string // per rank, where it failed ("" if it did not)
+	rv     struct {
 		cond         sync.Cond
 		arrived, gen int
 		vals         [][]float64
@@ -125,8 +155,10 @@ func (s *Store) Reset(p int, meters *Meters) {
 		b.mu.Unlock()
 	}
 	s.meters = meters
+	s.spin = p <= min(runtime.GOMAXPROCS(0), runtime.NumCPU())
+	s.exited.Store(false)
 	s.mu.Lock()
-	s.alive, s.blocked, s.deadlock, s.exited = p, 0, false, false
+	s.alive, s.blocked, s.deadlock = p, 0, false
 	clear(s.stuck)
 	s.rv.arrived = 0
 	clear(s.rv.vals)
@@ -158,13 +190,13 @@ func (s *Store) Put(src, dst, tag int, m xport.Msg, stamp float64) {
 		}
 	} else {
 		env = new(envelope)
-		b.envNew++
 		if s.meters != nil {
 			s.meters.EnvNew.Inc()
 		}
 	}
 	*env = envelope{msg: m, stamp: stamp}
 	b.queues[k] = append(b.queues[k], env)
+	b.arrivals.Add(1)
 	wake := b.blocked && b.want == k
 	if wake {
 		b.blocked = false
@@ -185,39 +217,77 @@ func (s *Store) Get(src, dst, tag int) (xport.Msg, float64, error) {
 	b := &s.boxes[dst]
 	k := chanKey{src: src, tag: tag}
 	b.mu.Lock()
+	if m, stamp, ok := b.pop(k); ok {
+		b.mu.Unlock()
+		return m, stamp, nil
+	}
+	b.waiting.Store(true)
+	defer b.waiting.Store(false)
+	spin := s.spin
 	for {
-		if q := b.queues[k]; len(q) > 0 {
-			env := q[0]
-			// Shift down in place (queues are short) so the channel keeps
-			// its backing array, and recycle the envelope.
-			copy(q, q[1:])
-			q[len(q)-1] = nil
-			b.queues[k] = q[:len(q)-1]
-			m, stamp := env.msg, env.stamp
-			b.recycle(env)
+		if spin {
+			seen := b.arrivals.Load()
+			b.mu.Unlock()
+			spin = s.spinFor(b, src, seen)
+			b.mu.Lock()
+		} else {
+			b.want = k
+			s.mu.Lock()
+			if !s.deadlock {
+				s.blocked++
+				if s.blocked == s.alive {
+					s.declare()
+				}
+			}
+			if s.deadlock {
+				err := s.fail(dst, fmt.Sprintf("Recv(src=%d, tag=%d)", src, tag))
+				s.mu.Unlock()
+				b.mu.Unlock()
+				s.wakeInboxes()
+				return xport.Msg{}, 0, err
+			}
+			s.mu.Unlock()
+			b.blocked = true
+			for b.blocked {
+				b.cond.Wait()
+			}
+		}
+		if m, stamp, ok := b.pop(k); ok {
 			b.mu.Unlock()
 			return m, stamp, nil
 		}
-		b.want = k
-		s.mu.Lock()
-		if !s.deadlock {
-			s.blocked++
-			if s.blocked < s.alive {
-				s.mu.Unlock()
-				b.blocked = true
-				for b.blocked {
-					b.cond.Wait()
-				}
-				continue
-			}
-			s.declare()
-		}
-		err := s.fail(dst, fmt.Sprintf("Recv(src=%d, tag=%d)", src, tag))
-		s.mu.Unlock()
-		b.mu.Unlock()
-		s.wakeInboxes()
-		return xport.Msg{}, 0, err
 	}
+}
+
+// spinFor spins, yielding the processor each round, until b's arrival count
+// moves past seen (true), or until src waits too or some rank has exited
+// (false): then no message may come soon, and the caller parks.
+func (s *Store) spinFor(b *inbox, src int, seen uint64) bool {
+	sender := &s.boxes[src].waiting
+	for b.arrivals.Load() == seen {
+		if sender.Load() || s.exited.Load() {
+			return false
+		}
+		runtime.Gosched()
+	}
+	return true
+}
+
+// pop removes and returns the head of channel k, if any. Callers hold b.mu.
+func (b *inbox) pop(k chanKey) (xport.Msg, float64, bool) {
+	q := b.queues[k]
+	if len(q) == 0 {
+		return xport.Msg{}, 0, false
+	}
+	env := q[0]
+	// Shift down in place (queues are short) so the channel keeps its
+	// backing array, and recycle the envelope.
+	copy(q, q[1:])
+	q[len(q)-1] = nil
+	b.queues[k] = q[:len(q)-1]
+	m, stamp := env.msg, env.stamp
+	b.recycle(env)
+	return m, stamp, true
 }
 
 // Rendezvous enters rank into the collective op ("barrier", "allreduce")
@@ -229,7 +299,7 @@ func (s *Store) Get(src, dst, tag int) (xport.Msg, float64, error) {
 func (s *Store) Rendezvous(rank int, op string, stamp float64, vals []float64, combine func(a, b float64) float64) (float64, []float64, error) {
 	rv := &s.rv
 	s.mu.Lock()
-	if s.exited || s.deadlock {
+	if s.exited.Load() || s.deadlock {
 		return s.failRendezvous(rank, op)
 	}
 	rv.vals[rank] = vals
@@ -237,13 +307,16 @@ func (s *Store) Rendezvous(rank int, op string, stamp float64, vals []float64, c
 		rv.stamp = stamp
 	}
 	if rv.arrived < len(s.boxes)-1 {
+		waiting := &s.boxes[rank].waiting
+		waiting.Store(true)
+		defer waiting.Store(false)
 		gen := rv.gen
 		rv.arrived++
 		s.blocked++
 		if s.blocked == s.alive {
 			s.declare()
 		}
-		for gen == rv.gen && !s.deadlock && !s.exited {
+		for gen == rv.gen && !s.deadlock && !s.exited.Load() {
 			rv.cond.Wait()
 		}
 		if gen == rv.gen {
@@ -310,7 +383,7 @@ func (s *Store) fail(rank int, where string) error {
 func (s *Store) Exit() {
 	s.mu.Lock()
 	s.alive--
-	s.exited = true
+	s.exited.Store(true)
 	s.blocked -= s.rv.arrived
 	s.rv.arrived = 0
 	s.rv.cond.Broadcast()
@@ -406,7 +479,7 @@ func (s *Store) Envelopes() (fresh, reused int64) {
 	for i := range s.boxes {
 		b := &s.boxes[i]
 		b.mu.Lock()
-		fresh += b.envNew
+		fresh += int64(b.arrivals.Load()) - b.envReused
 		reused += b.envReused
 		b.mu.Unlock()
 	}

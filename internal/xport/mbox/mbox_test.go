@@ -144,6 +144,21 @@ func TestDeadlockShapesFailFast(t *testing.T) {
 			blocked: map[int]string{0: "boom", 1: "allreduce", 2: "allreduce"},
 		},
 		{
+			// Rank 0 spins while rank 1 runs (when each rank has a CPU of
+			// its own); rank 1's exit must end the spin.
+			name: "Recv from a rank that computes and exits",
+			p:    2,
+			body: func(r xport.Transport) {
+				if r.Rank() == 0 {
+					r.Recv(1, 2)
+					return
+				}
+				for start := time.Now(); time.Since(start) < time.Millisecond; {
+				}
+			},
+			blocked: map[int]string{0: "Recv(src=1, tag=2)"},
+		},
+		{
 			name: "panic while a peer waits in WaitAll",
 			p:    2,
 			body: func(r xport.Transport) {
