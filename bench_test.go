@@ -162,7 +162,7 @@ func BenchmarkBackgroundMappings(b *testing.B) {
 // (multipartitioning vs wavefront vs transpose), model-only.
 func BenchmarkStrategyComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.StrategyComparison(16, []int{64, 64, 64}, 1, 64)
+		rows, err := exp.StrategyComparison(exp.Spec{P: 16, Eta: []int{64, 64, 64}, Steps: 1, Grain: 64})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -13,18 +13,21 @@
 //	sweepbench -p 16 -timeline -metrics -trace sweep.json
 //	sweepbench -p 16 -profile sweep-profile.json             # benchdiff input
 //	sweepbench -redist -p 4 -eta 32,32,32 -json BENCH_redist.json
+//	sweepbench -backend rt -p 2 -eta 12,12,12                # real-parallel ADI, bits checked
+//
+// Each mode reads only its own flags; setting a flag the selected mode does
+// not read is an error.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
-	"math"
 	"os"
 	"strconv"
 	"strings"
 
 	"genmp/internal/adi"
+	"genmp/internal/cli"
 	"genmp/internal/core"
 	"genmp/internal/dist"
 	"genmp/internal/dmem"
@@ -32,310 +35,210 @@ import (
 	"genmp/internal/grid"
 	"genmp/internal/nas"
 	"genmp/internal/obs"
-	"genmp/internal/obs/causal"
-	"genmp/internal/obs/live"
 	"genmp/internal/partition"
 	"genmp/internal/plan"
 	"genmp/internal/rt"
 	"genmp/internal/sim"
 	"genmp/internal/sweep"
-	"genmp/internal/xport"
+)
+
+// The modes, in the order the flags select them.
+var (
+	modeRedist   = cli.Mode{Name: "-redist", Reads: "redist p eta steps redistbudget topology coll json"}
+	modeReal     = cli.Mode{Name: "-backend rt", Reads: "backend p eta steps json"}
+	modeTraced   = cli.Mode{Name: "traced-sweep", Reads: "backend p eta topology coll overlap timeline trace tracejson metrics blame profile plan"}
+	modeGrain    = cli.Mode{Name: "-grainsweep", Reads: "backend grainsweep p eta topology coll"}
+	modeStrategy = cli.Mode{Name: "strategy-comparison", Reads: "backend p eta steps grain topology coll overlap json"}
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("sweepbench: ")
-	p := flag.Int("p", 16, "number of processors")
-	etaStr := flag.String("eta", "64,64,64", "array extents")
-	steps := flag.Int("steps", 2, "ADI timesteps")
-	grain := flag.Int("grain", 64, "wavefront message granularity (lines per message)")
-	grainSweep := flag.Bool("grainsweep", false, "sweep wavefront granularities instead")
-	backend := flag.String("backend", "sim", "execution backend: sim (virtual-time strategy comparison) or rt (real-parallel goroutines, wall clock; runs the strict distributed-memory ADI with overlap off and on, checking field bits against the simulator)")
-	timeline := flag.Bool("timeline", false, "render an ASCII timeline of one multipartitioned sweep")
-	tracePath := flag.String("trace", "", "write a Perfetto/Chrome trace of one multipartitioned sweep to this file")
-	traceJSON := flag.String("tracejson", "", "write the round-trippable trace artifact of one multipartitioned sweep (critpath input)")
-	metrics := flag.Bool("metrics", false, "print the per-phase profile of one multipartitioned sweep")
-	blame := flag.Bool("blame", false, "print makespan blame attribution of one multipartitioned sweep")
-	jsonPath := flag.String("json", "", "write the strategy comparison as machine-readable results (BENCH_*.json schema)")
-	profilePath := flag.String("profile", "", "write the serialized profile of one multipartitioned sweep (benchdiff input)")
-	planPath := flag.String("plan", "", "write the compiled SweepPlan of one multipartitioned sweep and print the plan-vs-observed traffic audit")
-	topology := flag.String("topology", "", "interconnect topology: crossbar, bus, hypercube, hypercube+contention (default: the network's scaling regime); comma-separated list compares them")
-	collName := flag.String("coll", "", "collective algorithm for transposes: auto, pairwise, ring, bruck")
-	overlap := flag.Bool("overlap", false, "run sweeps with the plan-driven boundary-first overlap schedule (DESIGN.md §14); bench suites get a +overlap suffix")
-	redistCmp := flag.Bool("redist", false, "run the redistribution-policy comparison (BLOCK↔MULTI switch each timestep vs dynamic-block transposes vs staying put)")
-	redistBudget := flag.Int("redistbudget", 0, "per-rank staging budget in bytes for the -redist switch plans (0 = unbounded)")
-	metricsAddr := flag.String("metrics-addr", "", "serve live metrics (/metrics Prometheus text, /metrics.json) and net/http/pprof on this address, e.g. localhost:9090")
-	flightDepth := flag.Int("flightrec", 0, "per-rank flight-recorder ring depth: a deadlock dumps each rank's last N events (0 = off)")
-	pprofLabels := flag.Bool("pprof-labels", false, "tag rank goroutines with rank/phase pprof labels (costs allocations; pair with /debug/pprof/profile)")
-	flag.Parse()
-
-	tel, err := live.Start(live.Config{Addr: *metricsAddr, FlightDepth: *flightDepth, PProfLabels: *pprofLabels})
+	b, err := parse(os.Args[1:])
+	if err == nil {
+		err = b.c.Start()
+	}
+	if err == nil {
+		err = b.run()
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
-	if tel.Server != nil {
-		log.Printf("serving live metrics on http://%s/metrics", tel.Server.Addr)
-	}
+}
 
-	coll, err := xport.ParseAlg(*collName)
+// bench is one parsed command line.
+type bench struct {
+	c    *cli.Command
+	mode cli.Mode
+	// spec carries the shared flags plus P, Eta, Steps, Grain and MaxBytes.
+	spec exp.Spec
+	src  cli.Source
+}
+
+func parse(args []string) (*bench, error) {
+	c := cli.New("sweepbench", "one multipartitioned sweep", true)
+	c.Lookup("topology").Usage += "; a comma-separated list compares them"
+	p := c.Int("p", 16, "number of processors")
+	etaStr := c.String("eta", "64,64,64", "array extents")
+	steps := c.Int("steps", 2, "ADI timesteps")
+	grain := c.Int("grain", 64, "wavefront message granularity (lines per message)")
+	grainSweep := c.Bool("grainsweep", false, "sweep wavefront granularities instead")
+	backend := c.String("backend", "sim", "execution backend: sim (virtual-time strategy comparison) or rt (real-parallel goroutines, wall clock; runs the strict distributed-memory ADI with overlap off and on, checking field bits against the simulator)")
+	redistCmp := c.Bool("redist", false, "run the redistribution-policy comparison (BLOCK↔MULTI switch each timestep vs dynamic-block transposes vs staying put)")
+	redistBudget := c.Int("redistbudget", 0, "per-rank staging budget in bytes for the -redist switch plans (0 = unbounded)")
+	spec, err := c.Parse(args)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	var eta []int
 	for _, tok := range strings.Split(*etaStr, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(tok))
 		if err != nil || v < 2 {
-			log.Fatalf("bad extent %q", tok)
+			return nil, fmt.Errorf("bad extent %q", tok)
 		}
 		eta = append(eta, v)
 	}
-
-	if *redistCmp {
-		fmt.Printf("redistribution policy comparison: p=%d, η=%v, %d step(s)\n\n", *p, eta, *steps)
-		rows, err := exp.RedistComparisonOn(*topology, coll, *p, eta, *steps, *redistBudget)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Print(exp.FormatRedistComparison(rows))
-		if *jsonPath != "" {
-			recs, err := exp.RedistBenchRecordsOn(*topology, coll, *p, eta, *steps, *redistBudget)
-			if err != nil {
-				log.Fatal(err)
-			}
-			src := fmt.Sprintf("sweepbench -redist -p %d -eta %s -steps %d -redistbudget %d%s -json (eta %s)",
-				*p, *etaStr, *steps, *redistBudget, fabricFlags(*topology, *collName), partition.Describe(eta))
-			if err := obs.WriteBenchJSON(*jsonPath, obs.BenchFile{Source: src, Records: recs}); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("\nwrote %s\n", *jsonPath)
-		}
-		return
-	}
-
-	ov := plan.Overlap{Enabled: *overlap}
-
 	if *backend != "sim" && *backend != "rt" {
-		log.Fatalf("unknown backend %q (want sim or rt)", *backend)
+		return nil, fmt.Errorf("unknown backend %q (want sim or rt)", *backend)
 	}
-	if *backend == "rt" {
-		src := fmt.Sprintf("sweepbench -backend rt -p %d -eta %s -steps %d -json (eta %s)",
-			*p, *etaStr, *steps, partition.Describe(eta))
-		if err := runRealADI(*p, eta, *steps, *jsonPath, src); err != nil {
-			log.Fatal(err)
-		}
-		return
+	spec.P, spec.Eta, spec.Steps, spec.Grain, spec.MaxBytes = *p, eta, *steps, *grain, *redistBudget
+	b := &bench{c: c, spec: spec}
+	grid := "eta " + partition.Describe(eta)
+	list := strings.Contains(spec.Topology, ",")
+	switch {
+	case *redistCmp:
+		b.mode, b.src = modeRedist, c.Source("redist p eta steps redistbudget topology? coll?", grid, true)
+	case *backend == "rt":
+		b.mode, b.src = modeReal, c.Source("backend p eta steps", grid, true)
+	case !list && (c.Out.Traced() || c.Out.Plan != ""):
+		b.mode, b.src = modeTraced, c.Source("p eta topology? coll? overlap", grid, true)
+	case !list && *grainSweep:
+		b.mode = modeGrain
+	default:
+		b.mode, b.src = modeStrategy, c.Source("p eta steps grain topology? coll? overlap", grid, true)
 	}
+	return b, c.Use(b.mode)
+}
 
-	if strings.Contains(*topology, ",") {
-		topos := strings.Split(*topology, ",")
+func (b *bench) run() error {
+	switch b.mode {
+	case modeRedist:
+		return b.redist()
+	case modeReal:
+		return b.real()
+	case modeTraced:
+		return b.traced()
+	case modeGrain:
+		return b.grainSweep()
+	}
+	return b.strategies()
+}
+
+// strategies runs the strategy comparison, on each listed topology when
+// -topology names several.
+func (b *bench) strategies() error {
+	s := b.spec
+	note := ""
+	if s.Overlap.Enabled {
+		note = ", boundary-first overlap"
+	}
+	if topos := strings.Split(s.Topology, ","); len(topos) > 1 {
 		for i := range topos {
 			topos[i] = strings.TrimSpace(topos[i])
 		}
-		fmt.Printf("ADI strategy comparison across topologies: p=%d, η=%v, %d step(s)%s\n\n",
-			*p, eta, *steps, overlapNote(*overlap))
-		var rows []exp.TopologyRow
-		for _, topo := range topos {
-			rs, err := exp.StrategyComparisonOverlap(topo, coll, *p, eta, *steps, *grain, ov)
-			if err != nil {
-				log.Fatalf("topology %q: %v", topo, err)
-			}
-			rows = append(rows, exp.TopologyRow{Topology: topo, Rows: rs})
+		fmt.Printf("ADI strategy comparison across topologies: p=%d, η=%v, %d step(s)%s\n\n", s.P, s.Eta, s.Steps, note)
+		rows, err := exp.TopologyComparison(topos, s)
+		if err != nil {
+			return err
 		}
 		fmt.Print(exp.FormatTopologyComparison(rows))
-		if *jsonPath != "" {
-			var recs []obs.BenchRecord
-			for _, topo := range topos {
-				rs, err := exp.StrategyBenchRecordsOverlap(topo, coll, *p, eta, *steps, *grain, ov)
-				if err != nil {
-					log.Fatal(err)
-				}
-				recs = append(recs, rs...)
-			}
-			src := fmt.Sprintf("sweepbench -p %d -eta %s -steps %d -grain %d -topology %s%s -json (eta %s)",
-				*p, *etaStr, *steps, *grain, *topology, overlapFlag(*overlap), partition.Describe(eta))
-			if err := obs.WriteBenchJSON(*jsonPath, obs.BenchFile{Source: src, Records: recs}); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("\nwrote %s\n", *jsonPath)
+		var recs []obs.BenchRecord
+		for _, tr := range rows {
+			s.Topology = tr.Topology
+			recs = append(recs, exp.StrategyRecords(s, tr.Rows)...)
 		}
-		return
+		return b.c.WriteJSON(os.Stdout, b.src, recs)
 	}
-
-	if *timeline || *tracePath != "" || *traceJSON != "" || *metrics || *blame || *profilePath != "" || *planPath != "" {
-		src := fmt.Sprintf("sweepbench -p %d -eta %s%s%s -profile (eta %s)", *p, *etaStr, fabricFlags(*topology, *collName), overlapFlag(*overlap), partition.Describe(eta))
-		if err := instrumentedSweep(*p, eta, *topology, coll, ov, *timeline, *tracePath, *traceJSON, *metrics, *blame, *profilePath, *planPath, src); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	if *grainSweep {
-		blk, err := dist.NewBlock(*p, eta, 0, dist.HandCoded())
-		if err != nil {
-			log.Fatal(err)
-		}
-		lines := 1
-		for _, e := range eta[1:] {
-			lines *= e
-		}
-		fmt.Printf("wavefront granularity sweep: p=%d, η=%v (%d lines along dim 0)\n\n", *p, eta, lines)
-		fmt.Printf("%10s  %14s  %10s\n", "grain", "virtual time", "messages")
-		for g := 1; g <= lines; g *= 2 {
-			mach, err := nas.Origin2000MachineOn(*topology, *p)
-			if err != nil {
-				log.Fatal(err)
-			}
-			mach.Coll = coll
-			res, err := mach.Run(func(r *sim.Rank) {
-				blk.WavefrontSweep(r, sweep.Tridiag{}, nil, g)
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("%10d  %12.3fms  %10d\n", g, res.Makespan*1e3, res.TotalMessages())
-		}
-		fmt.Println("\nSmall grains maximize pipeline overlap but pay per-message overhead;")
-		fmt.Println("large grains serialize the pipeline — the Section 1 tension.")
-		return
-	}
-
-	fmt.Printf("ADI strategy comparison: p=%d, η=%v, %d step(s) (virtual Origin 2000)%s\n\n", *p, eta, *steps, overlapNote(*overlap))
-	rows, err := exp.StrategyComparisonOverlap(*topology, coll, *p, eta, *steps, *grain, ov)
+	fmt.Printf("ADI strategy comparison: p=%d, η=%v, %d step(s) (virtual Origin 2000)%s\n\n", s.P, s.Eta, s.Steps, note)
+	rows, err := exp.StrategyComparison(s)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Printf("%-34s  %14s  %12s  %10s\n", "strategy", "virtual time", "bytes", "messages")
 	for _, r := range rows {
 		fmt.Printf("%-34s  %12.3fms  %12d  %10d\n", r.Strategy, r.Time*1e3, r.Bytes, r.Messages)
 	}
-	if *jsonPath != "" {
-		recs, err := exp.StrategyBenchRecordsOverlap(*topology, coll, *p, eta, *steps, *grain, ov)
-		if err != nil {
-			log.Fatal(err)
-		}
-		src := fmt.Sprintf("sweepbench -p %d -eta %s -steps %d -grain %d%s%s -json (eta %s)",
-			*p, *etaStr, *steps, *grain, fabricFlags(*topology, *collName), overlapFlag(*overlap), partition.Describe(eta))
-		if err := obs.WriteBenchJSON(*jsonPath, obs.BenchFile{Source: src, Records: recs}); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("\nwrote %s\n", *jsonPath)
+	if err := b.c.WriteJSON(os.Stdout, b.src, exp.StrategyRecords(s, rows)); err != nil {
+		return err
 	}
 	fmt.Println("\nMultipartitioning keeps every processor busy in every phase with only")
 	fmt.Println("coarse-grain carry messages — the property the paper generalizes to any p.")
+	return nil
 }
 
-// runRealADI is the -backend rt path: the strict distributed-memory ADI
-// integration executed on the real-parallel runtime (internal/rt), overlap
-// off and then on, each run's final field checked bit for bit against the
-// virtual-time simulator executing the identical compiled schedule. Message
-// and byte counts are schedule properties and reproduce exactly; wall
-// seconds are host-dependent and gated only at a wide tolerance band in CI.
-func runRealADI(p int, eta []int, steps int, jsonPath, src string) error {
-	obj := partition.MachineObjective(eta, 20e-6, 80e-9/float64(p))
-	m, err := core.NewOptimal(p, len(eta), obj)
+// redist runs the redistribution-policy comparison.
+func (b *bench) redist() error {
+	s := b.spec
+	fmt.Printf("redistribution policy comparison: p=%d, η=%v, %d step(s)\n\n", s.P, s.Eta, s.Steps)
+	rows, err := exp.RedistComparison(s)
 	if err != nil {
 		return err
 	}
+	fmt.Print(exp.FormatRedistComparison(rows))
+	return b.c.WriteJSON(os.Stdout, b.src, exp.RedistRecords(s, rows))
+}
+
+// multi builds the optimal multipartitioning for p over eta and its
+// hand-coded environment.
+func multi(p int, eta []int) (*core.Multipartitioning, *dist.Env, error) {
+	obj := partition.MachineObjective(eta, 20e-6, 80e-9/float64(p))
+	m, err := core.NewOptimal(p, len(eta), obj)
+	if err != nil {
+		return nil, nil, err
+	}
 	env, err := dist.NewEnv(m, eta, dist.HandCoded())
+	return m, env, err
+}
+
+// real is the -backend rt mode: the strict distributed-memory ADI
+// integration on the real-parallel runtime, overlap off and on, each final
+// field checked bit for bit against the simulator running the identical
+// compiled schedule.
+func (b *bench) real() error {
+	p, eta, steps := b.spec.P, b.spec.Eta, b.spec.Steps
+	m, env, err := multi(p, eta)
 	if err != nil {
 		return err
 	}
 	pb := adi.Problem{Eta: eta, Alpha: 0.3, Steps: steps}
+	gamma := partition.Describe(m.Gamma())
 	fmt.Printf("ADI strict distributed memory: p=%d, eta=%v, %d step(s), partitioning %s — real-parallel backend (wall clock)\n\n",
-		p, eta, steps, partition.Describe(m.Gamma()))
-	bf := obs.BenchFile{Source: src}
-	for _, o := range []plan.Overlap{{}, {Enabled: true}} {
-		want, _, err := dmem.RunADIOverlap(pb, env, nas.Origin2000Machine(p), o)
-		if err != nil {
-			return err
-		}
-		got, rres, err := dmem.RunADIReal(pb, env, rt.NewMachine(p), o, nil)
-		if err != nil {
-			return err
-		}
-		if err := sameFieldBits(want, got); err != nil {
-			return fmt.Errorf("rt backend diverged from the simulator (overlap=%v): %w", o.Enabled, err)
-		}
-		name := fmt.Sprintf("multi-p%02d", p)
-		if o.Enabled {
-			name += "+overlap"
-		}
-		fmt.Printf("  %-20s  wall %9.3f ms  %7d messages  %11d bytes  (field bits match sim)\n",
-			name, float64(rres.Wall.Nanoseconds())/1e6, rres.TotalMessages(), rres.TotalBytes())
-		bf.Records = append(bf.Records, obs.BenchRecord{
-			Suite: "adi-real", Name: name,
-			P: p, Eta: eta, Steps: steps, Gamma: partition.Describe(m.Gamma()),
-			Messages: rres.TotalMessages(), Bytes: rres.TotalBytes(),
-			Extra: map[string]float64{"wall_sec": rres.Wall.Seconds()},
-		})
-	}
-	if jsonPath != "" {
-		if err := obs.WriteBenchJSON(jsonPath, bf); err != nil {
-			return err
-		}
-		fmt.Printf("\nwrote %s\n", jsonPath)
-	}
-	return nil
-}
-
-// sameFieldBits reports the first element where two grids differ in raw
-// float64 bit patterns.
-func sameFieldBits(a, b *grid.Grid) error {
-	da, db := a.Data(), b.Data()
-	if len(da) != len(db) {
-		return fmt.Errorf("field sizes differ: %d vs %d elements", len(da), len(db))
-	}
-	for i := range da {
-		if math.Float64bits(da[i]) != math.Float64bits(db[i]) {
-			return fmt.Errorf("element %d: %g (%#x) vs %g (%#x)",
-				i, da[i], math.Float64bits(da[i]), db[i], math.Float64bits(db[i]))
-		}
-	}
-	return nil
-}
-
-// fabricFlags renders the -topology/-coll flags for a BENCH source line,
-// empty when both are defaulted so legacy source lines stay byte-identical.
-func fabricFlags(topology, coll string) string {
-	var s string
-	if topology != "" && topology != "default" {
-		s += " -topology " + topology
-	}
-	if coll != "" && coll != "auto" {
-		s += " -coll " + coll
-	}
-	return s
-}
-
-// overlapFlag renders the -overlap flag for a BENCH source line, empty when
-// off so legacy source lines stay byte-identical.
-func overlapFlag(on bool) string {
-	if on {
-		return " -overlap"
-	}
-	return ""
-}
-
-// overlapNote annotates table headers when the overlap schedule is active.
-func overlapNote(on bool) string {
-	if on {
-		return ", boundary-first overlap"
-	}
-	return ""
-}
-
-// instrumentedSweep runs one multipartitioned tridiagonal sweep with
-// tracing and renders whichever views were requested: the ASCII per-rank
-// timeline (the balance property appears as compute bars of equal length in
-// every phase on every rank), the per-phase profile (printed and/or
-// serialized for benchdiff), and a Perfetto trace.
-func instrumentedSweep(p int, eta []int, topology string, coll xport.Alg, ov plan.Overlap, timeline bool, tracePath, traceJSONPath string, metrics, blame bool, profilePath, planPath, src string) error {
-	obj := partition.MachineObjective(eta, 20e-6, 80e-9/float64(p))
-	m, err := core.NewOptimal(p, len(eta), obj)
+		p, eta, steps, gamma)
+	recs, err := cli.CheckReal(os.Stdout, cli.RealRun{
+		Suite: "adi-real", Name: fmt.Sprintf("multi-p%02d", p),
+		P: p, Steps: steps, Eta: eta, Gamma: gamma,
+		Sim: func(m *sim.Machine, o plan.Overlap) (*grid.Grid, sim.Result, error) {
+			return dmem.RunADIOverlap(pb, env, m, o)
+		},
+		RT: func(m *rt.Machine, o plan.Overlap) (*grid.Grid, rt.Result, error) {
+			return dmem.RunADIReal(pb, env, m, o, nil)
+		},
+	})
 	if err != nil {
 		return err
 	}
-	env, err := dist.NewEnv(m, eta, dist.HandCoded())
+	return b.c.WriteJSON(os.Stdout, b.src, recs)
+}
+
+// traced runs one multipartitioned tridiagonal sweep along dim 0 with
+// tracing and reports whichever views were requested: the ASCII per-rank
+// timeline (the balance property appears as compute bars of equal length in
+// every phase on every rank), the per-phase profile (printed and/or
+// serialized for benchdiff), a Perfetto trace, and the plan with its
+// traffic audit.
+func (b *bench) traced() error {
+	s := b.spec
+	m, env, err := multi(s.P, s.Eta)
 	if err != nil {
 		return err
 	}
@@ -343,12 +246,12 @@ func instrumentedSweep(p int, eta []int, topology string, coll xport.Alg, ov pla
 	if err != nil {
 		return err
 	}
-	ms.Overlap = ov
-	mach, err := nas.Origin2000MachineOn(topology, p)
+	ms.Overlap = s.Overlap
+	mach, err := nas.Origin2000MachineOn(s.Topology, s.P)
 	if err != nil {
 		return err
 	}
-	mach.Coll = coll
+	mach.Coll = s.Coll
 	mach.Trace = &sim.Trace{}
 	res, err := mach.Run(func(r *sim.Rank) {
 		r.BeginPhase("sweep0")
@@ -358,62 +261,46 @@ func instrumentedSweep(p int, eta []int, topology string, coll xport.Alg, ov pla
 		return err
 	}
 	fmt.Printf("one sweep along dim 0, %s on %v: %d events, makespan %.3f ms\n",
-		m.Name(), eta, mach.Trace.Len(), res.Makespan*1e3)
-	if timeline {
-		fmt.Println("(# compute, > send, < recv/wait, . idle)")
-		if err := mach.Trace.RenderTimeline(os.Stdout, p, res.Makespan, 100); err != nil {
-			return err
-		}
-	}
-	if metrics {
-		fmt.Println()
-		fmt.Print(obs.NewProfile(res, mach.Trace).Format())
-	}
-	if blame {
-		rep, err := causal.Report(mach.Trace, p, 8)
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		fmt.Print(rep)
-	}
-	if tracePath != "" {
-		if err := obs.WriteTraceFile(tracePath, mach.Trace, p); err != nil {
-			return err
-		}
-		fmt.Printf("trace written to %s (load in ui.perfetto.dev)\n", tracePath)
-	}
-	if traceJSONPath != "" {
-		if err := obs.WriteTraceJSON(traceJSONPath, src+" -tracejson", mach.Trace, p, res.Makespan); err != nil {
-			return err
-		}
-		fmt.Printf("trace artifact written to %s (analyze with critpath)\n", traceJSONPath)
-	}
-	if profilePath != "" {
-		if err := obs.WriteProfileJSON(profilePath, src, obs.NewProfile(res, mach.Trace)); err != nil {
-			return err
-		}
-		fmt.Printf("profile written to %s (compare with benchdiff)\n", profilePath)
-	}
-	if planPath != "" {
-		pl := ms.CompiledPlan()
-		if err := pl.Validate(); err != nil {
-			return err
-		}
-		if err := obs.WritePlanJSON(planPath, src+" -plan", pl); err != nil {
-			return err
-		}
-		fmt.Printf("plan written to %s\n", planPath)
-		// The run above swept dim 0 once under the "sweep0" label; audit the
-		// plan's dim-0 traffic against it.
-		rows := obs.AuditPlanBytes(pl, obs.NewProfile(res, mach.Trace), 1, func(dim int) string {
+		m.Name(), s.Eta, mach.Trace.Len(), res.Makespan*1e3)
+	// The run swept dim 0 once under the "sweep0" label; the plan audit
+	// checks the plan's dim-0 traffic against it.
+	return b.c.Out.Report(os.Stdout, cli.Run{Result: res, Trace: mach.Trace, Source: b.src,
+		Plan: ms.CompiledPlan(), Execs: 1, PhaseOf: func(dim int) string {
 			if dim == 0 {
 				return "sweep0"
 			}
 			return ""
-		})
-		fmt.Println()
-		fmt.Print(obs.FormatPlanAudit(rows))
+		}})
+}
+
+// grainSweep sweeps the wavefront message granularity of one block sweep.
+func (b *bench) grainSweep() error {
+	s := b.spec
+	blk, err := dist.NewBlock(s.P, s.Eta, 0, dist.HandCoded())
+	if err != nil {
+		return err
 	}
+	lines := 1
+	for _, e := range s.Eta[1:] {
+		lines *= e
+	}
+	fmt.Printf("wavefront granularity sweep: p=%d, η=%v (%d lines along dim 0)\n\n", s.P, s.Eta, lines)
+	fmt.Printf("%10s  %14s  %10s\n", "grain", "virtual time", "messages")
+	for g := 1; g <= lines; g *= 2 {
+		mach, err := nas.Origin2000MachineOn(s.Topology, s.P)
+		if err != nil {
+			return err
+		}
+		mach.Coll = s.Coll
+		res, err := mach.Run(func(r *sim.Rank) {
+			blk.WavefrontSweep(r, sweep.Tridiag{}, nil, g)
+		})
+		if err != nil {
+			return err
+		}
+		fmt.Printf("%10d  %12.3fms  %10d\n", g, res.Makespan*1e3, res.TotalMessages())
+	}
+	fmt.Println("\nSmall grains maximize pipeline overlap but pay per-message overhead;")
+	fmt.Println("large grains serialize the pipeline — the Section 1 tension.")
 	return nil
 }

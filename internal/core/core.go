@@ -289,12 +289,6 @@ func (m *Multipartitioning) NeighborProc(proc, dim, step int) int {
 // returned slices are shared; callers must not modify them.
 func (m *Multipartitioning) TilesOf(q int) [][]int { return m.tilesOf[q] }
 
-// SlabTilesOf returns the tiles of processor q inside slab s along dim, in
-// row-major order. The returned slices are shared; do not modify.
-func (m *Multipartitioning) SlabTilesOf(dim, s, q int) [][]int {
-	return m.slabOf[dim][s][q]
-}
-
 // TilesPerSlab returns the number of tiles each processor owns in every slab
 // along dim (the balance property makes it uniform): ∏_{j≠dim}γⱼ / p.
 func (m *Multipartitioning) TilesPerSlab(dim int) int {

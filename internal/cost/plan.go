@@ -69,13 +69,3 @@ func (m Model) PlanSweepTime(pl *plan.SweepPlan, dim int) float64 {
 	}
 	return t
 }
-
-// PlanTotalTime returns Σᵢ PlanSweepTime: the modeled time of one full
-// round of sweeps along every dimension of the plan.
-func (m Model) PlanTotalTime(pl *plan.SweepPlan) float64 {
-	t := 0.0
-	for dim := range pl.Eta {
-		t += m.PlanSweepTime(pl, dim)
-	}
-	return t
-}

@@ -168,9 +168,6 @@ func (b *Block) ComputeOnSlab(r xport.Transport, flopsPerElement float64, f func
 	r.ComputeFlops(flopsPerElement * float64(rect.Size()) * b.Overhead.ComputeFactor)
 }
 
-// OwnedRect returns rank q's region of the array.
-func (b *Block) OwnedRect(q int) grid.Rect { return b.ownedRect(q) }
-
 // LocalSweep performs a sweep along an unpartitioned dimension: every line
 // is fully local to its owner, so there is no communication at all.
 func (b *Block) LocalSweep(r xport.Transport, dim int, solver sweep.Solver, vecs []*grid.Grid) {

@@ -132,24 +132,6 @@ func (f *Field) localToGlobal(i, offset int, dst []int) {
 	}
 }
 
-// SumSquares returns Σv² over the rank's interiors (a reduction input).
-func (f *Field) SumSquares() float64 {
-	s := 0.0
-	for i, g := range f.tiles {
-		data := g.Data()
-		d := g.Dims()
-		g.EachLine(f.InteriorRect(i), d-1, func(l grid.Line) {
-			off := l.Base
-			for k := 0; k < l.N; k++ {
-				v := data[off]
-				s += v * v
-				off += l.Stride
-			}
-		})
-	}
-	return s
-}
-
 // Reserved message-tag space of the strict halo exchange (see
 // xport.ReserveTags). Sweep carries are tagged by the compiled schedule
 // itself, from the shared plan.SweepTags reservation — both runtimes now

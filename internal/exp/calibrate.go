@@ -59,15 +59,13 @@ func spWorkload() cost.SweepWorkload {
 // exactly the model the partitioning search optimizes — and reports the
 // relative error. The prediction assumes no partial replication, so the
 // audit fixes the dist.HandCoded overhead model.
-func Calibrate(eta []int, steps int) ([]CalibrationRow, error) {
-	return CalibrateOn("", eta, steps)
-}
-
-// CalibrateOn is Calibrate on the named interconnect topology: the
+//
+// It reads s.Topology, s.Eta and s.Steps. On a non-default topology the
 // prediction side switches to cost.CalibratedFabric (mean hop latency,
 // shared-medium K₃) so the audit stays apples-to-apples with the simulated
-// fabric. The empty topology reproduces Calibrate exactly.
-func CalibrateOn(topology string, eta []int, steps int) ([]CalibrationRow, error) {
+// fabric.
+func Calibrate(s Spec) ([]CalibrationRow, error) {
+	topology, eta, steps := s.Topology, s.Eta, s.Steps
 	var rows []CalibrationRow
 	d := len(eta)
 	for _, p := range Table1Procs {
@@ -84,15 +82,11 @@ func CalibrateOn(topology string, eta []int, steps int) ([]CalibrationRow, error
 		if err != nil {
 			return nil, fmt.Errorf("exp: Calibrate: p=%d: %w", p, err)
 		}
-		base := nas.Origin2000Machine(p)
-		cpu := base.CPU
-		cpu.WorkingSetBytes = nas.WorkingSetBytes(eta, p)
-		mach := sim.NewMachine(p, base.Net, cpu)
-		fab, err := sim.NewFabric(topology, mach.Net, p)
+		mach, err := nas.Origin2000MachineOn(topology, p)
 		if err != nil {
 			return nil, err
 		}
-		mach.Fabric = fab
+		mach.CPU.WorkingSetBytes = nas.WorkingSetBytes(eta, p)
 		// One compiled plan feeds both sides of the audit: the executor runs
 		// it, and the analytic side folds over it — predicted and measured
 		// describe the very same schedule instance, not two reconstructions.

@@ -15,7 +15,7 @@ func TestCalibrateAuditsEveryPhase(t *testing.T) {
 	// and counts that do not (5×5×5, 8×8×8 — residual imbalance waits).
 	Table1Procs = []int{1, 4, 9, 16, 25, 36, 64}
 
-	rows, err := Calibrate(nas.ClassW.Eta, 2)
+	rows, err := Calibrate(Spec{Eta: nas.ClassW.Eta, Steps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,24 +71,27 @@ func TestCalibrateOnTopologies(t *testing.T) {
 	defer func() { Table1Procs = saved }()
 	Table1Procs = []int{4, 16}
 
-	base, err := Calibrate(nas.ClassW.Eta, 1)
+	base, err := Calibrate(Spec{Eta: nas.ClassW.Eta, Steps: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The empty topology must reproduce the pre-Fabric audit bit for bit.
-	same, err := CalibrateOn("", nas.ClassW.Eta, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range base {
-		if base[i].Predicted != same[i].Predicted || base[i].Measured != same[i].Measured {
-			t.Fatalf("default CalibrateOn differs at %s p=%d: pred %g vs %g, meas %g vs %g",
-				base[i].Phase, base[i].P, base[i].Predicted, same[i].Predicted, base[i].Measured, same[i].Measured)
+	// The empty and the "default" topology must reproduce the pre-Fabric
+	// audit bit for bit.
+	for _, topo := range []string{"", "default"} {
+		same, err := Calibrate(Spec{Topology: topo, Eta: nas.ClassW.Eta, Steps: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range base {
+			if base[i].Predicted != same[i].Predicted || base[i].Measured != same[i].Measured {
+				t.Fatalf("topology %q differs at %s p=%d: pred %g vs %g, meas %g vs %g", topo,
+					base[i].Phase, base[i].P, base[i].Predicted, same[i].Predicted, base[i].Measured, same[i].Measured)
+			}
 		}
 	}
 	// On a bus both sides of the audit shift together (shared-medium K₃,
 	// shared-medium simulator): the audit must stay sane, not blow past 2×.
-	busRows, err := CalibrateOn("bus", nas.ClassW.Eta, 1)
+	busRows, err := Calibrate(Spec{Topology: "bus", Eta: nas.ClassW.Eta, Steps: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +108,7 @@ func TestCalibrateOnTopologies(t *testing.T) {
 				base[i].P, base[i].Phase, busRows[i].Measured, base[i].Measured)
 		}
 	}
-	if _, err := CalibrateOn("no-such-topology", nas.ClassW.Eta, 1); err == nil {
+	if _, err := Calibrate(Spec{Topology: "no-such-topology", Eta: nas.ClassW.Eta, Steps: 1}); err == nil {
 		t.Error("unknown topology should error")
 	}
 }

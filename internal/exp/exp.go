@@ -21,9 +21,7 @@ import (
 	"genmp/internal/numutil"
 	"genmp/internal/obs"
 	"genmp/internal/partition"
-	"genmp/internal/plan"
 	"genmp/internal/sim"
-	"genmp/internal/xport"
 )
 
 // Table1Procs is the processor-count column of the paper's Table 1.
@@ -321,125 +319,67 @@ type StrategyRow struct {
 // StrategyComparison runs the van der Wijngaart-style comparison: the same
 // ADI integration under multipartitioning, static block with wavefront
 // sweeps, and dynamic block with transposes, on the virtual machine
-// (model-only). Requires a p with a valid 3-D multipartitioning.
-func StrategyComparison(p int, eta []int, steps, grain int) ([]StrategyRow, error) {
-	return StrategyComparisonOn("", xport.AlgAuto, p, eta, steps, grain)
-}
-
-// StrategyComparisonOn is StrategyComparison on the named interconnect
-// topology ("" keeps the default crossbar and reproduces StrategyComparison
-// exactly). Each strategy run gets its own fabric instance, so contention
-// state never leaks between runs.
-func StrategyComparisonOn(topology string, coll xport.Alg, p int, eta []int, steps, grain int) ([]StrategyRow, error) {
-	return StrategyComparisonOverlap(topology, coll, p, eta, steps, grain, plan.Overlap{})
-}
-
-// StrategyComparisonOverlap is StrategyComparisonOn with the boundary-first
-// overlap annotation applied to the strategies that sweep (multipartition
-// and block-wavefront; the transpose strategy has no carries to overlap).
-func StrategyComparisonOverlap(topology string, coll xport.Alg, p int, eta []int, steps, grain int, o plan.Overlap) ([]StrategyRow, error) {
-	pb := adi.Problem{Eta: eta, Alpha: 0.3, Steps: steps}
-	var rows []StrategyRow
-
-	obj := partition.MachineObjective(eta, 20e-6, 80e-9/float64(p))
-	m, err := core.NewOptimal(p, len(eta), obj)
+// (model-only). It reads s.Topology, s.Coll, s.P, s.Eta, s.Steps, s.Grain
+// and s.Overlap; the overlap annotation applies to the strategies that
+// sweep (the transpose strategy has no carries to overlap). Each strategy
+// run gets its own fabric instance, so contention state never leaks between
+// runs. Requires a p with a valid 3-D multipartitioning.
+func StrategyComparison(s Spec) ([]StrategyRow, error) {
+	obj := partition.MachineObjective(s.Eta, 20e-6, 80e-9/float64(s.P))
+	m, err := core.NewOptimal(s.P, len(s.Eta), obj)
 	if err != nil {
 		return nil, err
 	}
-	env, err := dist.NewEnv(m, eta, dist.HandCoded())
+	env, err := dist.NewEnv(m, s.Eta, dist.HandCoded())
 	if err != nil {
 		return nil, err
 	}
-	machM, err := strategyMachineOn(topology, coll, p)
+	b, err := dist.NewBlock(s.P, s.Eta, 0, dist.HandCoded())
 	if err != nil {
 		return nil, err
 	}
-	resM, err := adi.Run(pb, nil, adi.Config{
-		Machine: machM, Strategy: adi.Multipartition, Env: env, ModelOnly: true, Overlap: o})
-	if err != nil {
-		return nil, err
+	gamma := partition.Describe(m.Gamma())
+	strategies := []struct {
+		row StrategyRow
+		cfg adi.Config
+	}{
+		{StrategyRow{Key: "multipartition", Strategy: "multipartition " + gamma, Gamma: gamma},
+			adi.Config{Strategy: adi.Multipartition, Env: env, Overlap: s.Overlap}},
+		{StrategyRow{Key: "block-wavefront", Strategy: fmt.Sprintf("block-wavefront (grain %d)", s.Grain)},
+			adi.Config{Strategy: adi.BlockWavefront, Block: b, Grain: s.Grain, Overlap: s.Overlap}},
+		{StrategyRow{Key: "block-transpose", Strategy: "block-transpose"},
+			adi.Config{Strategy: adi.BlockTranspose, Block: b}},
 	}
-	rows = append(rows, StrategyRow{
-		Key:      "multipartition",
-		Strategy: fmt.Sprintf("multipartition %s", partition.Describe(m.Gamma())),
-		Gamma:    partition.Describe(m.Gamma()),
-		Time:     resM.Makespan, Bytes: resM.TotalBytes(), Messages: resM.TotalMessages()})
-
-	b, err := dist.NewBlock(p, eta, 0, dist.HandCoded())
-	if err != nil {
-		return nil, err
+	pb := adi.Problem{Eta: s.Eta, Alpha: 0.3, Steps: s.Steps}
+	rows := make([]StrategyRow, 0, len(strategies))
+	for _, st := range strategies {
+		if st.cfg.Machine, err = strategyMachineOn(s); err != nil {
+			return nil, err
+		}
+		st.cfg.ModelOnly = true
+		res, err := adi.Run(pb, nil, st.cfg)
+		if err != nil {
+			return nil, err
+		}
+		st.row.Time, st.row.Bytes, st.row.Messages = res.Makespan, res.TotalBytes(), res.TotalMessages()
+		rows = append(rows, st.row)
 	}
-	machW, err := strategyMachineOn(topology, coll, p)
-	if err != nil {
-		return nil, err
-	}
-	resW, err := adi.Run(pb, nil, adi.Config{
-		Machine: machW, Strategy: adi.BlockWavefront, Block: b, Grain: grain, ModelOnly: true, Overlap: o})
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, StrategyRow{
-		Key:      "block-wavefront",
-		Strategy: fmt.Sprintf("block-wavefront (grain %d)", grain),
-		Time:     resW.Makespan, Bytes: resW.TotalBytes(), Messages: resW.TotalMessages()})
-
-	machT, err := strategyMachineOn(topology, coll, p)
-	if err != nil {
-		return nil, err
-	}
-	resT, err := adi.Run(pb, nil, adi.Config{
-		Machine: machT, Strategy: adi.BlockTranspose, Block: b, ModelOnly: true})
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, StrategyRow{
-		Key:      "block-transpose",
-		Strategy: "block-transpose",
-		Time:     resT.Makespan, Bytes: resT.TotalBytes(), Messages: resT.TotalMessages()})
 	return rows, nil
 }
 
-// StrategyBenchRecords runs the strategy comparison and converts it into
-// BENCH_*.json records (suite "adi-strategy", one record per strategy key)
-// so sweepbench can contribute to the committed bench trajectory and the
-// CI perf gate.
-func StrategyBenchRecords(p int, eta []int, steps, grain int) ([]obs.BenchRecord, error) {
-	return StrategyBenchRecordsOn("", xport.AlgAuto, p, eta, steps, grain)
-}
-
-// StrategyBenchRecordsOn produces the strategy bench records on the named
-// topology. Non-default topologies get their own suite, "adi-strategy@<t>",
-// so their records sit alongside the default ones without colliding in the
-// zero-tolerance perf gate.
-func StrategyBenchRecordsOn(topology string, coll xport.Alg, p int, eta []int, steps, grain int) ([]obs.BenchRecord, error) {
-	return StrategyBenchRecordsOverlap(topology, coll, p, eta, steps, grain, plan.Overlap{})
-}
-
-// StrategyBenchRecordsOverlap is StrategyBenchRecordsOn with the overlap
-// annotation; overlap-on records get their own suite ("adi-strategy+overlap")
-// so they never collide with the committed overlap-off baselines in the
-// zero-tolerance perf gate.
-func StrategyBenchRecordsOverlap(topology string, coll xport.Alg, p int, eta []int, steps, grain int, o plan.Overlap) ([]obs.BenchRecord, error) {
-	rows, err := StrategyComparisonOverlap(topology, coll, p, eta, steps, grain, o)
-	if err != nil {
-		return nil, err
-	}
-	suite := "adi-strategy"
-	if topology != "" && topology != "default" {
-		suite += "@" + topology
-	}
-	if o.Enabled {
-		suite += "+overlap"
-	}
+// StrategyRecords converts the strategy comparison run under s into
+// BENCH_*.json records, one per strategy key, in suite
+// s.Suite("adi-strategy").
+func StrategyRecords(s Spec, rows []StrategyRow) []obs.BenchRecord {
 	recs := make([]obs.BenchRecord, 0, len(rows))
 	for _, r := range rows {
 		recs = append(recs, obs.BenchRecord{
-			Suite: suite, Name: r.Key,
-			P: p, Eta: eta, Steps: steps, Gamma: r.Gamma,
+			Suite: s.Suite("adi-strategy"), Name: r.Key,
+			P: s.P, Eta: s.Eta, Steps: s.Steps, Gamma: r.Gamma,
 			Makespan: r.Time, Messages: r.Messages, Bytes: r.Bytes,
 		})
 	}
-	return recs, nil
+	return recs
 }
 
 // TopologyRow is one (topology, strategy) cell of the topology comparison.
@@ -448,14 +388,15 @@ type TopologyRow struct {
 	Rows     []StrategyRow
 }
 
-// TopologyComparison runs the ADI strategy comparison on every named
-// topology — the experiment behind the EXPERIMENTS.md table asking which
-// distribution strategy wins on a crossbar, a bus, and a hypercube with
-// link contention.
-func TopologyComparison(topologies []string, coll xport.Alg, p int, eta []int, steps, grain int) ([]TopologyRow, error) {
+// TopologyComparison runs the strategy comparison of s on every named
+// topology in place of s.Topology — the experiment behind the
+// EXPERIMENTS.md table asking which distribution strategy wins on a
+// crossbar, a bus, and a hypercube with link contention.
+func TopologyComparison(topologies []string, s Spec) ([]TopologyRow, error) {
 	out := make([]TopologyRow, 0, len(topologies))
 	for _, topo := range topologies {
-		rows, err := StrategyComparisonOn(topo, coll, p, eta, steps, grain)
+		s.Topology = topo
+		rows, err := StrategyComparison(s)
 		if err != nil {
 			return nil, fmt.Errorf("exp: topology %q: %w", topo, err)
 		}
@@ -497,14 +438,14 @@ func FormatTopologyComparison(rows []TopologyRow) string {
 // machine for strategy comparisons.
 func strategyMachine(p int) *sim.Machine { return nas.Origin2000Machine(p) }
 
-// strategyMachineOn builds the comparison machine on the named topology
-// with the given default collective algorithm.
-func strategyMachineOn(topology string, coll xport.Alg, p int) (*sim.Machine, error) {
-	mach, err := nas.Origin2000MachineOn(topology, p)
+// strategyMachineOn builds the comparison machine of s: s.P ranks on
+// s.Topology with s.Coll as the default collective algorithm.
+func strategyMachineOn(s Spec) (*sim.Machine, error) {
+	mach, err := nas.Origin2000MachineOn(s.Topology, s.P)
 	if err != nil {
 		return nil, err
 	}
-	mach.Coll = coll
+	mach.Coll = s.Coll
 	return mach, nil
 }
 

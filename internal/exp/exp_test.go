@@ -7,6 +7,7 @@ import (
 
 	"genmp/internal/nas"
 	"genmp/internal/numutil"
+	"genmp/internal/plan"
 	"genmp/internal/xport"
 )
 
@@ -183,7 +184,7 @@ func TestBTvsSP(t *testing.T) {
 }
 
 func TestStrategyComparison(t *testing.T) {
-	rows, err := StrategyComparison(16, []int{64, 64, 64}, 1, 64)
+	rows, err := StrategyComparison(Spec{P: 16, Eta: []int{64, 64, 64}, Steps: 1, Grain: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,12 +205,12 @@ func TestStrategyComparison(t *testing.T) {
 }
 
 func TestStrategyComparisonOnDefaultBitIdentical(t *testing.T) {
-	base, err := StrategyComparison(16, []int{32, 32, 32}, 1, 32)
+	base, err := StrategyComparison(Spec{P: 16, Eta: []int{32, 32, 32}, Steps: 1, Grain: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, topo := range []string{"", "default", "crossbar"} {
-		rows, err := StrategyComparisonOn(topo, xport.AlgAuto, 16, []int{32, 32, 32}, 1, 32)
+		rows, err := StrategyComparison(Spec{Topology: topo, Coll: xport.AlgAuto, P: 16, Eta: []int{32, 32, 32}, Steps: 1, Grain: 32})
 		if err != nil {
 			t.Fatalf("topology %q: %v", topo, err)
 		}
@@ -224,7 +225,7 @@ func TestStrategyComparisonOnDefaultBitIdentical(t *testing.T) {
 
 func TestTopologyComparisonDistinguishesFabrics(t *testing.T) {
 	topos := []string{"crossbar", "bus", "hypercube+contention"}
-	rows, err := TopologyComparison(topos, xport.AlgAuto, 16, []int{32, 32, 32}, 1, 32)
+	rows, err := TopologyComparison(topos, Spec{Coll: xport.AlgAuto, P: 16, Eta: []int{32, 32, 32}, Steps: 1, Grain: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,22 +261,43 @@ func TestTopologyComparisonDistinguishesFabrics(t *testing.T) {
 }
 
 func TestStrategyBenchRecordsOnSuiteNaming(t *testing.T) {
-	recs, err := StrategyBenchRecordsOn("bus", xport.AlgAuto, 16, []int{32, 32, 32}, 1, 32)
+	spec := Spec{Topology: "bus", Coll: xport.AlgAuto, P: 16, Eta: []int{32, 32, 32}, Steps: 1, Grain: 32}
+	rows, err := StrategyComparison(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range recs {
+	for _, r := range StrategyRecords(spec, rows) {
 		if r.Suite != "adi-strategy@bus" {
 			t.Errorf("suite = %q, want adi-strategy@bus", r.Suite)
 		}
 	}
-	recs, err = StrategyBenchRecordsOn("", xport.AlgAuto, 16, []int{32, 32, 32}, 1, 32)
-	if err != nil {
+	spec.Topology = ""
+	if rows, err = StrategyComparison(spec); err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range recs {
+	for _, r := range StrategyRecords(spec, rows) {
 		if r.Suite != "adi-strategy" {
 			t.Errorf("default suite = %q, want adi-strategy", r.Suite)
+		}
+	}
+}
+
+// TestSuiteNames pins the one suite-name rule over the suites that use it:
+// the base name, then "@<topology>" unless the topology is the default,
+// then "+overlap" when the overlap schedule is on. The record converters
+// apply it to the spec they are handed.
+func TestSuiteNames(t *testing.T) {
+	on := plan.Overlap{Enabled: true}
+	for _, tc := range []struct{ got, want string }{
+		{StrategyRecords(Spec{Topology: "bus"}, []StrategyRow{{}})[0].Suite, "adi-strategy@bus"},
+		{StrategyRecords(Spec{Topology: "default", Overlap: on}, []StrategyRow{{}})[0].Suite, "adi-strategy+overlap"},
+		{OverlapRecords(Spec{Topology: "hypercube+contention"}, OverlapResult{})[0].Suite, "sp-overlap@hypercube+contention"},
+		{RedistRecords(Spec{}, []RedistRow{{}})[0].Suite, "redist"},
+		{Spec{Topology: "bus"}.Suite("sp-table1-dhpf"), "sp-table1-dhpf@bus"},
+		{Spec{Overlap: on}.Suite("hpf-adi"), "hpf-adi+overlap"},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("suite %q, want %q", tc.got, tc.want)
 		}
 	}
 }

@@ -51,17 +51,15 @@ func (r OverlapResult) WithinPredictedBound() bool {
 	return r.MeasuredRecovery() <= r.PredictedRecovery()+tol
 }
 
-// OverlapComparison runs the SP overlap comparison on the default crossbar.
-func OverlapComparison(p int, eta []int, steps int, frac float64) (OverlapResult, error) {
-	return OverlapComparisonOn("", p, eta, steps, frac)
-}
-
-// OverlapComparisonOn runs the comparison on the named topology:
-// model-only SP with the strict schedule (tracing), the causal what-if
-// replay posting every solve-phase carry early, then the same run with the
-// overlap-annotated plan — same partitioning, fresh machine per run so
-// fabric state never leaks between them.
-func OverlapComparisonOn(topology string, p int, eta []int, steps int, frac float64) (OverlapResult, error) {
+// OverlapComparison runs the SP overlap comparison: model-only SP with the
+// strict schedule (tracing), the causal what-if replay posting every
+// solve-phase carry early, then the same run with the overlap-annotated
+// plan — same partitioning, fresh machine per run so fabric state never
+// leaks between them. It reads s.Topology, s.P, s.Eta, s.Steps and
+// s.Overlap.Frac (0 picks plan.DefaultOverlapFrac). It runs overlap off
+// and on by itself, so callers leave s.Overlap.Enabled off.
+func OverlapComparison(s Spec) (OverlapResult, error) {
+	topology, p, eta, steps := s.Topology, s.P, s.Eta, s.Steps
 	d := len(eta)
 	obj := partition.MachineObjective(eta, 20e-6, 80e-9/float64(p))
 	m, err := core.NewOptimal(p, d, obj)
@@ -72,7 +70,7 @@ func OverlapComparisonOn(topology string, p int, eta []int, steps int, frac floa
 	if err != nil {
 		return OverlapResult{}, err
 	}
-	o := plan.Overlap{Enabled: true, Frac: frac}
+	o := plan.Overlap{Enabled: true, Frac: s.Overlap.Frac}
 	out := OverlapResult{P: p, Eta: eta, Steps: steps, Frac: o.Fraction(), Gamma: partition.Describe(m.Gamma())}
 
 	// Overlap off, traced: the baseline and the causal engine's input.
@@ -157,25 +155,11 @@ func FormatOverlapComparison(r OverlapResult) string {
 	return sb.String()
 }
 
-// OverlapBenchRecords runs the overlap comparison and converts it to BENCH
-// records (suite "sp-overlap", rows overlap-off / overlap-on; non-default
-// topologies get suite "sp-overlap@<t>") for the committed bench trajectory
-// and the CI perf gate.
-func OverlapBenchRecords(topology string, p int, eta []int, steps int, frac float64) ([]obs.BenchRecord, error) {
-	r, err := OverlapComparisonOn(topology, p, eta, steps, frac)
-	if err != nil {
-		return nil, err
-	}
-	return OverlapRecords(topology, r), nil
-}
-
-// OverlapRecords converts an already-run comparison into its bench records,
-// so callers that also print the comparison don't run it twice.
-func OverlapRecords(topology string, r OverlapResult) []obs.BenchRecord {
-	suite := "sp-overlap"
-	if topology != "" && topology != "default" {
-		suite += "@" + topology
-	}
+// OverlapRecords converts an overlap comparison run under s into its
+// BENCH_*.json records, rows overlap-off and overlap-on, in suite
+// s.Suite("sp-overlap").
+func OverlapRecords(s Spec, r OverlapResult) []obs.BenchRecord {
+	suite := s.Suite("sp-overlap")
 	return []obs.BenchRecord{
 		{Suite: suite, Name: "overlap-off", P: r.P, Eta: r.Eta, Steps: r.Steps, Gamma: r.Gamma, Makespan: r.Off},
 		{Suite: suite, Name: "overlap-on", P: r.P, Eta: r.Eta, Steps: r.Steps, Gamma: r.Gamma, Makespan: r.On},

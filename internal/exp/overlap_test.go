@@ -9,7 +9,7 @@ import "testing"
 // charging the second per-boundary start-up, so it bounds the realizable
 // recovery from above on the contention-free crossbar).
 func TestOverlapComparison(t *testing.T) {
-	r, err := OverlapComparison(16, []int{32, 32, 32}, 2, 0)
+	r, err := OverlapComparison(Spec{P: 16, Eta: []int{32, 32, 32}, Steps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,10 +28,12 @@ func TestOverlapComparison(t *testing.T) {
 // TestOverlapBenchRecords pins the record shape the committed
 // BENCH_overlap.json rows use.
 func TestOverlapBenchRecords(t *testing.T) {
-	recs, err := OverlapBenchRecords("bus", 4, []int{16, 16, 16}, 1, 0)
+	spec := Spec{Topology: "bus", P: 4, Eta: []int{16, 16, 16}, Steps: 1}
+	r, err := OverlapComparison(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	recs := OverlapRecords(spec, r)
 	if len(recs) != 2 || recs[0].Suite != "sp-overlap@bus" ||
 		recs[0].Name != "overlap-off" || recs[1].Name != "overlap-on" {
 		t.Fatalf("unexpected records: %+v", recs)

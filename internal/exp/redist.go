@@ -11,7 +11,6 @@ import (
 	"genmp/internal/partition"
 	"genmp/internal/redist"
 	"genmp/internal/sim"
-	"genmp/internal/xport"
 )
 
 // RedistRow is one redistribution policy of the layout-switch comparison.
@@ -32,31 +31,27 @@ type RedistRow struct {
 // without dominating.
 const redistFlopsPerElement = 50.0
 
-// RedistComparison runs the layout-switch comparison with the default
-// crossbar and no staging budget.
-func RedistComparison(p int, eta []int, steps int) ([]RedistRow, error) {
-	return RedistComparisonOn("", xport.AlgAuto, p, eta, steps, 0)
-}
-
-// RedistComparisonOn models a spectral-style computation whose first phase
+// RedistComparison models a spectral-style computation whose first phase
 // wants a BLOCK(dim 0) layout and whose second phase wants a sweep-friendly
-// one, under three redistribution policies, on the named interconnect
-// topology ("" keeps the default crossbar):
+// one, under three redistribution policies. It reads s.Topology, s.Coll,
+// s.P, s.Eta, s.Steps and s.MaxBytes:
 //
 //   - block-transpose: the historical dynamic-block answer — transpose to
 //     BLOCK(dim 1) for phase two and back, two full all-to-alls per step,
 //     both compiled as BLOCK→BLOCK redist plans (the legacy special case).
 //   - redist-switch: the generalized engine's answer — switch BLOCK↔MULTI
 //     each step, so phase two runs under a multipartitioning with a cheap
-//     depth-1 halo instead of a second transpose. maxBytes (0 = unbounded)
-//     is handed to the accountant, chunking the switch into rounds.
+//     depth-1 halo instead of a second transpose. s.MaxBytes (0 =
+//     unbounded) is handed to the accountant, chunking the switch into
+//     rounds.
 //   - multi-only: never switch; both phases run under the multipartitioning
 //     (phase one pays nothing extra here — the row is the floor showing
 //     what the switches themselves cost).
 //
 // All three policies execute identical arithmetic per step, so makespan
 // differences are pure redistribution policy. Model-only: no payloads flow.
-func RedistComparisonOn(topology string, coll xport.Alg, p int, eta []int, steps, maxBytes int) ([]RedistRow, error) {
+func RedistComparison(s Spec) ([]RedistRow, error) {
+	p, eta, steps, coll := s.P, s.Eta, s.Steps, s.Coll
 	d := len(eta)
 	if d < 2 {
 		return nil, fmt.Errorf("exp: redist comparison needs d ≥ 2")
@@ -91,11 +86,11 @@ func RedistComparisonOn(topology string, coll xport.Alg, p int, eta []int, steps
 	if err != nil {
 		return nil, err
 	}
-	bm, err := redist.Compile(redist.Spec{From: blk0, To: multi, MaxBytes: maxBytes})
+	bm, err := redist.Compile(redist.Spec{From: blk0, To: multi, MaxBytes: s.MaxBytes})
 	if err != nil {
 		return nil, err
 	}
-	mb, err := redist.Compile(redist.Spec{From: multi, To: blk0, MaxBytes: maxBytes})
+	mb, err := redist.Compile(redist.Spec{From: multi, To: blk0, MaxBytes: s.MaxBytes})
 	if err != nil {
 		return nil, err
 	}
@@ -162,7 +157,7 @@ func RedistComparisonOn(topology string, coll xport.Alg, p int, eta []int, steps
 
 	rows := make([]RedistRow, 0, len(policies))
 	for _, pol := range policies {
-		mach, err := strategyMachineOn(topology, coll, p)
+		mach, err := strategyMachineOn(s)
 		if err != nil {
 			return nil, err
 		}
@@ -205,31 +200,16 @@ func FormatRedistComparison(rows []RedistRow) string {
 	return sb.String()
 }
 
-// RedistBenchRecords runs the redistribution comparison and converts it to
-// BENCH records (suite "redist", one record per policy) for the committed
-// bench trajectory and the CI perf gate.
-func RedistBenchRecords(p int, eta []int, steps, maxBytes int) ([]obs.BenchRecord, error) {
-	return RedistBenchRecordsOn("", xport.AlgAuto, p, eta, steps, maxBytes)
-}
-
-// RedistBenchRecordsOn produces the redistribution bench records on the
-// named topology (non-default topologies get suite "redist@<t>").
-func RedistBenchRecordsOn(topology string, coll xport.Alg, p int, eta []int, steps, maxBytes int) ([]obs.BenchRecord, error) {
-	rows, err := RedistComparisonOn(topology, coll, p, eta, steps, maxBytes)
-	if err != nil {
-		return nil, err
-	}
-	suite := "redist"
-	if topology != "" && topology != "default" {
-		suite += "@" + topology
-	}
+// RedistRecords converts the redistribution comparison run under s into
+// BENCH_*.json records, one per policy, in suite s.Suite("redist").
+func RedistRecords(s Spec, rows []RedistRow) []obs.BenchRecord {
 	recs := make([]obs.BenchRecord, 0, len(rows))
 	for _, r := range rows {
 		recs = append(recs, obs.BenchRecord{
-			Suite: suite, Name: r.Key,
-			P: p, Eta: eta, Steps: steps, Gamma: r.Gamma,
+			Suite: s.Suite("redist"), Name: r.Key,
+			P: s.P, Eta: s.Eta, Steps: s.Steps, Gamma: r.Gamma,
 			Makespan: r.Time, Messages: r.Msgs, Bytes: r.Bytes,
 		})
 	}
-	return recs, nil
+	return recs
 }

@@ -9,7 +9,7 @@ import (
 )
 
 func TestRedistComparisonRows(t *testing.T) {
-	rows, err := RedistComparison(4, []int{16, 16, 16}, 2)
+	rows, err := RedistComparison(Spec{P: 4, Eta: []int{16, 16, 16}, Steps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,11 +49,11 @@ func TestRedistComparisonRows(t *testing.T) {
 // schedule — two runs produce bit-identical makespans (the BENCH_redist
 // golden relies on this).
 func TestRedistComparisonDeterministic(t *testing.T) {
-	a, err := RedistComparisonOn("", xport.AlgAuto, 4, []int{16, 16, 16}, 2, 2048)
+	a, err := RedistComparison(Spec{Coll: xport.AlgAuto, P: 4, Eta: []int{16, 16, 16}, Steps: 2, MaxBytes: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RedistComparisonOn("", xport.AlgAuto, 4, []int{16, 16, 16}, 2, 2048)
+	b, err := RedistComparison(Spec{Coll: xport.AlgAuto, P: 4, Eta: []int{16, 16, 16}, Steps: 2, MaxBytes: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +67,11 @@ func TestRedistComparisonDeterministic(t *testing.T) {
 // TestRedistComparisonBudget: handing the accountant a budget lowers the
 // declared per-rank peak of the switch plans without changing traffic.
 func TestRedistComparisonBudget(t *testing.T) {
-	loose, err := RedistComparisonOn("", xport.AlgAuto, 4, []int{16, 16, 16}, 1, 0)
+	loose, err := RedistComparison(Spec{Coll: xport.AlgAuto, P: 4, Eta: []int{16, 16, 16}, Steps: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight, err := RedistComparisonOn("", xport.AlgAuto, 4, []int{16, 16, 16}, 1, 2048)
+	tight, err := RedistComparison(Spec{Coll: xport.AlgAuto, P: 4, Eta: []int{16, 16, 16}, Steps: 1, MaxBytes: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,10 +97,12 @@ func TestRedistComparisonBudget(t *testing.T) {
 }
 
 func TestRedistBenchRecords(t *testing.T) {
-	recs, err := RedistBenchRecords(4, []int{16, 16, 16}, 2, 2048)
+	spec := Spec{P: 4, Eta: []int{16, 16, 16}, Steps: 2, MaxBytes: 2048}
+	rows, err := RedistComparison(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	recs := RedistRecords(spec, rows)
 	if len(recs) != 3 {
 		t.Fatalf("got %d records, want 3", len(recs))
 	}

@@ -190,19 +190,6 @@ func (mp *Mapping) ProcOfID(id int, dst []int) []int {
 	return numutil.CoordOf(id, mp.Mod, dst)
 }
 
-// DirectionOffset returns the processor-grid offset vector induced by moving
-// one tile in the +dim direction: column dim of M, component-wise mod Mod.
-// Because the mapping is linear, θ(tile + e_dim) = θ(tile) + offset (mod m⃗)
-// for every tile — this is exactly the neighbor property.
-func (mp *Mapping) DirectionOffset(dim int) []int {
-	d := len(mp.B)
-	off := make([]int, d)
-	for i := 0; i < d; i++ {
-		off[i] = numutil.EMod(mp.M[i][dim], mp.Mod[i])
-	}
-	return off
-}
-
 // NeighborProc returns the processor that owns the tiles adjacent to
 // processor proc's tiles along dimension dim, step tiles away (step may be
 // negative). All of proc's tiles with an in-grid step-neighbor have that

@@ -154,13 +154,6 @@ func BTSerialSolve(u *grid.Grid, steps int) {
 	}
 }
 
-// CompileBTPlan compiles the BT application's SweepPlan over env, with the
-// overlap annotation when o is enabled (the zero Overlap yields the strict
-// schedule). Pass it to BTRunPlanned.
-func CompileBTPlan(env *dist.Env, o plan.Overlap) (*plan.SweepPlan, error) {
-	return plan.Compile(plan.Spec{M: env.M, Eta: env.Eta, Solver: btSolver(), Overlap: o})
-}
-
 // BTRun advances the BT pseudo-application on a multipartitioned domain; u
 // nil selects model-only mode. In data mode the final u matches
 // BTSerialSolve.
@@ -168,8 +161,8 @@ func BTRun(env *dist.Env, mach *sim.Machine, steps int, u *grid.Grid) (sim.Resul
 	return BTRunPlanned(env, mach, steps, u, nil)
 }
 
-// BTRunPlanned is BTRun executing a pre-compiled SweepPlan (from
-// CompileBTPlan over the same env); pl == nil compiles one internally. An
+// BTRunPlanned is BTRun executing a pre-compiled SweepPlan compiled over
+// the same env; pl == nil compiles one internally. An
 // overlap-annotated plan selects the boundary-first schedule and
 // cross-timestep halo pipelining, exactly as in RunPlanned.
 func BTRunPlanned(env *dist.Env, mach *sim.Machine, steps int, u *grid.Grid, pl *plan.SweepPlan) (sim.Result, error) {

@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 )
@@ -80,34 +78,14 @@ func WriteBenchJSON(path string, bf BenchFile) error {
 	sort.SliceStable(bf.Records, func(a, b int) bool {
 		return bf.Records[a].Key().less(bf.Records[b].Key())
 	})
-	data, err := json.MarshalIndent(bf, "", "  ")
-	if err != nil {
-		return fmt.Errorf("obs: marshal bench file: %w", err)
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return writeIndented(path, benchType, bf)
 }
 
 // ReadBenchJSON is the strict counterpart of WriteBenchJSON: it rejects
 // unknown schema versions and duplicate (suite, name, p) keys, so every
 // downstream consumer (regress, benchdiff, CI) can align records by key
 // without ambiguity.
-func ReadBenchJSON(path string) (BenchFile, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return BenchFile{}, fmt.Errorf("obs: read bench file: %w", err)
-	}
-	var bf BenchFile
-	if err := json.Unmarshal(data, &bf); err != nil {
-		return BenchFile{}, fmt.Errorf("obs: parse %s: %w", path, err)
-	}
-	if bf.Schema != BenchSchema {
-		return BenchFile{}, fmt.Errorf("obs: %s: unsupported bench schema %d (this build reads schema %d)", path, bf.Schema, BenchSchema)
-	}
-	if err := checkDuplicates(path, bf.Records, map[BenchKey]bool{}); err != nil {
-		return BenchFile{}, err
-	}
-	return bf, nil
-}
+func ReadBenchJSON(path string) (BenchFile, error) { return readFile[BenchFile](path, benchType) }
 
 // checkDuplicates folds records into seen, failing on the first repeated key.
 func checkDuplicates(path string, records []BenchRecord, seen map[BenchKey]bool) error {

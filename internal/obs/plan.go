@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"genmp/internal/grid"
 	"genmp/internal/plan"
@@ -140,31 +138,11 @@ func WritePlanJSON(path, source string, pl *plan.SweepPlan) error {
 		return fmt.Errorf("obs: write plan: nil plan")
 	}
 	pf := PlanFile{Schema: PlanSchema, Kind: PlanFileKind, Source: source, Plan: NewPlanJSON(pl)}
-	data, err := json.MarshalIndent(pf, "", "  ")
-	if err != nil {
-		return fmt.Errorf("obs: marshal plan file: %w", err)
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return writeIndented(path, planType, pf)
 }
 
 // ReadPlanJSON validates the envelope of a plan dump on the way back in.
-func ReadPlanJSON(path string) (PlanFile, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return PlanFile{}, fmt.Errorf("obs: read plan file: %w", err)
-	}
-	var pf PlanFile
-	if err := json.Unmarshal(data, &pf); err != nil {
-		return PlanFile{}, fmt.Errorf("obs: parse %s: %w", path, err)
-	}
-	if pf.Kind != PlanFileKind {
-		return PlanFile{}, fmt.Errorf("obs: %s: kind %q is not a plan file", path, pf.Kind)
-	}
-	if pf.Schema != PlanSchema {
-		return PlanFile{}, fmt.Errorf("obs: %s: unsupported plan schema %d (this build reads schema %d)", path, pf.Schema, PlanSchema)
-	}
-	return pf, nil
-}
+func ReadPlanJSON(path string) (PlanFile, error) { return readFile[PlanFile](path, planType) }
 
 // PlanFromJSON reconstructs a compiled SweepPlan from its wire shape — the
 // worker side of plan shipping: one node compiles and dumps, every other

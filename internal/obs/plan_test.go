@@ -78,6 +78,36 @@ func TestWritePlanJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadPlanJSONRejects: the plan reader checks the shared envelope — a
+// wrong kind, a future schema and a truncated dump each fail with their own
+// message instead of yielding a plan.
+func TestReadPlanJSONRejects(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.json")
+	if err := WritePlanJSON(good, "reject test", compileTestPlan(t)); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, body, want string
+	}{
+		{"kind", `{"schema":1,"kind":"redist","plan":{}}`, "not a plan file"},
+		{"schema", `{"schema":99,"kind":"plan","plan":{}}`, "unsupported plan schema 99"},
+		{"truncated", string(data[:len(data)/2]), "parse"},
+	} {
+		path := filepath.Join(dir, tc.name+".json")
+		if err := os.WriteFile(path, []byte(tc.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadPlanJSON(path); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestPlanFromJSONFingerprint: dump → read → reconstruct must be lossless —
 // the round-tripped plan's Fingerprint is byte-equal to the original's,
 // with and without the overlap annotation. This is the contract plan

@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-)
+import "fmt"
 
 // ProfileSchema is the current profile_*.json schema version.
 const ProfileSchema = 1
@@ -33,33 +29,12 @@ func WriteProfileJSON(path, source string, p *Profile) error {
 		return fmt.Errorf("obs: write profile: nil profile")
 	}
 	pf := ProfileFile{Schema: ProfileSchema, Kind: ProfileKind, Source: source, Profile: p}
-	data, err := json.MarshalIndent(pf, "", "  ")
-	if err != nil {
-		return fmt.Errorf("obs: marshal profile file: %w", err)
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return writeIndented(path, profileType, pf)
 }
 
 // ReadProfileJSON is the strict counterpart of WriteProfileJSON: it
 // validates the envelope (schema version, kind, non-nil profile) so the
 // round trip Profile → disk → Profile is lossless or loudly fails.
 func ReadProfileJSON(path string) (ProfileFile, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return ProfileFile{}, fmt.Errorf("obs: read profile file: %w", err)
-	}
-	var pf ProfileFile
-	if err := json.Unmarshal(data, &pf); err != nil {
-		return ProfileFile{}, fmt.Errorf("obs: parse %s: %w", path, err)
-	}
-	if pf.Kind != ProfileKind {
-		return ProfileFile{}, fmt.Errorf("obs: %s: kind %q is not a profile file", path, pf.Kind)
-	}
-	if pf.Schema != ProfileSchema {
-		return ProfileFile{}, fmt.Errorf("obs: %s: unsupported profile schema %d (this build reads schema %d)", path, pf.Schema, ProfileSchema)
-	}
-	if pf.Profile == nil {
-		return ProfileFile{}, fmt.Errorf("obs: %s: missing profile body", path)
-	}
-	return pf, nil
+	return readFile[ProfileFile](path, profileType)
 }

@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"genmp/internal/obs/metrics"
 	"genmp/internal/redist"
@@ -141,32 +139,12 @@ func WriteRedistJSON(path, source string, pl *redist.Plan) error {
 		return fmt.Errorf("obs: write redist: nil plan")
 	}
 	rf := RedistFile{Schema: RedistSchema, Kind: RedistFileKind, Source: source, Plan: NewRedistJSON(pl)}
-	data, err := json.MarshalIndent(rf, "", "  ")
-	if err != nil {
-		return fmt.Errorf("obs: marshal redist file: %w", err)
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return writeIndented(path, redistType, rf)
 }
 
 // ReadRedistJSON validates the envelope of a redistribution dump on the way
 // back in.
-func ReadRedistJSON(path string) (RedistFile, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return RedistFile{}, fmt.Errorf("obs: read redist file: %w", err)
-	}
-	var rf RedistFile
-	if err := json.Unmarshal(data, &rf); err != nil {
-		return RedistFile{}, fmt.Errorf("obs: parse %s: %w", path, err)
-	}
-	if rf.Kind != RedistFileKind {
-		return RedistFile{}, fmt.Errorf("obs: %s: kind %q is not a redist file", path, rf.Kind)
-	}
-	if rf.Schema != RedistSchema {
-		return RedistFile{}, fmt.Errorf("obs: %s: unsupported redist schema %d (this build reads schema %d)", path, rf.Schema, RedistSchema)
-	}
-	return rf, nil
-}
+func ReadRedistJSON(path string) (RedistFile, error) { return readFile[RedistFile](path, redistType) }
 
 // RedistAuditRow is one line of the plan-vs-counters traffic audit: what a
 // compiled plan schedules against what the live metrics registry counted

@@ -128,23 +128,4 @@ func marshalTraceFile(tf TraceFile) ([]byte, error) {
 }
 
 // ReadTraceJSON validates the envelope of a trace dump on the way back in.
-func ReadTraceJSON(path string) (TraceFile, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return TraceFile{}, fmt.Errorf("obs: read trace file: %w", err)
-	}
-	var tf TraceFile
-	if err := json.Unmarshal(data, &tf); err != nil {
-		return TraceFile{}, fmt.Errorf("obs: parse %s: %w", path, err)
-	}
-	if tf.Kind != TraceFileKind {
-		return TraceFile{}, fmt.Errorf("obs: %s: kind %q is not a trace file", path, tf.Kind)
-	}
-	if tf.Schema != TraceSchema {
-		return TraceFile{}, fmt.Errorf("obs: %s: unsupported trace schema %d (this build reads schema %d)", path, tf.Schema, TraceSchema)
-	}
-	if tf.P < 1 {
-		return TraceFile{}, fmt.Errorf("obs: %s: invalid rank count %d", path, tf.P)
-	}
-	return tf, nil
-}
+func ReadTraceJSON(path string) (TraceFile, error) { return readFile[TraceFile](path, traceType) }
