@@ -681,7 +681,7 @@ func BenchmarkSPClassAReal(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			pl, err := dmem.CompileSweepPlan(env, sweep.NewPenta())
+			pl, err := dist.CompileSweepPlan(env, sweep.NewPenta())
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -165,8 +165,9 @@ type whatIfJSON struct {
 
 // runSelftest is the CI fidelity gate: the DAG-replayed identity schedule
 // must reproduce the simulator's recorded makespan bit-exactly, every
-// message must pair, the busy-path scalar must match obs.CriticalPath, and
-// the blame decomposition must telescope back to the makespan.
+// message must pair, and the blame decomposition must telescope back to
+// the makespan. (The busy-path scalar is pinned to obs.Profile's by
+// causal's TestBusyCriticalPathMatchesObs.)
 func runSelftest(tf obs.TraceFile, dag *causal.DAG, sched *causal.Schedule, tracePath string) error {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("selftest %s: "+format, append([]any{tracePath}, args...)...)

@@ -90,7 +90,7 @@ func parse(args []string) (*bench, error) {
 	backend := c.String("backend", "sim", "execution backend for the -p run: sim (virtual-time Origin 2000) or rt (real-parallel goroutines, wall clock; runs the strict distributed-memory SP with overlap off and on, checking field bits against the simulator)")
 	calibrate := c.Bool("calibrate", false, "audit the analytic cost model against the simulator, phase by phase")
 	redistPlan := c.String("redistplan", "", "with -p: write the compiled BLOCK↔MULTI redistribution plan dump (REDIST_*.json) and print the plan-vs-counters byte audit")
-	data := c.Bool("data", false, "with -p: run in data mode (real arrays advanced in place) instead of model-only, exercising the payload pool and sweep arenas")
+	data := c.Bool("data", false, "with -p: run in data mode (real arrays advanced in place) instead of model-only, exercising the payload pool and sweep arenas; virtual time differs from model-only under dHPF, whose replication only model-only runs price")
 	overlapCmp := c.Bool("overlapcmp", false, "run the overlap experiment (SP p=16, 32³): overlap off vs on per fabric, measured recovery next to the causal what-if prediction; fails if the default fabric exceeds the predicted bound")
 	spec, err := c.Parse(args)
 	if err != nil {
@@ -271,8 +271,10 @@ func (b *bench) single() error {
 	}
 	// Data mode advances a real array so carries travel in pooled payloads
 	// and line data moves through the sweep arenas — the traffic the pool
-	// and workspace hit-rate metrics measure. Virtual time is identical to
-	// model-only.
+	// and workspace hit-rate metrics measure. Virtual time equals
+	// model-only's only without partial replication (R = 0): a model-only
+	// run prices dHPF's replicated shell and depth-(2−R) halos, a data run
+	// exchanges depth-2 halos and charges no shell (DESIGN.md §15).
 	var u *grid.Grid
 	if b.data {
 		u = nas.InitialState(eta)

@@ -13,7 +13,10 @@
 // The package provides a serial reference solver and a distributed runner
 // over any of the three strategies of internal/dist: multipartitioning,
 // static block with wavefront pipelining, and dynamic block with
-// transposes.
+// transposes. The multipartitioned strategy runs one per-rank body,
+// Problem.RunRank, over the rank's private tiles (dist.Field), with data
+// or model-only; dmem's strict runs call the same body on either backend.
+// The block strategies run over dist.Block's shared grids.
 package adi
 
 import (
@@ -25,6 +28,7 @@ import (
 	"genmp/internal/plan"
 	"genmp/internal/sim"
 	"genmp/internal/sweep"
+	"genmp/internal/xport"
 )
 
 // Problem defines an ADI integration: domain extents, the diffusion number
@@ -255,43 +259,95 @@ func Run(pb Problem, u *grid.Grid, cfg Config) (sim.Result, error) {
 }
 
 func runMulti(pb Problem, u *grid.Grid, cfg Config) (sim.Result, error) {
-	env := cfg.Env
-	var vecs []*grid.Grid
-	if !cfg.ModelOnly {
-		vecs = []*grid.Grid{grid.New(pb.Eta...), grid.New(pb.Eta...), grid.New(pb.Eta...), grid.New(pb.Eta...)}
-	}
-	ms, err := dist.NewMultiSweep(env, sweep.Tridiag{}, vecs)
+	pl, err := dist.CompileSweepPlanOverlap(cfg.Env, sweep.Tridiag{}, cfg.Overlap)
 	if err != nil {
 		return sim.Result{}, err
 	}
-	ms.Overlap = cfg.Overlap
+	if cfg.ModelOnly {
+		return cfg.Machine.Run(func(r *sim.Rank) { pb.RunRank(r, cfg.Env, pl, nil) })
+	}
 	return cfg.Machine.Run(func(r *sim.Rank) {
-		for step := 0; step < pb.Steps; step++ {
-			for dim := range pb.Eta {
-				r.BeginPhase(fmt.Sprintf("sweep%d", dim))
-				env.ComputeOnTiles(r, buildFlops, tileFiller(pb, dim, u, vecs, cfg.ModelOnly))
-				ms.Run(r, dim)
-				env.ComputeOnTiles(r, 1, tileCopier(dim, u, vecs, cfg.ModelOnly))
-			}
-		}
+		pb.RunRank(r, cfg.Env, pl, func(f *dist.Field) { f.Load(u) }).Store(u)
 	})
 }
 
-func tileFiller(pb Problem, dim int, u *grid.Grid, vecs []*grid.Grid, modelOnly bool) func(lo, hi []int) {
-	if modelOnly {
-		return nil
+// RunRank runs one rank's share of a multipartitioned ADI run on t:
+// pb.Steps timesteps of the compiled plan pl over the rank's private
+// tiles, each half-step labeled sweep<dim>. init fills the rank's u field;
+// nil runs model-only, with no grids. Every multipartitioned entry point
+// runs this body: Run with Multipartition, and dmem's strict runs on
+// either backend. It returns the rank's final u.
+func (pb Problem) RunRank(t xport.Transport, env *dist.Env, pl *plan.SweepPlan, init func(*dist.Field)) *dist.Field {
+	newField := dist.NewModelField
+	if init != nil {
+		newField = dist.NewField
 	}
-	return func(lo, hi []int) {
-		pb.fillCoefficients(dim, grid.RectOf(lo, hi), u, vecs[0], vecs[1], vecs[2], vecs[3])
+	u := newField(env, t.Rank(), 0)
+	vecs := make([]*dist.Field, 4) // lower, diag, upper, rhs
+	for v := range vecs {
+		vecs[v] = newField(env, t.Rank(), 0)
 	}
+	runner := dist.NewSweepRunner(sweep.Tridiag{}, vecs)
+	runner.Plan = pl
+	if init != nil {
+		init(u)
+	}
+	labels := make([]string, len(pb.Eta))
+	for dim := range labels {
+		labels[dim] = fmt.Sprintf("sweep%d", dim)
+	}
+	for step := 0; step < pb.Steps; step++ {
+		for dim := range pb.Eta {
+			t.BeginPhase(labels[dim])
+			// A model field stores no tiles, so the data loops are empty in
+			// a model-only run. With data, u and the vecs are unpadded, so
+			// the copy back is a straight copy.
+			pb.fillTiles(dim, u, vecs)
+			u.Charge(t, buildFlops)
+			runner.Run(t, dim)
+			for i := 0; i < u.NumTiles(); i++ {
+				copy(u.TileGrid(i).Data(), vecs[3].TileGrid(i).Data())
+			}
+			u.Charge(t, 1)
+		}
+	}
+	return u
 }
 
-func tileCopier(dim int, u *grid.Grid, vecs []*grid.Grid, modelOnly bool) func(lo, hi []int) {
-	if modelOnly {
-		return nil
-	}
-	return func(lo, hi []int) {
-		copySolution(grid.RectOf(lo, hi), vecs[3], u, dim)
+// fillTiles assembles one half-step's coefficients along dim over every
+// owned tile, with fillCoefficients' values: the unpadded tiles share one
+// row-major layout, so the interior is a straight fill and copy, and the
+// couplings that leave the domain are zeroed on the tile's first and last
+// planes along dim. It allocates nothing.
+func (pb Problem) fillTiles(dim int, u *dist.Field, vecs []*dist.Field) {
+	a := pb.Alpha
+	for i := 0; i < u.NumTiles(); i++ {
+		ld, dd, pd := vecs[0].TileGrid(i).Data(), vecs[1].TileGrid(i).Data(), vecs[2].TileGrid(i).Data()
+		for k := range ld {
+			ld[k], dd[k], pd[k] = -a, 1+2*a, -a
+		}
+		copy(vecs[3].TileGrid(i).Data(), u.TileGrid(i).Data())
+		b := u.GlobalBounds(i)
+		first, last := b.Lo[dim] == 0, b.Hi[dim] == pb.Eta[dim]
+		if !first && !last {
+			continue
+		}
+		// In the row-major tile the n planes along dim repeat in blocks of
+		// n·plane elements: the first plane's elements open each block,
+		// the last plane's close it.
+		n, plane := b.Hi[dim]-b.Lo[dim], 1
+		for j := dim + 1; j < len(b.Lo); j++ {
+			plane *= b.Hi[j] - b.Lo[j]
+		}
+		for base := 0; base < len(ld); base += n * plane {
+			if first {
+				clear(ld[base : base+plane])
+			}
+			if last {
+				end := base + n*plane
+				clear(pd[end-plane : end])
+			}
+		}
 	}
 }
 

@@ -1,13 +1,17 @@
 // Package dist is the distribution runtime — the stand-in for the code the
 // Rice dHPF compiler generates from HPF directives. It executes line-sweep
-// computations over distributed arrays on the virtual-time machine of
-// internal/sim, under three data distributions:
+// computations over distributed arrays under three data distributions:
 //
-//   - Multipartitioning (MultiSweep): the paper's subject. Tiles are
-//     enumerated slab by slab in dependence order; the carries of all lines
-//     crossing a processor's tile faces travel in one aggregated message per
+//   - Multipartitioning: the paper's subject. Tiles are enumerated slab by
+//     slab in dependence order; the carries of all lines crossing a
+//     processor's tile faces travel in one aggregated message per
 //     communication phase (full communication vectorization, possible
 //     because generalized multipartitionings have the neighbor property).
+//     A rank keeps its tiles in private Fields, padded with halo shells;
+//     SweepRunner sweeps them and GatherToRoot assembles a result. The
+//     applications (nas, adi) step their compiled plans over Fields, on
+//     the simulator or the real-parallel runtime. MultiSweep runs the same
+//     schedule over shared global grids for the kernel benchmarks.
 //   - Static block unipartitioning (Block.WavefrontSweep): one dimension is
 //     cut into p slabs; sweeps along it are pipelined wavefronts whose
 //     message granularity trades pipeline fill/drain against per-message
@@ -16,12 +20,13 @@
 //     partitioned dimension first transpose the array so the sweep is
 //     local, then transpose back.
 //
-// Every executor runs in two modes: data mode (real float64 grids are
-// gathered/solved/scattered, with message payloads carrying the real
-// carries) for correctness validation, and model-only mode (nil grids; only
-// element counts and byte counts flow) for large-scale performance runs.
-// The sweeps share one pass loop, RunPass, which takes the storage as a
-// Binding (nil in model-only mode); dmem's strict runner calls it too.
+// Every executor runs in two modes: data mode (real float64 storage, with
+// message payloads carrying the real carries and halo faces) for
+// correctness validation, and model-only mode (no storage; only element
+// counts and byte counts flow) for large-scale performance runs. The
+// sweeps share one pass loop, RunPass, which takes the storage as a
+// Binding (nil in model-only mode); a Field built by NewModelField runs its
+// halos, sweeps and compute charges payload-free.
 package dist
 
 import (
@@ -144,57 +149,6 @@ func (e *Env) boundsScratch() (lo, hi []int) {
 	return b[:d:d], b[d:]
 }
 
-// EachOwnedTile calls f with the bounds of every tile of rank q (no cost
-// accounting). lo and hi are valid only during the call: they are
-// overwritten for the next tile.
-func (e *Env) EachOwnedTile(q int, f func(lo, hi []int)) {
-	lo, hi := e.boundsScratch()
-	for _, tile := range e.M.TilesOf(q) {
-		e.M.TileBoundsInto(e.Eta, tile, lo, hi)
-		f(lo, hi)
-	}
-}
-
-// ComputeOnTiles models (and, when f is non-nil, performs) a local
-// computation phase of flopsPerElement over every element of every tile of
-// the calling rank, charging per-tile overheads and the compute factor.
-// Used for the stencil phases (compute_rhs, add) between sweeps. lo and hi
-// are valid only during f: they are overwritten for the next tile, so f
-// must copy any bound it keeps.
-func (e *Env) ComputeOnTiles(r xport.Transport, flopsPerElement float64, f func(lo, hi []int)) {
-	elements := 0
-	lo, hi := e.boundsScratch()
-	for _, tile := range e.M.TilesOf(r.Rank()) {
-		e.M.TileBoundsInto(e.Eta, tile, lo, hi)
-		r.Compute(e.Overhead.PerTileVisit)
-		rect := grid.RectOf(lo, hi)
-		elements += rect.Size()
-		if e.Overhead.ReplicationDepth > 0 {
-			// Partial replication: recompute a shadow shell of the given
-			// depth around the tile (bounded by the domain).
-			elements += shellElements(lo, hi, e.Eta, e.Overhead.ReplicationDepth)
-		}
-		if f != nil {
-			f(lo, hi)
-		}
-	}
-	r.ComputeFlops(flopsPerElement * float64(elements) * e.Overhead.ComputeFactor)
-}
-
-// shellElements counts the elements in a shell of the given depth around
-// [lo,hi), clipped to the domain extents.
-func shellElements(lo, hi, eta []int, depth int) int {
-	inner := 1
-	outer := 1
-	for i := range lo {
-		inner *= hi[i] - lo[i]
-		olo := numutil.MaxInt(0, lo[i]-depth)
-		ohi := numutil.MinInt(eta[i], hi[i]+depth)
-		outer *= ohi - olo
-	}
-	return outer - inner
-}
-
 // HaloBytes returns the bytes rank q must receive per stencil exchange of
 // the given depth over nGrids grids: for each direction ±dim, the cross-
 // sections of its tiles that have an in-domain neighbor.
@@ -222,50 +176,11 @@ func (e *Env) HaloBytes(q, depth, nGrids int) int {
 	return total * 8 * nGrids
 }
 
-// ExchangeHalos models a stencil boundary exchange of the given depth for
-// nGrids grids: one aggregated message to each of the 2d neighbor
-// processors (the neighbor property makes a single target per direction),
-// each via the transport's Exchange neighbor primitive under the dist/halo
-// tag space. In data mode the grids share storage, so the messages carry no
-// payload — they establish ordering and cost. Ranks whose tiles touch the
-// domain boundary in a direction still exchange with their tile-neighbors
-// for the interior faces.
-// The schedule itself is compiled once per (depth, nGrids) by
-// redist.CompileHalo — this wrapper is the thin special case of the
-// generalized redistribution engine, replaying the historical hand-built
-// loop bit for bit (same step order, byte counts, tags, and per-message
-// bracketing).
-func (e *Env) ExchangeHalos(r xport.Transport, depth, nGrids int) {
-	if e.M.P() == 1 || depth == 0 {
-		return
-	}
-	redist.Execute(r, e.haloPlan(depth, nGrids), redist.ExecOpts{PerMessage: e.Overhead.PerMessage})
-}
-
-// PostHaloRecvs posts the receives of the NEXT ExchangeHalosPiped call with
-// the same (depth, nGrids) as nonblocking requests — the cross-timestep
-// halo pipelining of the overlap schedule (DESIGN.md §14). Returns nil when
-// there is no halo traffic.
-func (e *Env) PostHaloRecvs(r xport.Transport, depth, nGrids int) []xport.Request {
-	if e.M.P() == 1 || depth == 0 {
-		return nil
-	}
-	return redist.PostRecvs(r, e.haloPlan(depth, nGrids))
-}
-
-// ExchangeHalosPiped is ExchangeHalos consuming requests preposted by an
-// earlier PostHaloRecvs; pre == nil falls back to the blocking exchange.
-// Virtual time is identical either way.
-func (e *Env) ExchangeHalosPiped(r xport.Transport, depth, nGrids int, pre []xport.Request) {
-	if e.M.P() == 1 || depth == 0 {
-		return
-	}
-	redist.Execute(r, e.haloPlan(depth, nGrids), redist.ExecOpts{PerMessage: e.Overhead.PerMessage, Preposted: pre})
-}
-
-// haloPlan returns the compiled halo schedule for (depth, nGrids),
-// compiling it on first use. All ranks execute the one shared instance.
-func (e *Env) haloPlan(depth, nGrids int) *redist.Plan {
+// HaloPlan returns the compiled halo exchange of the given depth over
+// nGrids grids, compiling it with redist.CompileHalo under the dist/halo
+// tag space on first use. All ranks and all Fields over e execute the one
+// shared instance.
+func (e *Env) HaloPlan(depth, nGrids int) *redist.Plan {
 	key := haloKey{depth: depth, nGrids: nGrids}
 	e.haloMu.Lock()
 	defer e.haloMu.Unlock()

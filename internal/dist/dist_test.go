@@ -489,7 +489,7 @@ func TestExchangeHalosCompletes(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := testMachine(p).Run(func(r *sim.Rank) {
-		env.ExchangeHalos(r, 2, 5)
+		NewModelField(env, r.ID, 2).ExchangeHalosPiped(r, nil)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -524,32 +524,48 @@ func TestHaloBytesCounts(t *testing.T) {
 	}
 }
 
+// TestComputeOnTilesAccounting: Field.Charge prices a compute phase from
+// the owned tiles — a data field and a model field charge identically
+// without replication, and a model field under dHPF adds the shell.
 func TestComputeOnTilesAccounting(t *testing.T) {
 	p := 4
 	m, err := core.NewGeneralized(p, []int{4, 4, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := NewEnv(m, []int{16, 16, 4}, HandCoded())
-	if err != nil {
-		t.Fatal(err)
-	}
-	visited := make([]int, p)
-	res, err := testMachine(p).Run(func(r *sim.Rank) {
-		env.ComputeOnTiles(r, 10, func(lo, hi []int) {
-			visited[r.ID] += grid.RectOf(lo, hi).Size()
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for q, v := range visited {
-		if v != env.OwnedElements(q) {
-			t.Errorf("rank %d visited %d elements, owns %d", q, v, env.OwnedElements(q))
+	charge := func(ov OverheadModel, newField func(*Env, int, int) *Field) sim.Result {
+		t.Helper()
+		env, err := NewEnv(m, []int{16, 16, 4}, ov)
+		if err != nil {
+			t.Fatal(err)
 		}
+		res, err := testMachine(p).Run(func(r *sim.Rank) {
+			f := newField(env, r.ID, 0)
+			if f.nTiles != len(env.M.TilesOf(r.ID)) {
+				t.Errorf("rank %d: field charges %d tiles, owns %d", r.ID, f.nTiles, len(env.M.TilesOf(r.ID)))
+			}
+			if f.hasData() && f.work != env.OwnedElements(r.ID) {
+				t.Errorf("rank %d: data field charges %d elements, owns %d", r.ID, f.work, env.OwnedElements(r.ID))
+			}
+			f.Charge(r, 10)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	if res.Ranks[0].ComputeTime <= 0 {
-		t.Error("no compute time charged")
+	data, model := charge(HandCoded(), NewField), charge(HandCoded(), NewModelField)
+	dataR, modelR := charge(DHPF(), NewField), charge(DHPF(), NewModelField)
+	for q := 0; q < p; q++ {
+		if data.Ranks[q].ComputeTime <= 0 {
+			t.Errorf("rank %d: no compute time charged", q)
+		}
+		if math.Float64bits(data.Ranks[q].ComputeTime) != math.Float64bits(model.Ranks[q].ComputeTime) {
+			t.Errorf("rank %d: data field charged %g, model field %g", q, data.Ranks[q].ComputeTime, model.Ranks[q].ComputeTime)
+		}
+		if modelR.Ranks[q].ComputeTime <= dataR.Ranks[q].ComputeTime {
+			t.Errorf("rank %d: dHPF model field charged %g, not above the data field's %g (no replicated shell)", q, modelR.Ranks[q].ComputeTime, dataR.Ranks[q].ComputeTime)
+		}
 	}
 }
 

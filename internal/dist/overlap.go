@@ -12,7 +12,7 @@
 // grouping, and the boundary/interior regrouping never reorders lines.
 //
 // RunPass is the one executor behind every sweep — MultiSweep, the
-// wavefront pipeline and dmem's strict SweepRunner — so this choreography
+// wavefront pipeline and the private-tile SweepRunner — so this choreography
 // exists once, solving each half with the pass loop's own range solver.
 package dist
 

@@ -11,7 +11,7 @@ import (
 // It is the only part of a sweep that differs between executors: shared
 // global grids (MultiSweep), the windows of a slab's line list (the
 // wavefront pipeline), or one rank's padded private tiles
-// (dmem.SweepRunner). RunPass with a nil Binding runs the pass model-only:
+// (SweepRunner). RunPass with a nil Binding runs the pass model-only:
 // the same clock charges and messages, without data.
 type Binding interface {
 	// Tile returns the storage of phase k's tile ti: for each solver vec v,

@@ -1,19 +1,18 @@
-package dmem
+package dist
 
 import (
 	"fmt"
 
-	"genmp/internal/dist"
 	"genmp/internal/grid"
 	"genmp/internal/plan"
 	"genmp/internal/sweep"
 	"genmp/internal/xport"
 )
 
-// SweepRunner executes line sweeps over one rank's strictly distributed
-// fields. The schedule itself — phases, neighbors, tags, carry byte counts
-// — is a compiled plan.SweepPlan shared with every other consumer; the
-// runner keeps only what binds that plan to this rank's storage: each
+// SweepRunner executes line sweeps over one rank's private fields. The
+// schedule itself — phases, neighbors, tags, carry byte counts — is a
+// compiled plan.SweepPlan shared with every other consumer; the runner
+// keeps only what binds that plan to this rank's storage: each
 // tile's local index and per-field line geometry (each field may have its
 // own halo depth, so the offsets differ even though the cross-sections
 // coincide), plus the SoA panel arenas of the batched kernels. A rank
@@ -37,7 +36,7 @@ type SweepRunner struct {
 	// runners instead of compiling the full O(p) schedule per rank.
 	Plan *plan.SweepPlan
 
-	scratch dist.Scratch
+	scratch Scratch
 	// binds[dim*2+direction] binds that pass to this rank's tiles, built on
 	// first use; grids holds the tile grids the last Tile call handed out.
 	binds []passBinding
@@ -59,14 +58,14 @@ type tileBind struct {
 	geom  [][]grid.Line
 }
 
-// passBinding is the dist.Binding of one (dim, direction) pass: phase k's
+// passBinding is the Binding of one (dim, direction) pass: phase k's
 // tile ti is bound by tiles[k][ti].
 type passBinding struct {
 	sr    *SweepRunner
 	tiles [][]tileBind
 }
 
-// Tile implements dist.Binding.
+// Tile implements Binding.
 func (pb *passBinding) Tile(k, ti int) ([]*grid.Grid, [][]grid.Line) {
 	tb := &pb.tiles[k][ti]
 	for v, f := range pb.sr.Fields {
@@ -75,13 +74,13 @@ func (pb *passBinding) Tile(k, ti int) ([]*grid.Grid, [][]grid.Line) {
 	return pb.sr.grids, tb.geom
 }
 
-// CompileSweepPlan compiles the sweep schedule the strict runtime executes
-// over env with the given solver — the one instance every rank's
-// SweepRunner should share (set SweepRunner.Plan). The fields are assumed
-// unpadded (the solve vectors of the strict applications); runners over
-// padded fields may still share it, since padding only moves storage
-// offsets, which live in the runner's binding cache, not the plan.
-func CompileSweepPlan(env *dist.Env, solver sweep.Solver) (*plan.SweepPlan, error) {
+// CompileSweepPlan compiles the sweep schedule a SweepRunner executes over
+// env with the given solver — the one instance every rank's SweepRunner
+// should share (set SweepRunner.Plan). The fields are assumed unpadded
+// (the applications' solve vectors); runners over padded fields may still
+// share it, since padding only moves storage offsets, which live in the
+// runner's binding cache, not the plan.
+func CompileSweepPlan(env *Env, solver sweep.Solver) (*plan.SweepPlan, error) {
 	return plan.Compile(plan.Spec{
 		M: env.M, Eta: env.Eta, Solver: solver,
 		Halos: make([]int, solver.NumVecs()),
@@ -91,7 +90,7 @@ func CompileSweepPlan(env *dist.Env, solver sweep.Solver) (*plan.SweepPlan, erro
 // CompileSweepPlanOverlap is CompileSweepPlan with the boundary-first
 // overlap annotation enabled (plan.Overlap): the same schedule plus per-
 // phase split points and interior-message tags.
-func CompileSweepPlanOverlap(env *dist.Env, solver sweep.Solver, o plan.Overlap) (*plan.SweepPlan, error) {
+func CompileSweepPlanOverlap(env *Env, solver sweep.Solver, o plan.Overlap) (*plan.SweepPlan, error) {
 	return plan.Compile(plan.Spec{
 		M: env.M, Eta: env.Eta, Solver: solver,
 		Halos:   make([]int, solver.NumVecs()),
@@ -103,7 +102,7 @@ func CompileSweepPlanOverlap(env *dist.Env, solver sweep.Solver, o plan.Overlap)
 // Solver.NumVecs() fields of the same rank.
 func NewSweepRunner(solver sweep.Solver, fields []*Field) *SweepRunner {
 	if len(fields) != solver.NumVecs() {
-		panic(fmt.Sprintf("dmem: solver %s needs %d fields, got %d", solver.Name(), solver.NumVecs(), len(fields)))
+		panic(fmt.Sprintf("dist: solver %s needs %d fields, got %d", solver.Name(), solver.NumVecs(), len(fields)))
 	}
 	return &SweepRunner{Solver: solver, Fields: fields}
 }
@@ -124,7 +123,7 @@ func (sr *SweepRunner) ensurePlan() {
 		Halos: halos, Batch: sr.Batch, Overlap: sr.Overlap,
 	})
 	if err != nil {
-		panic("dmem: " + err.Error())
+		panic("dist: " + err.Error())
 	}
 	sr.Plan = pl
 }
@@ -135,18 +134,23 @@ func (sr *SweepRunner) CompiledPlan() *plan.SweepPlan {
 	return sr.Plan
 }
 
-// Run performs the full sweep along dim for the calling rank.
+// Run performs the full sweep along dim for the calling rank. Over model
+// fields it runs model-only: the same charges and messages, no data.
 func (sr *SweepRunner) Run(r xport.Transport, dim int) {
 	sr.ensurePlan()
 	for _, backward := range [2]bool{false, true} {
-		if backward && !dist.HasBackwardPass(sr.Solver) {
+		if backward && !HasBackwardPass(sr.Solver) {
 			break
 		}
 		pp := sr.Plan.Pass(r.Rank(), dim, backward)
-		dist.RunPass(r, dist.PassSpec{
-			Pass: pp, Solver: sr.Solver, Batch: sr.Batch, Bind: sr.bindings(pp),
+		ps := PassSpec{
+			Pass: pp, Solver: sr.Solver, Batch: sr.Batch,
 			Overhead: sr.Fields[0].Env.Overhead, Scratch: &sr.scratch,
-		})
+		}
+		if sr.Fields[0].hasData() {
+			ps.Bind = sr.bindings(pp)
+		}
+		RunPass(r, ps)
 	}
 }
 
@@ -174,7 +178,7 @@ func (sr *SweepRunner) bindings(pp *plan.Pass) *passBinding {
 			t := &ph.Tiles[ti]
 			i := f0.LocalTileOf(t.Coord)
 			if i < 0 {
-				panic("dmem: sweep plan names a tile this rank does not own")
+				panic("dist: sweep plan names a tile this rank does not own")
 			}
 			geom := make([][]grid.Line, len(sr.Fields))
 			for v, f := range sr.Fields {

@@ -1,10 +1,9 @@
-package dmem
+package dist
 
 import (
 	"math/rand"
 	"testing"
 
-	"genmp/internal/dist"
 	"genmp/internal/plan"
 	"genmp/internal/sim"
 	"genmp/internal/sweep"
@@ -21,7 +20,7 @@ import (
 // empty Machine.Run is no baseline for it.
 func TestSweepRunnerSteadyStateAllocFree(t *testing.T) {
 	p, gamma, eta := 4, []int{2, 2, 2}, []int{16, 16, 8}
-	env := mustEnv(t, p, gamma, eta)
+	env := mustTestEnv(t, p, gamma, eta)
 	solver := sweep.Tridiag{}
 	for _, ov := range []plan.Overlap{{}, {Enabled: true}} {
 		pl, err := CompileSweepPlanOverlap(env, solver, ov)
@@ -51,7 +50,7 @@ func TestSweepRunnerSteadyStateAllocFree(t *testing.T) {
 		// The model-only executor replays the same schedule, so the
 		// machine's own per-run bookkeeping (fresh ranks' request lists,
 		// channel maps, phase buckets) is the same in both runs.
-		model, err := dist.NewMultiSweep(env, solver, nil)
+		model, err := NewMultiSweep(env, solver, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,8 +15,6 @@ import (
 	"genmp/internal/core"
 	"genmp/internal/cost"
 	"genmp/internal/dist"
-	"genmp/internal/dmem"
-	"genmp/internal/grid"
 	"genmp/internal/nas"
 	"genmp/internal/numutil"
 	"genmp/internal/obs"
@@ -260,47 +258,6 @@ func CompactAdvisor(eta []int, steps int) (AdvisorResult, error) {
 
 func distEnv(m *core.Multipartitioning, eta []int) (*dist.Env, error) {
 	return dist.NewEnv(m, eta, dist.DHPF())
-}
-
-// StrictParity compares the strict distributed-memory SP run against the
-// shared-storage data-mode run on the same configuration: the gathered
-// strict state must equal the shared-mode state elementwise, and the strict
-// run must move at least the modeled bytes (it additionally gathers the
-// final state to rank 0).
-type StrictParity struct {
-	MaxDiff     float64
-	StrictBytes int
-	SharedBytes int
-	StrictTime  float64
-	SharedTime  float64
-}
-
-// RunStrictParity executes both modes for p processors over eta.
-func RunStrictParity(p int, gamma, eta []int, steps int) (StrictParity, error) {
-	m, err := core.NewGeneralized(p, gamma)
-	if err != nil {
-		return StrictParity{}, err
-	}
-	env, err := dist.NewEnv(m, eta, dist.HandCoded())
-	if err != nil {
-		return StrictParity{}, err
-	}
-	u := nas.InitialState(eta)
-	resShared, err := nas.Run(env, nas.Origin2000Machine(p), steps, u)
-	if err != nil {
-		return StrictParity{}, err
-	}
-	got, resStrict, err := dmem.RunSP(env, nas.Origin2000Machine(p), steps)
-	if err != nil {
-		return StrictParity{}, err
-	}
-	return StrictParity{
-		MaxDiff:     grid.MaxAbsDiff(u, got),
-		StrictBytes: resStrict.TotalBytes(),
-		SharedBytes: resShared.TotalBytes(),
-		StrictTime:  resStrict.Makespan,
-		SharedTime:  resShared.Makespan,
-	}, nil
 }
 
 // StrategyRow is one strategy's virtual time in the ADI comparison. Key is

@@ -147,22 +147,6 @@ func TestCompactAdvisor49vs50(t *testing.T) {
 	}
 }
 
-func TestStrictParity(t *testing.T) {
-	res, err := RunStrictParity(8, []int{4, 4, 2}, []int{12, 12, 12}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MaxDiff > 1e-9 {
-		t.Errorf("strict vs shared state differs by %g", res.MaxDiff)
-	}
-	if res.StrictBytes < res.SharedBytes {
-		t.Errorf("strict bytes (%d) below shared (%d)", res.StrictBytes, res.SharedBytes)
-	}
-	if res.StrictTime <= 0 || res.SharedTime <= 0 {
-		t.Error("non-positive times")
-	}
-}
-
 func TestBTvsSP(t *testing.T) {
 	rows, err := BTvsSP(9, []int{36, 36, 36}, 1)
 	if err != nil {

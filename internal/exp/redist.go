@@ -108,6 +108,7 @@ func RedistComparison(s Spec) ([]RedistRow, error) {
 		r.ComputeFlops(redistFlopsPerElement * float64(elemsOf(l, r.ID)))
 	}
 	perMsg := env.Overhead.PerMessage
+	halo := env.HaloPlan(1, 1)
 
 	type policy struct {
 		key, desc string
@@ -136,7 +137,7 @@ func RedistComparison(s Spec) ([]RedistRow, error) {
 				for s := 0; s < steps; s++ {
 					phase(r, blk0)
 					redist.Execute(r, bm, redist.ExecOpts{Coll: coll, PerMessage: perMsg})
-					env.ExchangeHalos(r, 1, 1)
+					redist.Execute(r, halo, redist.ExecOpts{PerMessage: perMsg})
 					phase(r, multi)
 					redist.Execute(r, mb, redist.ExecOpts{Coll: coll, PerMessage: perMsg})
 				}
@@ -148,7 +149,7 @@ func RedistComparison(s Spec) ([]RedistRow, error) {
 			body: func(r *sim.Rank) {
 				for s := 0; s < steps; s++ {
 					phase(r, multi)
-					env.ExchangeHalos(r, 1, 1)
+					redist.Execute(r, halo, redist.ExecOpts{PerMessage: perMsg})
 					phase(r, multi)
 				}
 			},

@@ -7,6 +7,7 @@ import (
 	"genmp/internal/adi"
 	"genmp/internal/core"
 	"genmp/internal/dist"
+	"genmp/internal/dmem"
 	"genmp/internal/nas"
 	"genmp/internal/partition"
 )
@@ -124,16 +125,26 @@ func TestRedistBitIdentityTransposeData(t *testing.T) {
 	checkBits(t, "adi-transpose-data sumsq", sum, 0x4081bb81f6f10c2a)
 }
 
-// TestRedistBitIdentityStrict: the strict distributed-memory SP (the dmem
-// payload-carrying halo path) at p = 8 — numerics must stay exact against
-// the shared-storage run, and the strict makespan stays pinned.
+// TestRedistBitIdentityStrict: the strict distributed-memory SP (the
+// payload-carrying halo path) at p = 8 — the gathered field must stay
+// Float64bits-identical to the serial solve, and the strict makespan stays
+// pinned.
 func TestRedistBitIdentityStrict(t *testing.T) {
-	sp, err := RunStrictParity(8, []int{4, 4, 2}, []int{12, 12, 12}, 2)
+	p, eta, steps := 8, []int{12, 12, 12}, 2
+	m, err := core.NewGeneralized(p, []int{4, 4, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sp.MaxDiff != 0 {
-		t.Errorf("strict SP diverged from shared-storage run (max diff %g)", sp.MaxDiff)
+	env, err := dist.NewEnv(m, eta, dist.HandCoded())
+	if err != nil {
+		t.Fatal(err)
 	}
-	checkBits(t, "strict makespan", sp.StrictTime, 0x3f646309e7c9b3a1)
+	got, res, err := dmem.RunSP(env, nas.Origin2000Machine(p), steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := nas.InitialState(eta)
+	nas.SerialSolve(want, steps)
+	sameBits(t, "strict SP vs serial", want, got)
+	checkBits(t, "strict makespan", res.Makespan, 0x3f6e288724d6ebc1)
 }

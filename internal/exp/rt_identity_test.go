@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"genmp/internal/adi"
+	"genmp/internal/dist"
 	"genmp/internal/dmem"
 	"genmp/internal/nas"
 	"genmp/internal/obs"
@@ -49,7 +50,7 @@ func TestRTShippedPlan(t *testing.T) {
 	eta := []int{12, 12, 12}
 	const p = 4
 	env := overlapEnv(t, p, overlapGamma[p], eta)
-	pl, err := dmem.CompileSweepPlanOverlap(env, sweep.NewPenta(), overlapOn)
+	pl, err := dist.CompileSweepPlanOverlap(env, sweep.NewPenta(), overlapOn)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,23 +49,25 @@ func BTCoeff(g, r, c, which int) float64 {
 	return (float64(h) - 9) / 40 // in [−0.225, 0.225]
 }
 
-// btCoeff is the internal alias.
-func btCoeff(g, r, c, which int) float64 { return BTCoeff(g, r, c, which) }
-
 // BuildBlockLHS fills the 3·B² block-coefficient grids for a solve along
 // dim over region rect: A blocks (coupling to k−1), B blocks (diagonal,
 // made block-diagonally dominant), C blocks (coupling to k+1), with A
 // zeroed at the line start and C at the line end.
 func BuildBlockLHS(dim int, rect grid.Rect, vecs []*grid.Grid) {
-	const b = BTBlockSize
-	bb := b * b
-	n := vecs[0].Shape()[dim]
-	start := rect.Lo[dim]
-	data := make([][]float64, 3*bb)
+	data := make([][]float64, 3*BTBlockSize*BTBlockSize)
 	for i := range data {
 		data[i] = vecs[i].Data()
 	}
-	vecs[0].EachLine(rect, dim, func(l grid.Line) {
+	buildBlockLHS(dim, vecs[0].Shape()[dim], rect.Lo[dim], vecs[0], rect, data)
+}
+
+// buildBlockLHS writes the block coefficients of a line of length n along
+// dim over region rect of ref's layout, whose first row along dim is global
+// row start; data holds the 3·B² coefficient arrays in that layout.
+func buildBlockLHS(dim, n, start int, ref *grid.Grid, rect grid.Rect, data [][]float64) {
+	const b = BTBlockSize
+	bb := b * b
+	ref.EachLine(rect, dim, func(l grid.Line) {
 		off := l.Base
 		for k := 0; k < l.N; k++ {
 			g := start + k
@@ -74,16 +76,16 @@ func BuildBlockLHS(dim int, rect grid.Rect, vecs []*grid.Grid) {
 				for c := 0; c < b; c++ {
 					av, cv := 0.0, 0.0
 					if g >= 1 {
-						av = btCoeff(g+dim, r, c, 0)
+						av = BTCoeff(g+dim, r, c, 0)
 					}
 					if g < n-1 {
-						cv = btCoeff(g+dim, r, c, 1)
+						cv = BTCoeff(g+dim, r, c, 1)
 					}
 					data[r*b+c][off] = av
 					data[2*bb+r*b+c][off] = cv
 					rowSum += abs64(av) + abs64(cv)
 					if c != r {
-						bv := btCoeff(g+dim, r, c, 2)
+						bv := BTCoeff(g+dim, r, c, 2)
 						data[bb+r*b+c][off] = bv
 						rowSum += abs64(bv)
 					}
@@ -127,9 +129,6 @@ func btScatterRHS(rhs *grid.Grid, fvecs []*grid.Grid, rect grid.Rect) {
 	})
 }
 
-// btAdd folds the first solution component back into u over rect.
-func btAdd(u, f0 *grid.Grid, rect grid.Rect) { Add(u, f0, rect) }
-
 // BTSerialSolve advances u in place by steps BT timesteps — the reference
 // implementation.
 func BTSerialSolve(u *grid.Grid, steps int) {
@@ -150,7 +149,7 @@ func BTSerialSolve(u *grid.Grid, steps int) {
 			BuildBlockLHS(dim, all, vecs)
 			solveAllLines(solver, vecs, all, dim)
 		}
-		btAdd(u, fvecs[0], all)
+		Add(u, fvecs[0], all)
 	}
 }
 
@@ -162,59 +161,60 @@ func BTRun(env *dist.Env, mach *sim.Machine, steps int, u *grid.Grid) (sim.Resul
 }
 
 // BTRunPlanned is BTRun executing a pre-compiled SweepPlan compiled over
-// the same env; pl == nil compiles one internally. An
-// overlap-annotated plan selects the boundary-first schedule and
-// cross-timestep halo pipelining, exactly as in RunPlanned.
+// the same env; pl == nil compiles one internally. An overlap-annotated
+// plan selects the boundary-first schedule and cross-timestep halo
+// pipelining, exactly as in RunPlanned.
 func BTRunPlanned(env *dist.Env, mach *sim.Machine, steps int, u *grid.Grid, pl *plan.SweepPlan) (sim.Result, error) {
-	modelOnly := u == nil
-	var vecs []*grid.Grid
-	var rhs *grid.Grid
-	var fvecs []*grid.Grid
-	if !modelOnly {
-		vecs = make([]*grid.Grid, btVecs())
-		for i := range vecs {
-			vecs[i] = grid.New(env.Eta...)
+	if pl == nil {
+		var err error
+		if pl, err = plan.Compile(plan.Spec{M: env.M, Eta: env.Eta, Solver: btSolver()}); err != nil {
+			return sim.Result{}, err
 		}
-		rhs = grid.New(env.Eta...)
-		fvecs = vecs[3*BTBlockSize*BTBlockSize:]
 	}
-	ms, err := dist.NewMultiSweep(env, btSolver(), vecs)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	ms.Plan = pl
-	d := len(env.Eta)
-	haloDepth := 2 - env.Overhead.ReplicationDepth
-	if haloDepth < 1 {
-		haloDepth = 1
-	}
-	pipeline := pl != nil && pl.Overlap.Enabled
-	return mach.Run(func(r *sim.Rank) {
-		var haloPre []xport.Request
-		for step := 0; step < steps; step++ {
-			r.BeginPhase(PhaseHalo)
-			env.ExchangeHalosPiped(r, haloDepth, 1, haloPre)
-			haloPre = nil
-			r.BeginPhase(PhaseRHS)
-			env.ComputeOnTiles(r, BTFlopsRHS, tileOp(modelOnly, func(rect grid.Rect) {
-				ComputeRHS(u, rhs, rect)
-				btScatterRHS(rhs, fvecs, rect)
-			}))
-			for dim := 0; dim < d; dim++ {
-				dim := dim
-				r.BeginPhase(PhaseSolve(dim))
-				env.ComputeOnTiles(r, BTFlopsLHSBuild, tileOp(modelOnly, func(rect grid.Rect) {
-					BuildBlockLHS(dim, rect, vecs)
-				}))
-				ms.Run(r, dim)
-			}
-			r.BeginPhase(PhaseAdd)
-			if pipeline && step+1 < steps {
-				haloPre = env.PostHaloRecvs(r, haloDepth, 1)
-			}
-			env.ComputeOnTiles(r, BTFlopsAdd, tileOp(modelOnly, func(rect grid.Rect) {
-				btAdd(u, fvecs[0], rect)
-			}))
-		}
+	return runOnGrid(env, mach, u, func(t xport.Transport, init func(*dist.Field)) *dist.Field {
+		return RunBTRank(t, env, pl, steps, init)
 	})
+}
+
+// RunBTRank runs one rank's share of a BT run on t: steps timesteps of the
+// compiled plan pl over the rank's private tiles, labeled like RunSPRank's
+// but with no closing reduction. init fills the rank's u field; nil runs
+// model-only. Every BT entry point runs this body: BTRun, BTRunPlanned and
+// dmem's strict runs on either backend. It returns the rank's final u.
+func RunBTRank(t xport.Transport, env *dist.Env, pl *plan.SweepPlan, steps int, init func(*dist.Field)) *dist.Field {
+	s := newRankState(t, env, pl, btSolver(), init)
+	fvecs := s.vecs[3*BTBlockSize*BTBlockSize:]
+	var rhs *dist.Field
+	if s.sc != nil {
+		rhs = dist.NewField(env, t.Rank(), 0)
+	}
+	var haloPre []xport.Request
+	for step := 0; step < steps; step++ {
+		t.BeginPhase(PhaseHalo)
+		s.u.ExchangeHalosPiped(t, haloPre)
+		haloPre = nil
+		t.BeginPhase(PhaseRHS)
+		if s.sc != nil {
+			computeRHS(s.u, rhs, s.sc)
+			scatterBTRHS(rhs, fvecs)
+		}
+		s.u.Charge(t, BTFlopsRHS)
+		for dim := range env.Eta {
+			t.BeginPhase(s.solve[dim])
+			if s.sc != nil {
+				buildBlockLHSTiles(dim, env.Eta[dim], s.vecs)
+			}
+			s.u.Charge(t, BTFlopsLHSBuild)
+			s.runner.Run(t, dim)
+		}
+		t.BeginPhase(PhaseAdd)
+		if pl.Overlap.Enabled && step+1 < steps {
+			haloPre = s.u.PostHaloRecvs(t)
+		}
+		if s.sc != nil {
+			addTiles(s.u, fvecs[0], s.sc)
+		}
+		s.u.Charge(t, BTFlopsAdd)
+	}
+	return s.u
 }

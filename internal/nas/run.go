@@ -69,95 +69,79 @@ func Run(env *dist.Env, mach *sim.Machine, steps int, u *grid.Grid) (sim.Result,
 // RunPlanned is Run executing a pre-compiled SweepPlan (from CompilePlan
 // over the same env); pl == nil compiles one internally.
 func RunPlanned(env *dist.Env, mach *sim.Machine, steps int, u *grid.Grid, pl *plan.SweepPlan) (sim.Result, error) {
-	modelOnly := u == nil
-	var vecs []*grid.Grid // l1, l2, diag, u1, u2, rhs
-	var rhs *grid.Grid
-	if !modelOnly {
-		vecs = make([]*grid.Grid, 6)
-		for i := range vecs {
-			vecs[i] = grid.New(env.Eta...)
+	if pl == nil {
+		var err error
+		if pl, err = CompilePlan(env); err != nil {
+			return sim.Result{}, err
 		}
-		rhs = vecs[5]
 	}
-	ms, err := dist.NewMultiSweep(env, newSPSolver(), vecs)
-	if err != nil {
+	return runOnGrid(env, mach, u, func(t xport.Transport, init func(*dist.Field)) *dist.Field {
+		return RunSPRank(t, env, pl, steps, init)
+	})
+}
+
+// runOnGrid runs body on every rank of mach: model-only when u is nil,
+// else each rank fills its tiles from u before its steps and stores them
+// back into u after them. Neither copy is charged.
+func runOnGrid(env *dist.Env, mach *sim.Machine, u *grid.Grid, body func(t xport.Transport, init func(*dist.Field)) *dist.Field) (sim.Result, error) {
+	if u == nil {
+		return mach.Run(func(r *sim.Rank) { body(r, nil) })
+	}
+	if err := env.CheckHalo(StencilReach); err != nil {
 		return sim.Result{}, err
 	}
-	ms.Plan = pl
-	d := len(env.Eta)
-	// The dissipation stencil reaches ±2, needing depth-2 halos of u;
-	// partial replication of computation into the shadow region (a dHPF
-	// optimization) recomputes the nearest shell locally and halves the
-	// exchanged depth. The replicated flops are charged in ComputeOnTiles.
-	haloDepth := 2 - env.Overhead.ReplicationDepth
-	if haloDepth < 1 {
-		haloDepth = 1
-	}
-	// Under the overlap schedule each step preposts the next step's halo
-	// receives before the add phase (cross-timestep halo pipelining,
-	// DESIGN.md §14) — timing-neutral in virtual time, but the discipline a
-	// real MPI runtime needs to overlap the step tail with halo traffic.
-	pipeline := pl != nil && pl.Overlap.Enabled
 	return mach.Run(func(r *sim.Rank) {
-		var haloPre []xport.Request
-		for step := 0; step < steps; step++ {
-			r.BeginPhase(PhaseHalo)
-			env.ExchangeHalosPiped(r, haloDepth, 1, haloPre)
-			haloPre = nil
-			r.BeginPhase(PhaseRHS)
-			env.ComputeOnTiles(r, FlopsRHS, tileOp(modelOnly, func(rect grid.Rect) {
-				ComputeRHS(u, rhs, rect)
-			}))
-			for dim := 0; dim < d; dim++ {
-				dim := dim
-				r.BeginPhase(PhaseSolve(dim))
-				env.ComputeOnTiles(r, FlopsLHSBuild, tileOp(modelOnly, func(rect grid.Rect) {
-					BuildLHS(dim, rect, vecs[0], vecs[1], vecs[2], vecs[3], vecs[4])
-				}))
-				ms.Run(r, dim)
-			}
-			r.BeginPhase(PhaseAdd)
-			if pipeline && step+1 < steps {
-				haloPre = env.PostHaloRecvs(r, haloDepth, 1)
-			}
-			env.ComputeOnTiles(r, FlopsAdd, tileOp(modelOnly, func(rect grid.Rect) {
-				Add(u, rhs, rect)
-			}))
-		}
-		// Like the real benchmark's verification phase: a global residual
-		// reduction at the end of the run.
-		r.BeginPhase(PhaseReduce)
-		local := 0.0
-		if !modelOnly {
-			env.EachOwnedTile(r.ID, func(lo, hi []int) {
-				local += partialSumSquares(rhs, grid.RectOf(lo, hi))
-			})
-		}
-		r.AllReduce([]float64{local}, func(a, b float64) float64 { return a + b })
+		body(r, func(f *dist.Field) { f.Load(u) }).Store(u)
 	})
 }
 
-// partialSumSquares accumulates Σ v² over rect of g.
-func partialSumSquares(g *grid.Grid, rect grid.Rect) float64 {
-	d := g.Dims()
-	data := g.Data()
-	s := 0.0
-	g.EachLine(rect, d-1, func(l grid.Line) {
-		off := l.Base
-		for k := 0; k < l.N; k++ {
-			v := data[off]
-			s += v * v
-			off += l.Stride
+// RunSPRank runs one rank's share of an SP run on t: steps timesteps of
+// the compiled plan pl over the rank's private tiles, then the residual
+// reduction (like the real benchmark's verification phase). init fills the
+// rank's u field; nil runs model-only, with no grids and dHPF's partial
+// replication priced in (see haloDepth). Every SP entry point runs this
+// body: Run, RunPlanned, Speedup, SerialTime and dmem's strict runs on
+// either backend. It returns the rank's final u.
+//
+// A step is labeled halo, rhs, solve<dim> and add; the reduction, reduce.
+// Each compute phase is charged by dist.Field.Charge. Under an
+// overlap-annotated plan each step preposts the next step's halo receives
+// before the add phase (cross-timestep halo pipelining, DESIGN.md §14) —
+// timing-neutral in virtual time, but the discipline a real MPI runtime
+// needs to overlap the step tail with halo traffic.
+func RunSPRank(t xport.Transport, env *dist.Env, pl *plan.SweepPlan, steps int, init func(*dist.Field)) *dist.Field {
+	s := newRankState(t, env, pl, newSPSolver(), init)
+	rhs := s.vecs[5]
+	var haloPre []xport.Request
+	for step := 0; step < steps; step++ {
+		t.BeginPhase(PhaseHalo)
+		s.u.ExchangeHalosPiped(t, haloPre)
+		haloPre = nil
+		t.BeginPhase(PhaseRHS)
+		if s.sc != nil {
+			computeRHS(s.u, rhs, s.sc)
 		}
-	})
-	return s
-}
-
-func tileOp(modelOnly bool, f func(rect grid.Rect)) func(lo, hi []int) {
-	if modelOnly {
-		return nil
+		s.u.Charge(t, FlopsRHS)
+		for dim := range env.Eta {
+			t.BeginPhase(s.solve[dim])
+			if s.sc != nil {
+				buildLHS(dim, env.Eta[dim], s.vecs, s.sc)
+			}
+			s.u.Charge(t, FlopsLHSBuild)
+			s.runner.Run(t, dim)
+		}
+		t.BeginPhase(PhaseAdd)
+		if pl.Overlap.Enabled && step+1 < steps {
+			haloPre = s.u.PostHaloRecvs(t)
+		}
+		if s.sc != nil {
+			addTiles(s.u, rhs, s.sc)
+		}
+		s.u.Charge(t, FlopsAdd)
 	}
-	return func(lo, hi []int) { f(grid.RectOf(lo, hi)) }
+	t.BeginPhase(PhaseReduce)
+	t.AllReduce([]float64{sumSquares(rhs, s.sc)}, func(a, b float64) float64 { return a + b })
+	return s.u
 }
 
 // SerialTime returns the virtual time of the original sequential program

@@ -15,6 +15,14 @@
 // of the real SP (see DESIGN.md for the substitution rationale); the
 // modeled flop weights per point are taken from the real benchmark's
 // operation counts so computation/communication ratios are realistic.
+//
+// SP and its BT variant each have one per-rank body, RunSPRank and
+// RunBTRank, which steps the compiled plan over the rank's private tiles
+// (dist.Field) with data or model-only, priced as Table 1 prices a step.
+// Every entry point runs it: Run, RunPlanned, BTRun, BTRunPlanned,
+// Speedup and SerialTime here, and dmem's strict runs on either backend.
+// The global-grid kernels (ComputeRHS, BuildLHS, Add, BuildBlockLHS)
+// serve the serial references.
 package nas
 
 import (
@@ -49,8 +57,6 @@ const (
 )
 
 // Stencil coefficients: 2nd-difference smoothing and 4th-order dissipation.
-// Exported so the strict distributed-memory path (internal/dmem) evaluates
-// the identical formula.
 const (
 	Nu2  = 0.05 // second-difference weight
 	Eps4 = 0.01 // fourth-difference dissipation weight
@@ -193,14 +199,20 @@ func Add(u, rhs *grid.Grid, rect grid.Rect) {
 // InitialState returns the deterministic initial u for the given extents.
 func InitialState(eta []int) *grid.Grid {
 	u := grid.New(eta...)
-	u.FillFunc(func(idx []int) float64 {
+	u.FillFunc(InitialAt(eta))
+	return u
+}
+
+// InitialAt returns InitialState's value at a global point, so a
+// distributed run can fill its own tiles without building the whole grid.
+func InitialAt(eta []int) func(idx []int) float64 {
+	return func(idx []int) float64 {
 		v := 1.0
 		for i, x := range idx {
 			v += float64((x+1)*(i+2)) / float64(eta[i]*(i+3))
 		}
 		return v
-	})
-	return u
+	}
 }
 
 // SerialSolve advances u in place by steps timesteps — the reference

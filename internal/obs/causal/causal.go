@@ -36,7 +36,7 @@ type Channel struct{ Src, Dst, Tag int }
 
 // Matcher pairs sends with receives on per-(src, dst, tag) FIFO channels.
 // It is the one channel-matching implementation shared by the busy-time
-// critical-path estimate (obs.CriticalPath) and the DAG builder: both sides
+// critical-path estimate (BusyCriticalPath) and the DAG builder: both sides
 // push event indices in the order encountered, and the k-th send on a
 // channel pairs with the k-th recv.
 type Matcher struct {
@@ -202,8 +202,8 @@ func (d *DAG) Rank(r int) []int { return d.ByRank[r] }
 
 // BusyCriticalPath estimates the longest dependency chain of busy time
 // (compute plus communication overhead, excluding blocked waits) through
-// the traced run — the same scalar as obs.CriticalPath, which delegates
-// here. The result is a lower bound on the makespan of any schedule that
+// the traced run — the scalar obs.Profile reports as CriticalPath. The
+// result is a lower bound on the makespan of any schedule that
 // preserves the dependence structure and per-event work.
 func (d *DAG) BusyCriticalPath() float64 { return BusyCriticalPath(d.events, d.P) }
 

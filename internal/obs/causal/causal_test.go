@@ -100,6 +100,17 @@ func TestBuildSynthetic(t *testing.T) {
 	if d.Makespan != 2.5 {
 		t.Errorf("makespan = %g, want 2.5 (blocked event must not extend it)", d.Makespan)
 	}
+	// The marker carries End > Start but is pure waiting: the busy chain
+	// must not count it either.
+	var busy []sim.Event
+	for _, e := range tr.Events() {
+		if e.Kind != sim.EvBlocked {
+			busy = append(busy, e)
+		}
+	}
+	if got, want := causal.BusyCriticalPath(tr.Events(), 2), causal.BusyCriticalPath(busy, 2); got != want || want <= 0 {
+		t.Errorf("busy critical path with EvBlocked = %g, without %g (blocked time counted as busy)", got, want)
+	}
 	if d.MsgEdges != 1 {
 		t.Errorf("message edges = %d, want 1", d.MsgEdges)
 	}
@@ -132,15 +143,15 @@ func TestBuildSynthetic(t *testing.T) {
 }
 
 // TestBusyCriticalPathMatchesObs pins the delegation: the DAG's busy-chain
-// scalar and obs.CriticalPath are the same computation.
+// scalar and the profile's CriticalPath are the same computation.
 func TestBusyCriticalPathMatchesObs(t *testing.T) {
-	tr, _ := runSP(t, 4, 2)
+	tr, res := runSP(t, 4, 2)
 	d, err := causal.Build(tr, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := d.BusyCriticalPath(), obs.CriticalPath(tr, 4); got != want {
-		t.Errorf("DAG busy critical path %.17g != obs.CriticalPath %.17g", got, want)
+	if got, want := d.BusyCriticalPath(), obs.NewProfile(res, tr).CriticalPath; got != want {
+		t.Errorf("DAG busy critical path %.17g != profile CriticalPath %.17g", got, want)
 	}
 }
 

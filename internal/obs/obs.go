@@ -17,6 +17,7 @@ import (
 	"sort"
 	"strings"
 
+	"genmp/internal/obs/causal"
 	"genmp/internal/sim"
 )
 
@@ -61,9 +62,9 @@ type Profile struct {
 	LoadImbalance float64 `json:"load_imbalance"`
 	// CriticalPath is the longest busy-time dependency chain through the
 	// run's event graph (0 unless the Profile was built with a trace); see
-	// CriticalPath for the graph definition. Makespan − CriticalPath is
-	// time no schedule could remove without changing the dependence
-	// structure or the per-event work.
+	// causal.BusyCriticalPath for the graph definition. Makespan −
+	// CriticalPath is time no schedule could remove without changing the
+	// dependence structure or the per-event work.
 	CriticalPath float64 `json:"critical_path_sec,omitempty"`
 	TotalMsgs    int     `json:"total_msgs"`
 	TotalBytes   int     `json:"total_bytes"`
@@ -126,7 +127,7 @@ func NewProfile(res sim.Result, tr *sim.Trace) *Profile {
 		p.LoadImbalance = p.BusyMax / (sum / float64(p.P))
 	}
 	if tr != nil {
-		p.CriticalPath = CriticalPath(tr, p.P)
+		p.CriticalPath = causal.BusyCriticalPath(tr.Events(), p.P)
 	}
 	return p
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"genmp/internal/obs/causal"
 	"genmp/internal/sim"
 	"genmp/internal/xport"
 )
@@ -101,7 +102,7 @@ func TestProfileTotalEqualsMakespanManyRanks(t *testing.T) {
 
 func TestCriticalPathBounds(t *testing.T) {
 	res, tr := runPingPong(t)
-	cp := CriticalPath(tr, 2)
+	cp := causal.BusyCriticalPath(tr.Events(), 2)
 	if cp <= 0 {
 		t.Fatal("critical path not computed")
 	}
@@ -140,7 +141,7 @@ func TestCriticalPathSerialChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp := CriticalPath(m.Trace, 4)
+	cp := causal.BusyCriticalPath(m.Trace.Events(), 4)
 	if cp <= 0 || cp > res.Makespan+1e-12 {
 		t.Fatalf("cp %g out of range (makespan %g)", cp, res.Makespan)
 	}
@@ -149,6 +150,34 @@ func TestCriticalPathSerialChain(t *testing.T) {
 	// single rank's busy time.
 	if cp < 3.9e-3 {
 		t.Fatalf("cp %g does not reflect the serial chain (expected ≈ 4ms of compute plus transfers)", cp)
+	}
+}
+
+// TestCriticalPathSkipsBlockedEvents is the regression test for the latent
+// default-branch bug: EvBlocked markers (flight-recorder breadcrumbs for a
+// receive that never completed) carry End > Start but represent pure
+// waiting, and must contribute nothing to the busy-chain estimate.
+func TestCriticalPathSkipsBlockedEvents(t *testing.T) {
+	base := &sim.Trace{}
+	base.Append(
+		sim.Event{Rank: 0, Kind: sim.EvCompute, Start: 0, End: 1, Peer: -1},
+		sim.Event{Rank: 1, Kind: sim.EvCompute, Start: 0, End: 0.5, Peer: -1},
+	)
+	want := causal.BusyCriticalPath(base.Events(), 2)
+	if want != 1 {
+		t.Fatalf("baseline critical path = %g, want 1", want)
+	}
+
+	// The same trace with a blocked marker spanning far past everything:
+	// the scalar must not move.
+	withBlocked := &sim.Trace{}
+	withBlocked.Append(
+		sim.Event{Rank: 0, Kind: sim.EvCompute, Start: 0, End: 1, Peer: -1},
+		sim.Event{Rank: 1, Kind: sim.EvCompute, Start: 0, End: 0.5, Peer: -1},
+		sim.Event{Rank: 1, Kind: sim.EvBlocked, Start: 0.5, End: 10, Peer: 0},
+	)
+	if got := causal.BusyCriticalPath(withBlocked.Events(), 2); got != want {
+		t.Errorf("critical path with EvBlocked = %g, want %g (blocked time counted as busy)", got, want)
 	}
 }
 

@@ -5,16 +5,15 @@ import (
 
 	"genmp/internal/core"
 	"genmp/internal/dist"
-	"genmp/internal/dmem"
 	"genmp/internal/plan"
 	"genmp/internal/sweep"
 )
 
 // TestCrossRuntimeEquivalence is the contract the refactor exists for: the
-// shared-memory dist executor, the strict distributed-memory dmem runtime,
-// and a direct Compile all produce byte-identical schedules for one
-// configuration. The runtimes differ only in storage binding (halo padding,
-// batch width), which the fingerprint deliberately excludes.
+// shared-grid MultiSweep, the private-tile SweepRunner's compile helper and
+// runner, and a direct Compile all produce byte-identical schedules for one
+// configuration. The executors differ only in storage binding (halo
+// padding, batch width), which the fingerprint deliberately excludes.
 func TestCrossRuntimeEquivalence(t *testing.T) {
 	m, err := core.NewGeneralized(6, []int{2, 3, 6})
 	if err != nil {
@@ -36,23 +35,23 @@ func TestCrossRuntimeEquivalence(t *testing.T) {
 		t.Fatalf("dist plan invalid: %v", err)
 	}
 
-	dmemPlan, err := dmem.CompileSweepPlan(env, solver)
+	tilePlan, err := dist.CompileSweepPlan(env, solver)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dmemPlan.Validate(); err != nil {
-		t.Fatalf("dmem plan invalid: %v", err)
+	if err := tilePlan.Validate(); err != nil {
+		t.Fatalf("private-tile plan invalid: %v", err)
 	}
 
 	// A runner built over padded per-rank fields still compiles the same
 	// schedule — padding lives in its binding cache, not the plan.
-	fields := make([]*dmem.Field, solver.NumVecs())
+	fields := make([]*dist.Field, solver.NumVecs())
 	for i := range fields {
-		fields[i] = dmem.NewField(env, 0, 1)
+		fields[i] = dist.NewField(env, 0, 1)
 	}
-	runnerPlan := dmem.NewSweepRunner(solver, fields).CompiledPlan()
+	runnerPlan := dist.NewSweepRunner(solver, fields).CompiledPlan()
 	if err := runnerPlan.Validate(); err != nil {
-		t.Fatalf("dmem runner plan invalid: %v", err)
+		t.Fatalf("runner plan invalid: %v", err)
 	}
 
 	direct, err := plan.Compile(plan.Spec{M: m, Eta: eta, Solver: solver})
@@ -66,8 +65,8 @@ func TestCrossRuntimeEquivalence(t *testing.T) {
 		got  string
 	}{
 		{"dist", distPlan.Fingerprint()},
-		{"dmem", dmemPlan.Fingerprint()},
-		{"dmem runner", runnerPlan.Fingerprint()},
+		{"private-tile", tilePlan.Fingerprint()},
+		{"runner", runnerPlan.Fingerprint()},
 	} {
 		if c.got != want {
 			t.Errorf("%s fingerprint diverges from direct Compile:\n%s\nvs\n%s", c.name, c.got, want)

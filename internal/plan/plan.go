@@ -4,9 +4,8 @@
 // once from (partitioning, modular mapping, solver, per-field halo/layout,
 // batch knob) and then consumed by every subsystem that used to re-derive
 // it privately: the one pass executor dist.RunPass (which
-// dist.MultiSweep, the dist wavefront pipeline and the strict
-// distributed-memory dmem.SweepRunner call with their own storage
-// bindings), the cost model's per-phase prediction fold, and the obs plan
+// dist.MultiSweep, the dist wavefront pipeline and the private-tile
+// dist.SweepRunner call with their own storage bindings), the cost model's per-phase prediction fold, and the obs plan
 // dump. One plan, many consumers — predictions and executors can no
 // longer silently disagree.
 //
@@ -31,9 +30,9 @@ import (
 )
 
 // SweepTags is the shared tag reservation all compiled sweep schedules mint
-// from. Both runtimes (dist and dmem) execute plans drawn from this single
-// space: their sweeps never share a machine, and per-channel FIFO order
-// disambiguates messages within one run.
+// from. Every sweep executor runs plans drawn from this single space:
+// different executors' sweeps never share a machine, and per-channel FIFO
+// order disambiguates messages within one run.
 var SweepTags = xport.ReserveTags("plan/sweep", 1<<28, 1<<28)
 
 // Spec is the input of Compile: everything a multipartitioned sweep

@@ -280,25 +280,20 @@ func TestValidateFailurePaths(t *testing.T) {
 			}
 		}, "receives from"},
 		{"byte-count symmetry", func(t *testing.T, pl *plan.SweepPlan) {
-			// Grow the receiver's final phase self-consistently (lines,
-			// bytes, tile geometry all agree locally) so only the cross-rank
-			// byte comparison can notice.
+			// Drop the last tile of the receiver's final phase
+			// self-consistently (lines and bytes follow) so only the
+			// cross-rank byte comparison can notice. A shrunk tile rect
+			// would not do: Validate checks every rect against its tile
+			// coordinate.
 			first := sendingPhase(t, pl, 0, 0)
 			peer := pl.Pass(first.SendTo, 2, false)
 			last := &peer.Phases[len(peer.Phases)-1]
 			if last.SendTo >= 0 || last.RecvFrom < 0 {
 				t.Fatal("expected a recv-only final phase")
 			}
-			// Shrink the last tile by one plane along dim 0. Its Rect is
-			// shared with the rank's other passes, so replace it rather
-			// than write through it.
-			tile := &last.Tiles[len(last.Tiles)-1]
-			lo, hi := slices.Clone(tile.Rect.Lo), slices.Clone(tile.Rect.Hi)
-			hi[0]--
-			tile.Rect = grid.RectOf(lo, hi)
-			lines := (hi[0] - lo[0]) * (hi[1] - lo[1])
-			last.Lines -= tile.Lines - lines
-			tile.Lines = lines
+			n := len(last.Tiles) - 1
+			last.Lines -= last.Tiles[n].Lines
+			last.Tiles = last.Tiles[:n]
 			last.RecvBytes = last.Lines * pl.ForwardCarry * 8
 		}, "byte-count symmetry"},
 		// Tile geometry: each case breaks one tile's Rect or line counts.

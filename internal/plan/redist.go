@@ -7,6 +7,6 @@ import "genmp/internal/xport"
 // checks containment and per-channel uniqueness, exactly as SweepTags'
 // consumers do) extended to the redistribution phases compiled by
 // internal/redist. Wrappers that must reproduce a historical schedule
-// bit-for-bit (the dist and dmem halo exchanges) pass their legacy spaces
+// bit-for-bit (the dist halo exchange) pass their legacy spaces
 // instead, so existing tag values on the wire are unchanged.
 var RedistTags = xport.ReserveTags("plan/redist", 1<<27, 64)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"genmp/internal/core"
 )
 
 // Validate checks the structural invariants the executors and the cost fold
@@ -79,6 +81,19 @@ func (pl *SweepPlan) validateShape() error {
 		if len(passes) != 2*d {
 			return fmt.Errorf("plan: rank %d has %d passes, want %d (one per dimension and direction)", q, len(passes), 2*d)
 		}
+	}
+	var cuts [][]int
+	switch pl.Kind {
+	case KindMultipartition:
+		var err error
+		if cuts, err = pl.tileCuts(); err != nil {
+			return err
+		}
+	case KindWavefront:
+	default:
+		return fmt.Errorf("plan: unknown kind %q", pl.Kind)
+	}
+	for q, passes := range pl.Passes {
 		for k := range passes {
 			pass := &passes[k]
 			wantDim, wantBwd := k/2, k%2 == 1
@@ -112,7 +127,7 @@ func (pl *SweepPlan) validateShape() error {
 					if t.LineOff != off {
 						return fmt.Errorf("plan: %s tile %d: line offset %d, want %d (canonical order)", at, ti, t.LineOff, off)
 					}
-					if err := pl.validateTile(at, ti, t); err != nil {
+					if err := pl.validateTile(at, ti, t, cuts); err != nil {
 						return err
 					}
 					lines += t.Lines
@@ -143,21 +158,79 @@ func (pl *SweepPlan) validateShape() error {
 	return nil
 }
 
+// tileCuts checks a multipartitioned plan's tile grid γ against η and the
+// plan's own tiles, and returns per dimension j the γⱼ+1 cut positions
+// core.BlockRange(ηⱼ, γⱼ, ·) places, which every tile's Rect must match. A
+// valid plan's ranks visit every tile once per sweep, so γ must name
+// exactly the tiles of the forward passes along dimension 0; checking that
+// first bounds the table by the plan's size, whatever γ claims.
+func (pl *SweepPlan) tileCuts() ([][]int, error) {
+	d := len(pl.Eta)
+	if len(pl.Gamma) != d {
+		return nil, fmt.Errorf("plan: tile grid γ = %v has %d dimensions, η = %v has %d", pl.Gamma, len(pl.Gamma), pl.Eta, d)
+	}
+	tiles := 0
+	if d > 0 {
+		for _, passes := range pl.Passes {
+			for _, ph := range passes[0].Phases {
+				tiles += len(ph.Tiles)
+			}
+		}
+	}
+	named, n := 1, 0
+	for j, g := range pl.Gamma {
+		if g < 1 || g > pl.Eta[j] {
+			return nil, fmt.Errorf("plan: γ[%d] = %d breaks 1 ≤ γ ≤ η = %d", j, g, pl.Eta[j])
+		}
+		if named > tiles/g {
+			return nil, fmt.Errorf("plan: tile grid γ = %v names more tiles than the plan's %d", pl.Gamma, tiles)
+		}
+		named *= g
+		n += g + 1
+	}
+	if named != tiles {
+		return nil, fmt.Errorf("plan: tile grid γ = %v names %d tiles, the dimension-0 forward passes hold %d", pl.Gamma, named, tiles)
+	}
+	flat := make([]int, n)
+	cuts := make([][]int, d)
+	for j, g := range pl.Gamma {
+		c := flat[: g+1 : g+1]
+		flat = flat[g+1:]
+		for i := 0; i < g; i++ {
+			c[i], _ = core.BlockRange(pl.Eta[j], g, i)
+		}
+		c[g] = pl.Eta[j]
+		cuts[j] = c
+	}
+	return cuts, nil
+}
+
 // validateTile checks one tile's geometry: its rectangle lies inside η and
 // is non-empty, its chunk is the rectangle's extent along the sweep, and its
 // lines fit the rectangle's cross-section — exactly for a multipartitioned
-// tile, as a block of the rank's line order for a wavefront slab.
-func (pl *SweepPlan) validateTile(at phaseAt, ti int, t *Tile) error {
+// tile, whose coordinate must also lie in γ and name its rectangle (cuts
+// from tileCuts), as a block of the rank's line order for a wavefront slab.
+func (pl *SweepPlan) validateTile(at phaseAt, ti int, t *Tile, cuts [][]int) error {
 	lo, hi, dim := t.Rect.Lo, t.Rect.Hi, at.pass.Dim
 	if len(lo) != len(pl.Eta) || len(hi) != len(pl.Eta) {
 		return fmt.Errorf("plan: %s tile %d: rect has %d lower and %d upper bounds for %d dimensions",
 			at, ti, len(lo), len(hi), len(pl.Eta))
+	}
+	coord := t.Coord
+	if cuts != nil && len(coord) != len(cuts) {
+		return fmt.Errorf("plan: %s tile %d: coordinate %v has %d dimensions, want %d", at, ti, coord, len(coord), len(cuts))
 	}
 	cross := 1
 	for j, e := range pl.Eta {
 		if lo[j] < 0 || lo[j] >= hi[j] || hi[j] > e {
 			return fmt.Errorf("plan: %s tile %d: rect lo %v hi %v breaks 0 ≤ lo < hi ≤ η = %v along dim %d",
 				at, ti, lo, hi, pl.Eta, j)
+		}
+		if cuts != nil {
+			if c := coord[j]; c < 0 || c >= len(cuts[j])-1 || lo[j] != cuts[j][c] || hi[j] != cuts[j][c+1] {
+				return fmt.Errorf("plan: %s tile %d: coordinate %v does not name rect lo %v hi %v in γ = %v",
+					at, ti, coord, lo, hi, pl.Gamma)
+			}
 		}
 		if j != dim {
 			cross *= hi[j] - lo[j]
@@ -362,8 +435,9 @@ func (pl *SweepPlan) validateSymmetry() error {
 // dimensions, solver identity, carry lengths, tag space, and every rank's
 // passes, phases and tiles. Two plans with equal fingerprints run
 // byte-identical schedules. Compile-input metadata that does not affect the
-// wire schedule (Halos, Batch) is deliberately excluded, so the dist and
-// dmem runtimes compile byte-identical fingerprints for one configuration.
+// wire schedule (Halos, Batch) is deliberately excluded, so the shared-grid
+// and private-tile executors compile byte-identical fingerprints for one
+// configuration.
 //
 // The rendering is memoized: the first call materializes the string, later
 // calls return it — a compiled plan is immutable, so repeated equivalence

@@ -24,6 +24,22 @@ func TestValidateDiagnostics(t *testing.T) {
 		{"tile geometry", func(t *testing.T, pl *plan.SweepPlan) {
 			pl.Pass(1, 0, true).Phases[1].Tiles[0].ChunkLen++
 		}, "plan: rank 1 dim 0 backward phase 1 tile 0: chunk length 7, want the rect's extent 6 along dim 0"},
+		{"swapped coordinates", func(t *testing.T, pl *plan.SweepPlan) {
+			// Coords are shared with the rank's other passes: swap the
+			// slices, not their contents.
+			pass := pl.Pass(0, 0, false)
+			a, b := &pass.Phases[0].Tiles[0], &pass.Phases[1].Tiles[0]
+			a.Coord, b.Coord = b.Coord, a.Coord
+		}, "plan: rank 0 dim 0 forward phase 0 tile 0: coordinate [1 0 1] does not name rect lo [0 0 0] hi [6 6 3] in γ = [2 2 4]"},
+		{"coordinate outside γ", func(t *testing.T, pl *plan.SweepPlan) {
+			pl.Pass(0, 0, false).Phases[0].Tiles[0].Coord = []int{99, 99, 99}
+		}, "plan: rank 0 dim 0 forward phase 0 tile 0: coordinate [99 99 99] does not name rect lo [0 0 0] hi [6 6 3] in γ = [2 2 4]"},
+		{"empty γ", func(t *testing.T, pl *plan.SweepPlan) {
+			pl.Gamma = []int{0, 0, 0}
+		}, "plan: γ[0] = 0 breaks 1 ≤ γ ≤ η = 12"},
+		{"unknown kind", func(t *testing.T, pl *plan.SweepPlan) {
+			pl.Kind = "junk"
+		}, "plan: unknown kind \"junk\""},
 		{"tags", func(t *testing.T, pl *plan.SweepPlan) {
 			sendingPhase(t, pl, 0, 1).SendTag = sendingPhase(t, pl, 0, 0).SendTag
 		}, "plan: rank 0 dim 2 forward phase 1: send tag 272629761 to rank 1 already used by rank 0 dim 2 forward phase 0 — tag overlap"},

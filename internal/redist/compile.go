@@ -40,8 +40,8 @@ type HaloSpec struct {
 	// NGrids is how many arrays exchange together (0 picks 1).
 	NGrids int
 	// Tags is the tag space of the per-direction messages; the zero value
-	// picks plan.RedistTags. The dist and dmem wrappers pass their legacy
-	// spaces so historical tag values are preserved.
+	// picks plan.RedistTags. The dist wrapper passes its legacy space so
+	// historical tag values are preserved.
 	Tags xport.TagSpace
 }
 

@@ -4,8 +4,8 @@
 // collectives, plus the executor that runs it in model-only or real-data
 // mode. The two historical bespoke paths are special cases: the dynamic
 // block transpose is a BLOCK(dim a)→BLOCK(dim b) redistribution lowered
-// onto one AllToAll, and both halo exchanges (dist, dmem) are shifted
-// partial redistributions lowered onto neighbor Exchange steps. Their
+// onto one AllToAll, and the halo exchange (dist) is a shifted
+// partial redistribution lowered onto neighbor Exchange steps. Their
 // wrappers re-emit through Compile/CompileHalo and replay the legacy
 // schedules bit for bit.
 //

@@ -22,7 +22,7 @@
 // on sim runs here unchanged; preposting receives keeps the MPI completion
 // discipline the schedules were built around. Field data is bit-identical
 // between the two backends because both execute the same plan phase order
-// and the kernels are deterministic — the identity tests in dmem assert
+// and the kernels are deterministic — the rt identity tests in exp assert
 // Float64bits equality across backends.
 package rt
 

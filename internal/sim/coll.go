@@ -1,6 +1,6 @@
 // First-class collective operations on Rank. Historically the distribution
 // layers hand-rolled these as point-to-point loops (dist.Block.allToAll,
-// dmem.GatherToRoot); promoting them into sim gives every caller selectable
+// dist.GatherToRoot); promoting them into sim gives every caller selectable
 // algorithms (direct pairwise, ring, recursive-doubling/Bruck, binomial
 // trees), one EvCollective trace event per rank with the algorithm in the
 // label, and a single place where the timing conventions live.
@@ -325,7 +325,7 @@ func (r *Rank) AllGather(size int, mine []float64, o xport.CollOpts) [][]float64
 // GatherTo collects every rank's size-byte contribution on root, returned
 // there indexed by origin (nil elsewhere). The default algorithm is the
 // linear gather whose timing is bit-identical to the historical
-// dmem.GatherToRoot loop: non-roots send to root, root receives in
+// GatherToRoot loop: non-roots send to root, root receives in
 // ascending rank order. AlgRing chains bundles down the ring toward root;
 // AlgDoubling/AlgBruck climb a binomial tree in ⌈log₂ p⌉ rounds.
 func (r *Rank) GatherTo(root, size int, mine []float64, o xport.CollOpts) [][]float64 {

@@ -68,7 +68,7 @@ func TestAllToAllPairwiseMatchesLegacyLoop(t *testing.T) {
 }
 
 // TestGatherToLinearMatchesLegacyLoop pins the default GatherTo to the old
-// dmem.GatherToRoot pattern: non-roots send, root receives in rank order,
+// dist.GatherToRoot pattern: non-roots send, root receives in rank order,
 // no per-message compute.
 func TestGatherToLinearMatchesLegacyLoop(t *testing.T) {
 	const p, bytes = 5, 4096

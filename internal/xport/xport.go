@@ -4,7 +4,7 @@
 // any backend that implements it. Two implementations exist: sim.Rank (the
 // deterministic virtual-time machine, the repo's performance model) and
 // rt.Rank (real OS goroutines with shared-memory mailboxes, measured in
-// wall-clock time). The executors in dist, dmem and redist are written
+// wall-clock time). The executors in dist and redist are written
 // against Transport alone, so schedule and transport cannot drift: the same
 // compiled schedule replays bit-identically on both.
 //
