@@ -642,9 +642,12 @@ func BenchmarkPlanSetupP360(b *testing.B) {
 
 // BenchmarkTable1ClassB regenerates Table 1 for NAS SP class B in virtual
 // time, model only, with two timesteps: the `table1-b-model` operation of
-// the repository benchmark. Nearly all of its time is the simulator's
+// the repository benchmark. Nearly all of its CPU time is the simulator's
 // message path (mailbox hand-offs, per-phase accounting) plus the per-run
-// halo schedule compile.
+// halo schedule compile. Table1 runs its 60 cells (two speedups and one
+// partition search per processor count) on GOMAXPROCS goroutines, so
+// ns/op is the wall time of one table at the -cpu value, and -cpu 1 times
+// the cells one after another.
 func BenchmarkTable1ClassB(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

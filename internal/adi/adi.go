@@ -113,20 +113,13 @@ func (pb Problem) fillCoefficients(dim int, rect grid.Rect, u, lower, diag, uppe
 	if pb.Periodic {
 		return
 	}
-	zeroFace := func(face grid.Rect, data []float64) {
-		u.EachLine(face, last, func(l grid.Line) {
-			off := l.Base
-			for k := 0; k < l.N; k++ {
-				data[off] = 0
-				off += l.Stride
-			}
-		})
-	}
+	// A face of rect across dim holds the first (low face) or last (high
+	// face) element of each of rect's lines along dim.
 	if rect.Lo[dim] == 0 {
-		zeroFace(rect.Face(dim, -1), ld)
+		u.EachLine(rect, dim, func(l grid.Line) { ld[l.Base] = 0 })
 	}
 	if rect.Hi[dim] == n {
-		zeroFace(rect.Face(dim, +1), pd)
+		u.EachLine(rect, dim, func(l grid.Line) { pd[l.Base+(l.N-1)*l.Stride] = 0 })
 	}
 }
 

@@ -8,8 +8,11 @@ package exp
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"genmp/internal/adi"
 	"genmp/internal/core"
@@ -72,36 +75,81 @@ func Table1(eta []int, steps int) ([]Table1Row, error) {
 // Table1On is Table1 with the Origin interconnect replaced by the named
 // topology (see sim.FabricNames; "" keeps the default crossbar model and
 // reproduces Table1 exactly). The serial baseline is topology-independent.
+//
+// After the serial baseline, each processor count is three independent
+// cells: the hand-coded speedup, the dHPF speedup and the partitioning
+// column's search. runCells computes them side by side, largest p first.
+// A speedup cell builds its own machine, and every cell writes only its
+// own field of its row, so the rows do not depend on how many cells run at
+// once. The error of the lowest failing p is returned.
 func Table1On(topology string, eta []int, steps int) ([]Table1Row, error) {
 	serial, err := nas.SerialTime(nas.Origin2000Machine(1), eta, steps)
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]Table1Row, 0, len(Table1Procs))
-	for _, p := range Table1Procs {
-		row := Table1Row{P: p, Hand: math.NaN(), DHPF: math.NaN(), DiffPct: math.NaN()}
+	speedup := func(v nas.Variant, p int, dst *float64) error {
 		mach, err := nas.Origin2000MachineOn(topology, p)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if s, err := nas.Speedup(nas.HandCodedDiagonal, p, mach, eta, steps, serial); err == nil {
-			row.Hand = s
+		// A blank cell means the variant cannot run at this p: the
+		// hand-coded code needs a perfect square, and dHPF needs an
+		// elementary partitioning that fits the domain extents (only
+		// possible to miss for small classes).
+		if s, err := nas.Speedup(v, p, mach, eta, steps, serial); err == nil {
+			*dst = s
 		}
-		// A blank dHPF cell means no elementary partitioning fits the
-		// domain extents at this p (only possible for small classes).
-		if s, err := nas.Speedup(nas.DHPFGeneralized, p, mach, eta, steps, serial); err == nil {
-			row.DHPF = s
+		return nil
+	}
+	rows := make([]Table1Row, len(Table1Procs))
+	cells := make([]func() error, 0, 3*len(rows))
+	for i := len(rows) - 1; i >= 0; i-- {
+		row := &rows[i]
+		*row = Table1Row{P: Table1Procs[i], Hand: math.NaN(), DHPF: math.NaN(), DiffPct: math.NaN()}
+		cells = append(cells,
+			func() error { return speedup(nas.HandCodedDiagonal, row.P, &row.Hand) },
+			func() error { return speedup(nas.DHPFGeneralized, row.P, &row.DHPF) },
+			func() error {
+				obj := partition.MachineObjective(eta, 20e-6, 80e-9/float64(row.P))
+				if res, err := partition.OptimalCapped(row.P, len(eta), obj, eta); err == nil {
+					row.GammaStr = partition.Describe(res.Gamma)
+				}
+				return nil
+			})
+	}
+	errs := runCells(cells)
+	// Cells run largest p first, so the last error belongs to the lowest p.
+	for i := len(errs) - 1; i >= 0; i-- {
+		if errs[i] != nil {
+			return nil, errs[i]
 		}
-		if !math.IsNaN(row.Hand) && !math.IsNaN(row.DHPF) {
-			row.DiffPct = (row.Hand - row.DHPF) / row.Hand * 100
+	}
+	for i := range rows {
+		if r := &rows[i]; !math.IsNaN(r.Hand) && !math.IsNaN(r.DHPF) {
+			r.DiffPct = (r.Hand - r.DHPF) / r.Hand * 100
 		}
-		obj := partition.MachineObjective(eta, 20e-6, 80e-9/float64(p))
-		if res, err := partition.OptimalCapped(p, len(eta), obj, eta); err == nil {
-			row.GammaStr = partition.Describe(res.Gamma)
-		}
-		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// runCells calls every cell on min(GOMAXPROCS, len(cells)) goroutines,
+// handing them out in slice order, and returns each cell's error at its
+// index. At GOMAXPROCS 1 the cells run one at a time, in order.
+func runCells(cells []func() error) []error {
+	errs := make([]error, len(cells))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(cells)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for c := int(next.Add(1)) - 1; c < len(cells); c = int(next.Add(1)) - 1 {
+				errs[c] = cells[c]()
+			}
+		}()
+	}
+	wg.Wait()
+	return errs
 }
 
 // FormatTable1 renders rows in the paper's layout, with the measured

@@ -7,7 +7,10 @@ import (
 
 	"genmp/internal/nas"
 	"genmp/internal/numutil"
+	"genmp/internal/obs/metrics"
+	"genmp/internal/partition"
 	"genmp/internal/plan"
+	"genmp/internal/sim"
 	"genmp/internal/xport"
 )
 
@@ -83,6 +86,88 @@ func TestTable1ShapeOnClassW(t *testing.T) {
 	if !strings.Contains(out, "# CPUs") || !strings.Contains(out, "5×10×10") {
 		t.Errorf("formatted table missing pieces:\n%s", out)
 	}
+}
+
+// TestTable1CellsBitIdentical runs Table1On's cells side by side (as many
+// as GOMAXPROCS allows) and requires every row to equal a reference
+// computed one cell at a time, bit for bit, on the default crossbar and on
+// a contended hypercube, with the default metrics registry and a flight
+// recorder attached to every machine. Class W keeps it fast under -race.
+func TestTable1CellsBitIdentical(t *testing.T) {
+	reg := metrics.New()
+	sim.SetDefaultMetrics(reg)
+	sim.SetDefaultFlightDepth(16)
+	t.Cleanup(func() {
+		sim.SetDefaultMetrics(nil)
+		sim.SetDefaultFlightDepth(0)
+	})
+	runs := func() float64 {
+		v, _ := reg.Snapshot().Value("sim_runs_total")
+		return v
+	}
+	eta, steps := nas.ClassW.Eta, 1
+	for _, topo := range []string{"", "hypercube+contention"} {
+		r0 := runs()
+		want := table1OneCellAtATime(t, topo, eta, steps)
+		r1 := runs()
+		got, err := Table1On(topo, eta, steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r2 := runs(); r2-r1 != r1-r0 {
+			t.Errorf("%q: the registry counted %g runs, the reference made %g", topo, r2-r1, r1-r0)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%q: %d rows, want %d", topo, len(got), len(want))
+		}
+		for i, w := range want {
+			g := got[i]
+			if g.P != w.P || g.GammaStr != w.GammaStr ||
+				math.Float64bits(g.Hand) != math.Float64bits(w.Hand) ||
+				math.Float64bits(g.DHPF) != math.Float64bits(w.DHPF) ||
+				math.Float64bits(g.DiffPct) != math.Float64bits(w.DiffPct) {
+				t.Errorf("%q p=%d: got %+v, want %+v", topo, w.P, g, w)
+			}
+		}
+	}
+	if _, err := Table1On("warp-drive", eta, steps); err == nil {
+		t.Error("Table1On accepted an unknown topology")
+	}
+}
+
+// table1OneCellAtATime is Table1On computed serially, cell by cell, from
+// the same public calls.
+func table1OneCellAtATime(t *testing.T, topology string, eta []int, steps int) []Table1Row {
+	t.Helper()
+	serial, err := nas.SerialTime(nas.Origin2000Machine(1), eta, steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]Table1Row, 0, len(Table1Procs))
+	for _, p := range Table1Procs {
+		row := Table1Row{P: p, Hand: math.NaN(), DHPF: math.NaN(), DiffPct: math.NaN()}
+		for _, cell := range []struct {
+			v   nas.Variant
+			dst *float64
+		}{{nas.HandCodedDiagonal, &row.Hand}, {nas.DHPFGeneralized, &row.DHPF}} {
+			mach, err := nas.Origin2000MachineOn(topology, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s, err := nas.Speedup(cell.v, p, mach, eta, steps, serial); err == nil {
+				*cell.dst = s
+			}
+		}
+		if !math.IsNaN(row.Hand) && !math.IsNaN(row.DHPF) {
+			row.DiffPct = (row.Hand - row.DHPF) / row.Hand * 100
+		}
+		obj := partition.MachineObjective(eta, 20e-6, 80e-9/float64(p))
+		if res, err := partition.OptimalCapped(p, len(eta), obj, eta); err == nil {
+			row.GammaStr = partition.Describe(res.Gamma)
+		}
+		rows = append(rows, row)
+	}
+	return rows
 }
 
 func TestElementaryInventoryMatchesPaper(t *testing.T) {

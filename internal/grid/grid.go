@@ -206,19 +206,6 @@ func (g *Grid) eachRowOf(r Rect, f func(off, n int)) {
 	}
 }
 
-// Face returns the region of r's boundary hyperplane at the high end (side
-// +1) or low end (side −1) of dimension dim: the slice of thickness 1.
-func (r Rect) Face(dim, side int) Rect {
-	lo := numutil.CopyInts(r.Lo)
-	hi := numutil.CopyInts(r.Hi)
-	if side > 0 {
-		lo[dim] = r.Hi[dim] - 1
-	} else {
-		hi[dim] = r.Lo[dim] + 1
-	}
-	return Rect{Lo: lo, Hi: hi}
-}
-
 // Line is one 1-D line of a grid along some axis: a base storage offset, the
 // stride between consecutive elements, and the length.
 type Line struct {
@@ -244,30 +231,49 @@ func (g *Grid) Scatter(l Line, src []float64) {
 }
 
 // EachLine visits every 1-D line of region r that runs along dimension dim,
-// in row-major order of the orthogonal coordinates. Each line spans
-// [r.Lo[dim], r.Hi[dim]).
+// in row-major order of the orthogonal coordinates (the last varying
+// fastest). Each line spans [r.Lo[dim], r.Hi[dim]). It allocates nothing
+// for grids of up to maxOdoDims dimensions.
 func (g *Grid) EachLine(r Rect, dim int, f func(l Line)) {
+	var odo [maxOdoDims]int
+	l, idx := g.firstLine(r, dim, odo[:])
+	for ok := true; ok; ok = g.nextLine(r, dim, idx, &l) {
+		f(l)
+	}
+}
+
+// firstLine checks r and returns its first line along dim and the odometer
+// for nextLine: odo, which must be zero, when it has room for the grid's
+// dimensions, else a fresh one.
+func (g *Grid) firstLine(r Rect, dim int, odo []int) (Line, []int) {
 	g.checkRect(r)
-	d := len(g.shape)
-	outer := make([]int, 0, d-1)
-	dims := make([]int, 0, d-1)
-	for i := 0; i < d; i++ {
-		if i != dim {
-			outer = append(outer, r.Hi[i]-r.Lo[i])
-			dims = append(dims, i)
-		}
+	l := Line{Stride: g.stride[dim], N: r.Hi[dim] - r.Lo[dim]}
+	for i := range g.shape {
+		l.Base += r.Lo[i] * g.stride[i]
 	}
-	n := numutil.Prod(outer...)
-	idx := make([]int, len(outer))
-	lineN := r.Hi[dim] - r.Lo[dim]
-	for k := 0; k < n; k++ {
-		numutil.CoordOf(k, outer, idx)
-		base := r.Lo[dim] * g.stride[dim]
-		for i, od := range dims {
-			base += (r.Lo[od] + idx[i]) * g.stride[od]
-		}
-		f(Line{Base: base, Stride: g.stride[dim], N: lineN})
+	if len(g.shape) > len(odo) {
+		odo = make([]int, len(g.shape))
 	}
+	return l, odo
+}
+
+// nextLine advances the odometer idx over the dimensions of r other than
+// dim, the last varying fastest, and moves l to the next line. It reports
+// false after the last line.
+func (g *Grid) nextLine(r Rect, dim int, idx []int, l *Line) bool {
+	for i := len(g.shape) - 1; i >= 0; i-- {
+		if i == dim {
+			continue
+		}
+		idx[i]++
+		l.Base += g.stride[i]
+		if idx[i] < r.Hi[i]-r.Lo[i] {
+			return true
+		}
+		l.Base -= idx[i] * g.stride[i]
+		idx[i] = 0
+	}
+	return false
 }
 
 // NumLines returns the number of lines along dim in region r.

@@ -106,18 +106,6 @@ func TestExtractOrderIsRowMajor(t *testing.T) {
 	}
 }
 
-func TestFace(t *testing.T) {
-	r := RectOf([]int{0, 0, 0}, []int{4, 5, 6})
-	hiFace := r.Face(1, +1)
-	if hiFace.Lo[1] != 4 || hiFace.Hi[1] != 5 || hiFace.Size() != 4*1*6 {
-		t.Errorf("high face wrong: %+v", hiFace)
-	}
-	loFace := r.Face(2, -1)
-	if loFace.Lo[2] != 0 || loFace.Hi[2] != 1 || loFace.Size() != 4*5*1 {
-		t.Errorf("low face wrong: %+v", loFace)
-	}
-}
-
 func TestGatherScatterLines(t *testing.T) {
 	g := New(3, 4)
 	g.FillFunc(func(idx []int) float64 { return float64(10*idx[0] + idx[1]) })

@@ -20,7 +20,7 @@ const (
 )
 
 // maxOdoDims is the rank handled by the allocation-free odometer loops;
-// higher-rank grids take the (allocating) closure path.
+// higher-rank grids allocate their odometer or take a closure path.
 const maxOdoDims = 8
 
 // checkPanel validates a batch of lines against a panel buffer and returns
@@ -162,43 +162,15 @@ func (g *Grid) ScatterLines(lines []Line, src []float64) {
 }
 
 // AppendLines appends every line of region r along dim to dst and returns
-// the extended slice — the same lines in the same row-major orthogonal
-// order as EachLine, but without per-call closure or coordinate
-// allocations, so executors can keep a reusable []Line.
+// the extended slice, in EachLine's order, so executors can keep a
+// reusable []Line.
 func (g *Grid) AppendLines(r Rect, dim int, dst []Line) []Line {
-	g.checkRect(r)
-	d := len(g.shape)
-	if d > maxOdoDims {
-		g.EachLine(r, dim, func(l Line) { dst = append(dst, l) })
-		return dst
+	var odo [maxOdoDims]int
+	l, idx := g.firstLine(r, dim, odo[:])
+	for ok := true; ok; ok = g.nextLine(r, dim, idx, &l) {
+		dst = append(dst, l)
 	}
-	lineN := r.Hi[dim] - r.Lo[dim]
-	stride := g.stride[dim]
-	base := 0
-	for i := range g.shape {
-		base += r.Lo[i] * g.stride[i]
-	}
-	var idx [maxOdoDims]int
-	for {
-		dst = append(dst, Line{Base: base, Stride: stride, N: lineN})
-		// Odometer over the orthogonal dims, last varying fastest.
-		i := d - 1
-		for ; i >= 0; i-- {
-			if i == dim {
-				continue
-			}
-			idx[i]++
-			base += g.stride[i]
-			if idx[i] < r.Hi[i]-r.Lo[i] {
-				break
-			}
-			base -= idx[i] * g.stride[i]
-			idx[i] = 0
-		}
-		if i < 0 {
-			return dst
-		}
-	}
+	return dst
 }
 
 // ExtractInto copies region r of g into dst (row-major within the region,

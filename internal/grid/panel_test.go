@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"genmp/internal/numutil"
 )
 
 func randomGrid(rng *rand.Rand, shape ...int) *Grid {
@@ -15,35 +17,79 @@ func randomGrid(rng *rand.Rand, shape ...int) *Grid {
 	return g
 }
 
-// TestAppendLinesMatchesEachLine: identical lines in identical order.
+// refLines lists the lines of r along dim from their coordinates: one line
+// per point of r's cross-section, in row-major order.
+func refLines(g *Grid, r Rect, dim int) []Line {
+	cross := make([]int, len(r.Lo))
+	for i := range cross {
+		cross[i] = r.Hi[i] - r.Lo[i]
+	}
+	cross[dim] = 1
+	var out []Line
+	numutil.EachCoord(cross, func(c []int) {
+		base := 0
+		for i, x := range c {
+			base += (r.Lo[i] + x) * g.stride[i]
+		}
+		out = append(out, Line{Base: base, Stride: g.stride[dim], N: r.Hi[dim] - r.Lo[dim]})
+	})
+	return out
+}
+
+// TestAppendLinesMatchesEachLine: EachLine and AppendLines yield the lines
+// of the coordinate reference in its order, for sub-regions, a 1-D grid and
+// a grid of more than maxOdoDims dimensions.
 func TestAppendLinesMatchesEachLine(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := randomGrid(rng, 5, 7, 6)
-	rects := []Rect{
-		g.Bounds(),
-		{Lo: []int{1, 2, 0}, Hi: []int{4, 5, 6}},
-		{Lo: []int{0, 0, 3}, Hi: []int{1, 7, 4}},
+	g1 := randomGrid(rng, 9)
+	g9 := New(2, 1, 3, 1, 1, 2, 1, 2, 2)
+	cases := []struct {
+		g *Grid
+		r Rect
+	}{
+		{g, g.Bounds()},
+		{g, Rect{Lo: []int{1, 2, 0}, Hi: []int{4, 5, 6}}},
+		{g, Rect{Lo: []int{0, 0, 3}, Hi: []int{1, 7, 4}}},
+		{g1, g1.Bounds()},
+		{g9, g9.Bounds()},
+		{g9, Rect{Lo: []int{1, 0, 1, 0, 0, 0, 0, 1, 0}, Hi: []int{2, 1, 3, 1, 1, 2, 1, 2, 2}}},
 	}
-	for _, r := range rects {
-		for dim := 0; dim < 3; dim++ {
-			var want []Line
-			g.EachLine(r, dim, func(l Line) { want = append(want, l) })
-			got := g.AppendLines(r, dim, nil)
-			if len(got) != len(want) {
-				t.Fatalf("dim %d: %d lines, want %d", dim, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("dim %d line %d: %+v != %+v", dim, i, got[i], want[i])
+	for _, c := range cases {
+		for dim := range c.r.Lo {
+			want := refLines(c.g, c.r, dim)
+			var each []Line
+			c.g.EachLine(c.r, dim, func(l Line) { each = append(each, l) })
+			for _, got := range [][]Line{each, c.g.AppendLines(c.r, dim, nil)} {
+				if len(got) != len(want) {
+					t.Fatalf("%v dim %d: %d lines, want %d", c.r, dim, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%v dim %d line %d: %+v != %+v", c.r, dim, i, got[i], want[i])
+					}
 				}
 			}
 		}
 	}
-	// 1-D grid edge case.
-	g1 := randomGrid(rng, 9)
-	got := g1.AppendLines(g1.Bounds(), 0, nil)
-	if len(got) != 1 || got[0] != (Line{Base: 0, Stride: 1, N: 9}) {
-		t.Fatalf("1-D AppendLines: %+v", got)
+}
+
+// TestEachLineZeroAllocs: walking the lines of a region allocates nothing,
+// so per-slab kernels may call EachLine in their inner loops.
+func TestEachLineZeroAllocs(t *testing.T) {
+	g := New(8, 8, 8)
+	r := Rect{Lo: []int{1, 2, 0}, Hi: []int{7, 5, 8}}
+	sum := 0
+	allocs := testing.AllocsPerRun(10, func() {
+		for dim := 0; dim < 3; dim++ {
+			g.EachLine(r, dim, func(l Line) { sum += l.Base })
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("EachLine allocates %v times per run, want 0", allocs)
+	}
+	if sum == 0 {
+		t.Fatal("EachLine visited no line")
 	}
 }
 

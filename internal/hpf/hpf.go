@@ -234,6 +234,9 @@ func parseIntArgs(line int, args []string) ([]int, error) {
 		}
 		out[i] = v
 	}
+	if _, ok := numutil.CheckedProd(out...); !ok {
+		return nil, errf(line, "extents %s hold more elements than an int counts (overflow)", strings.Join(args, ", "))
+	}
 	return out, nil
 }
 

@@ -187,6 +187,8 @@ func TestParseErrors(t *testing.T) {
 		{"spec arity", "!HPF$ PROCESSORS P(2)\n!HPF$ TEMPLATE T(8,8)\n!HPF$ DISTRIBUTE T(BLOCK) ONTO P", "dimensions"},
 		{"align undeclared", "!HPF$ ALIGN A WITH T", "undeclared template"},
 		{"bad name", "!HPF$ TEMPLATE 9T(8)", "invalid name"},
+		{"template overflow", "!HPF$ PROCESSORS P(4)\n!HPF$ TEMPLATE T(4000000000,4000000000,4000000000)\n!HPF$ DISTRIBUTE T(MULTI, MULTI, MULTI) ONTO P", "overflow"},
+		{"processors overflow", "!HPF$ PROCESSORS P(4294967296, 4294967296)", "overflow"},
 	}
 	for _, c := range cases {
 		_, err := Parse(c.src)

@@ -9,6 +9,7 @@ package numutil
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -136,6 +137,19 @@ func Prod(xs ...int) int {
 		p *= x
 	}
 	return p
+}
+
+// CheckedProd returns the product of xs and true when every x is at least
+// 1 and the product fits in an int; otherwise it returns 0 and false.
+func CheckedProd(xs ...int) (int, bool) {
+	p := 1
+	for _, x := range xs {
+		if x < 1 || p > math.MaxInt/x {
+			return 0, false
+		}
+		p *= x
+	}
+	return p, true
 }
 
 // ProdExcept returns the product of all xs except xs[i].

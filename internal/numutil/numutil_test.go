@@ -180,6 +180,29 @@ func TestProdSum(t *testing.T) {
 	}
 }
 
+func TestCheckedProd(t *testing.T) {
+	cases := []struct {
+		xs   []int
+		want int
+		ok   bool
+	}{
+		{nil, 1, true},
+		{[]int{2, 3, 4}, 24, true},
+		{[]int{math.MaxInt, 1}, math.MaxInt, true},
+		{[]int{1 << 31, 1 << 31}, 1 << 62, true},
+		{[]int{4000000000, 4000000000, 4000000000}, 0, false},
+		{[]int{1 << 32, 1 << 31}, 0, false},
+		{[]int{3, 0}, 0, false},
+		{[]int{-2, 5}, 0, false},
+	}
+	for _, c := range cases {
+		got, ok := CheckedProd(c.xs...)
+		if got != c.want || ok != c.ok {
+			t.Errorf("CheckedProd(%v) = %d, %v; want %d, %v", c.xs, got, ok, c.want, c.ok)
+		}
+	}
+}
+
 func TestMinMax(t *testing.T) {
 	if MaxInt(3, 1, 4, 1, 5) != 5 {
 		t.Error("MaxInt wrong")

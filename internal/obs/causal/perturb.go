@@ -2,6 +2,7 @@ package causal
 
 import (
 	"fmt"
+	"math"
 	"path"
 	"strconv"
 	"strings"
@@ -168,8 +169,8 @@ func parseOne(s string) (Perturbation, error) {
 			return p, err
 		}
 		f, err := strconv.ParseFloat(strings.TrimSpace(factor), 64)
-		if err != nil || f < 0 {
-			return p, fmt.Errorf("causal: bad scale-link factor %q (want a number ≥ 0)", factor)
+		if err != nil || !finite(f) || f < 0 {
+			return p, fmt.Errorf("causal: bad scale-link factor %q (want a finite number ≥ 0)", factor)
 		}
 		p.Kind, p.Src, p.Dst, p.Factor = ScaleLink, src, dst, f
 		return p, nil
@@ -232,8 +233,8 @@ func parseFilters(p *Perturbation, s string) error {
 			p.Tag = n
 		case "frac":
 			f, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return fmt.Errorf("causal: bad frac %q", val)
+			if err != nil || !finite(f) {
+				return fmt.Errorf("causal: bad frac %q (want a finite number)", val)
 			}
 			p.Frac = f
 		default:
@@ -242,6 +243,10 @@ func parseFilters(p *Perturbation, s string) error {
 	}
 	return nil
 }
+
+// finite reports whether f is neither NaN nor ±Inf. strconv.ParseFloat
+// accepts "NaN" and "Inf", and NaN fails every range comparison.
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 func parseLink(s string) (src, dst int, err error) {
 	a, b, ok := strings.Cut(s, "->")

@@ -52,12 +52,15 @@ func TestParsePerturbationsErrors(t *testing.T) {
 		{"scale-link:0-1:2", "bad link"},
 		{"scale-link:0->x:2", "bad rank"},
 		{"scale-link:0->1:-3", "factor"},
+		{"scale-link:0->1:NaN", "factor"},
+		{"scale-link:0->1:Inf", "factor"},
 		{"zero-wait:", "at least one filter"},
 		{"zero-wait:color=red", "unknown filter"},
 		{"zero-wait:tag=-4", "bad tag"},
 		{"overlap:frac=0.5", "needs phase"},
 		{"overlap:phase=a,frac=1.5", "outside [0, 1]"},
 		{"overlap:phase=a,frac=x", "bad frac"},
+		{"overlap:phase=x,frac=NaN", "bad frac"},
 		{"overlap:phase", "key=value"},
 	}
 	for _, c := range cases {

@@ -6,14 +6,16 @@ import (
 	"strings"
 
 	"genmp/internal/core"
+	"genmp/internal/numutil"
 )
 
 // Validate checks the structural invariants the executors and the cost fold
 // rely on, failing with the first violated one:
 //
-//   - shape: P ranks, each with a pass per (dimension, direction), carry
-//     lengths consistent across ranks, phase line counts matching their
-//     tile geometry and byte counts matching Lines × CarryLen × 8;
+//   - shape: positive extents whose element count fits in an int, P ranks,
+//     each with a pass per (dimension, direction), carry lengths
+//     consistent across ranks, phase line counts matching their tile
+//     geometry and byte counts matching Lines × CarryLen × 8;
 //   - neighbor property: within one pass every phase that communicates
 //     names the same single upstream and the same single downstream rank
 //     (the property that makes one aggregated message per phase legal);
@@ -75,6 +77,9 @@ func (pl *SweepPlan) validateShape() error {
 	}
 	if len(pl.Passes) != pl.P {
 		return fmt.Errorf("plan: %d rank schedules for %d processors", len(pl.Passes), pl.P)
+	}
+	if _, ok := numutil.CheckedProd(pl.Eta...); !ok {
+		return fmt.Errorf("plan: η = %v: extents must be ≥ 1 and their element count must fit in an int", pl.Eta)
 	}
 	d := len(pl.Eta)
 	for q, passes := range pl.Passes {

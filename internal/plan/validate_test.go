@@ -97,3 +97,22 @@ func TestValidateAllocs(t *testing.T) {
 		t.Errorf("Validate allocates %.0f times for %d ranks and %d phases, want ≤ %.0f", allocs, pl.P, phases, limit)
 	}
 }
+
+// TestValidateOverflowingExtents compiles a plan whose η holds more
+// elements than an int counts. Compile builds it tile by tile without
+// forming the product, so Validate must reject it: Elements would wrap.
+func TestValidateOverflowingExtents(t *testing.T) {
+	m, err := core.NewGeneralized(4, []int{2, 2, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eta := []int{4000000000, 4000000000, 4000000000}
+	pl, err := plan.Compile(plan.Spec{M: m, Eta: eta, Solver: sweep.NewPenta()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "plan: η = [4000000000 4000000000 4000000000]: extents must be ≥ 1 and their element count must fit in an int"
+	if err := pl.Validate(); err == nil || err.Error() != want {
+		t.Fatalf("err = %v\nwant %s", err, want)
+	}
+}

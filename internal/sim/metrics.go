@@ -100,7 +100,7 @@ func newMachMetrics(reg *metrics.Registry, p int) *machMetrics {
 	mm.nbWait = reg.Counter("sim_nonblocking_total", "nonblocking operations by kind", metrics.L("op", "wait"))
 	mm.runs = reg.Counter("sim_runs_total", "completed Machine.Run calls")
 	mm.deadlocks = reg.Counter("sim_deadlocks_total", "runs aborted by the deadlock detector")
-	mm.makespan = reg.Gauge("sim_makespan_seconds", "virtual-time makespan of the most recent run")
+	mm.makespan = reg.Gauge("sim_makespan_seconds", "virtual-time makespan of the most recently finished run")
 	mm.coll = make(map[string]*metrics.Counter)
 	return mm
 }
