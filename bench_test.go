@@ -93,7 +93,7 @@ func BenchmarkTable1SP(b *testing.B) {
 	for _, p := range []int{16, 49, 50, 64} {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s, err := nas.Speedup(nas.DHPFGeneralized, p, nas.Origin2000Machine(p), eta, 1, serial)
+				s, _, err := nas.Speedup(nas.DHPFGeneralized, p, nas.Origin2000Machine(p), eta, 1, serial)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -183,20 +183,26 @@ func BenchmarkAblationAggregation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, agg := range []bool{true, false} {
+	solver := sweep.Tridiag{}
+	for _, perTile := range []bool{false, true} {
 		name := "aggregated"
-		if !agg {
+		if perTile {
 			name = "per-tile"
 		}
 		b.Run(name, func(b *testing.B) {
 			makespan := 0.0
 			for i := 0; i < b.N; i++ {
-				ms, err := dist.NewMultiSweep(env, sweep.Tridiag{}, nil)
+				pl, err := dist.CompileSweepPlan(env, solver)
 				if err != nil {
 					b.Fatal(err)
 				}
-				ms.Aggregate = agg
-				res, err := nasMachine(8).Run(func(r *sim.Rank) { ms.Run(r, 0) })
+				res, err := nasMachine(8).Run(func(r *sim.Rank) {
+					// A model field holds no storage, so one serves every vector.
+					f := dist.NewModelField(env, r.ID, 0)
+					sr := dist.NewSweepRunner(solver, []*dist.Field{f, f, f, f})
+					sr.Plan, sr.PerTileMessages = pl, perTile
+					sr.Run(r, 0)
+				})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -549,12 +555,13 @@ func BenchmarkKernelPanels(b *testing.B) {
 	}
 }
 
-// BenchmarkMultiSweepSteadyState measures a warmed data-mode
+// BenchmarkSweepRunnerSteadyState measures a warmed data-mode
 // multipartitioned pentadiagonal sweep (along the dimension the system is
-// built for) — the allocation figure is the executor's true steady state
-// (pooled payloads, reused arenas, cached geometry; what remains is
-// Machine.Run's fixed per-run bookkeeping).
-func BenchmarkMultiSweepSteadyState(b *testing.B) {
+// built for), every rank's SweepRunner over private fields — the
+// allocation figure is the executor's true steady state (pooled payloads,
+// reused arenas, cached geometry; what remains is Machine.Run's fixed
+// per-run bookkeeping).
+func BenchmarkSweepRunnerSteadyState(b *testing.B) {
 	p, gamma, eta := 8, []int{4, 4, 2}, []int{32, 32, 32}
 	m, err := core.NewGeneralized(p, gamma)
 	if err != nil {
@@ -567,20 +574,36 @@ func BenchmarkMultiSweepSteadyState(b *testing.B) {
 	rng := rand.New(rand.NewSource(23))
 	sv := sweep.NewPenta()
 	gs := kernelBenchGrids(sv, eta, 0, rng)
-	pristine := make([][]float64, len(gs))
-	for v := range gs {
-		pristine[v] = append([]float64(nil), gs[v].Data()...)
-	}
-	ms, err := dist.NewMultiSweep(env, sv, gs)
+	pl, err := dist.CompileSweepPlan(env, sv)
 	if err != nil {
 		b.Fatal(err)
 	}
+	runners := make([]*dist.SweepRunner, p)
+	pristine := make([][][]float64, p) // [rank][field*tiles+tile]
+	for q := range runners {
+		fields := make([]*dist.Field, len(gs))
+		for v, g := range gs {
+			fields[v] = dist.NewField(env, q, 0)
+			fields[v].Load(g)
+			for i := 0; i < fields[v].NumTiles(); i++ {
+				pristine[q] = append(pristine[q], append([]float64(nil), fields[v].TileGrid(i).Data()...))
+			}
+		}
+		runners[q] = dist.NewSweepRunner(sv, fields)
+		runners[q].Plan = pl
+	}
 	mach := nasMachine(p)
 	run := func() {
-		for v := range gs {
-			copy(gs[v].Data(), pristine[v])
-		}
-		if _, err := mach.Run(func(r *sim.Rank) { ms.Run(r, 0) }); err != nil {
+		if _, err := mach.Run(func(r *sim.Rank) {
+			sr, k := runners[r.ID], 0
+			for _, f := range sr.Fields {
+				for i := 0; i < f.NumTiles(); i++ {
+					copy(f.TileGrid(i).Data(), pristine[r.ID][k])
+					k++
+				}
+			}
+			sr.Run(r, 0)
+		}); err != nil {
 			b.Fatal(err)
 		}
 	}

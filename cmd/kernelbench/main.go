@@ -5,7 +5,8 @@
 //
 //   - kernels-sim: virtual-machine results (makespan, messages, bytes) of
 //     the strict distributed SP driver and of a data-mode multipartitioned
-//     pentadiagonal sweep in both scalar and batched mode. Everything here
+//     pentadiagonal sweep (dist.SweepRunner over each rank's private
+//     fields) in both scalar and batched mode. Everything here
 //     is bit-reproducible, so the CI gate diffs it at zero tolerance; the
 //     scalar and batched rows must stay identical to each other (batching
 //     is a kernel-level change, invisible to the cost model), and the tool
@@ -143,15 +144,15 @@ func pentaSystem(eta []int) []*grid.Grid {
 }
 
 // pentaSweep is one measurable configuration: a data-mode multipartitioned
-// pentadiagonal sweep along dim 0 with a fixed batch setting.
+// pentadiagonal sweep along dim 0 with a fixed batch setting, run by every
+// rank's SweepRunner over private fields loaded from one shared system.
 type pentaSweep struct {
-	p     int
-	gamma []int
-	eta   []int
-	ms    *dist.MultiSweep
-	mach  *sim.Machine
-	work  []*grid.Grid
-	prist [][]float64
+	eta     []int
+	runners []*dist.SweepRunner
+	mach    *sim.Machine
+	// prist[q] holds rank q's tile data as loaded (field by field, tile by
+	// tile); each run restores it in place.
+	prist [][][]float64
 }
 
 func newPentaSweep(p int, gamma, eta []int, batch int) *pentaSweep {
@@ -163,29 +164,56 @@ func newPentaSweep(p int, gamma, eta []int, batch int) *pentaSweep {
 	if err != nil {
 		log.Fatal(err)
 	}
-	work := pentaSystem(eta)
-	prist := make([][]float64, len(work))
-	for v := range work {
-		prist[v] = append([]float64(nil), work[v].Data()...)
-	}
-	ms, err := dist.NewMultiSweep(env, sweep.NewPenta(), work)
+	sv := sweep.NewPenta()
+	pl, err := dist.CompileSweepPlan(env, sv)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ms.Batch = batch
-	return &pentaSweep{p: p, gamma: gamma, eta: eta, ms: ms,
-		mach: nas.Origin2000Machine(p), work: work, prist: prist}
+	gs := pentaSystem(eta)
+	ps := &pentaSweep{eta: eta, runners: make([]*dist.SweepRunner, p),
+		mach: nas.Origin2000Machine(p), prist: make([][][]float64, p)}
+	for q := range ps.runners {
+		fields := make([]*dist.Field, len(gs))
+		for v, g := range gs {
+			fields[v] = dist.NewField(env, q, 0)
+			fields[v].Load(g)
+			for i := 0; i < fields[v].NumTiles(); i++ {
+				ps.prist[q] = append(ps.prist[q], append([]float64(nil), fields[v].TileGrid(i).Data()...))
+			}
+		}
+		ps.runners[q] = dist.NewSweepRunner(sv, fields)
+		ps.runners[q].Plan, ps.runners[q].Batch = pl, batch
+	}
+	return ps
 }
 
 func (ps *pentaSweep) run() sim.Result {
-	for v := range ps.work {
-		copy(ps.work[v].Data(), ps.prist[v])
-	}
-	res, err := ps.mach.Run(func(r *sim.Rank) { ps.ms.Run(r, 0) })
+	res, err := ps.mach.Run(func(r *sim.Rank) {
+		sr, k := ps.runners[r.ID], 0
+		for _, f := range sr.Fields {
+			for i := 0; i < f.NumTiles(); i++ {
+				copy(f.TileGrid(i).Data(), ps.prist[r.ID][k])
+				k++
+			}
+		}
+		sr.Run(r, 0)
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	return res
+}
+
+// solution assembles every rank's fields into grids over the whole array.
+func (ps *pentaSweep) solution() []*grid.Grid {
+	out := make([]*grid.Grid, len(ps.runners[0].Fields))
+	for v := range out {
+		out[v] = grid.New(ps.eta...)
+		for _, sr := range ps.runners {
+			sr.Fields[v].Store(out[v])
+		}
+	}
+	return out
 }
 
 func (ps *pentaSweep) elements() int {
@@ -208,8 +236,9 @@ func simSuite() []obs.BenchRecord {
 	batched := newPentaSweep(p, gamma, eta, 0)
 	sres := scalar.run()
 	bres := batched.run()
-	for v := range scalar.work {
-		sd, bd := scalar.work[v].Data(), batched.work[v].Data()
+	sgs, bgs := scalar.solution(), batched.solution()
+	for v := range sgs {
+		sd, bd := sgs[v].Data(), bgs[v].Data()
 		for i := range sd {
 			if math.Float64bits(sd[i]) != math.Float64bits(bd[i]) {
 				log.Fatalf("batched sweep diverges from scalar: vec %d element %d: %v vs %v", v, i, sd[i], bd[i])

@@ -242,11 +242,13 @@ func (b *bench) traced() error {
 	if err != nil {
 		return err
 	}
-	ms, err := dist.NewMultiSweep(env, sweep.Tridiag{}, nil)
+	// One shared schedule for every rank, compiled without halo metadata
+	// (model fields have no storage), which is what -plan dumps.
+	solver := sweep.Tridiag{}
+	pl, err := plan.Compile(plan.Spec{M: m, Eta: s.Eta, Solver: solver, Overlap: s.Overlap})
 	if err != nil {
 		return err
 	}
-	ms.Overlap = s.Overlap
 	mach, err := nas.Origin2000MachineOn(s.Topology, s.P)
 	if err != nil {
 		return err
@@ -254,8 +256,16 @@ func (b *bench) traced() error {
 	mach.Coll = s.Coll
 	mach.Trace = &sim.Trace{}
 	res, err := mach.Run(func(r *sim.Rank) {
+		// A model field holds no storage, so one serves every vector.
+		f := dist.NewModelField(env, r.ID, 0)
+		fields := make([]*dist.Field, solver.NumVecs())
+		for v := range fields {
+			fields[v] = f
+		}
+		sr := dist.NewSweepRunner(solver, fields)
+		sr.Plan = pl
 		r.BeginPhase("sweep0")
-		ms.Run(r, 0)
+		sr.Run(r, 0)
 	})
 	if err != nil {
 		return err
@@ -265,7 +275,7 @@ func (b *bench) traced() error {
 	// The run swept dim 0 once under the "sweep0" label; the plan audit
 	// checks the plan's dim-0 traffic against it.
 	return b.c.Out.Report(os.Stdout, cli.Run{Result: res, Trace: mach.Trace, Source: b.src,
-		Plan: ms.CompiledPlan(), Execs: 1, PhaseOf: func(dim int) string {
+		Plan: pl, Execs: 1, PhaseOf: func(dim int) string {
 			if dim == 0 {
 				return "sweep0"
 			}

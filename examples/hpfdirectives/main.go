@@ -112,11 +112,26 @@ func main() {
 		}
 	})
 
-	ms, err := dist.NewMultiSweep(env, sweep.Tridiag{}, gs)
+	// Every rank loads its own tiles of the global grids into private
+	// fields, sweeps them under the one compiled schedule and stores them
+	// back (ranks own disjoint regions).
+	pl, err := dist.CompileSweepPlan(env, sweep.Tridiag{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := nas.Origin2000Machine(18).Run(func(r *sim.Rank) { ms.Run(r, 0) })
+	res, err := nas.Origin2000Machine(18).Run(func(r *sim.Rank) {
+		fields := make([]*dist.Field, len(gs))
+		for v, g := range gs {
+			fields[v] = dist.NewField(env, r.ID, 0)
+			fields[v].Load(g)
+		}
+		sr := dist.NewSweepRunner(sweep.Tridiag{}, fields)
+		sr.Plan = pl
+		sr.Run(r, 0)
+		for v, f := range fields {
+			f.Store(gs[v])
+		}
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

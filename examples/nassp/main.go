@@ -60,10 +60,10 @@ func main() {
 	for _, pp := range []int{9, 16, 25, 36, 49, 50, 64} {
 		mach := nas.Origin2000Machine(pp)
 		hand := "    —   "
-		if s, err := nas.Speedup(nas.HandCodedDiagonal, pp, mach, eta, steps, serial); err == nil {
+		if s, _, err := nas.Speedup(nas.HandCodedDiagonal, pp, mach, eta, steps, serial); err == nil {
 			hand = fmt.Sprintf("%8.2f", s)
 		}
-		dhpf, err := nas.Speedup(nas.DHPFGeneralized, pp, mach, eta, steps, serial)
+		dhpf, _, err := nas.Speedup(nas.DHPFGeneralized, pp, mach, eta, steps, serial)
 		if err != nil {
 			log.Fatal(err)
 		}

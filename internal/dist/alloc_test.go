@@ -63,44 +63,6 @@ func TestWavefrontPerBlockAllocFree(t *testing.T) {
 	}
 }
 
-// TestMultiSweepSteadyStateAllocFree pins the warmed per-run allocation
-// count of the strictest executor path the benchmarks gate: repeated batched
-// multipartitioned sweeps on one machine must not grow the heap per line,
-// per block, or per message (payloads cycle through the machine pool).
-func TestMultiSweepSteadyStateAllocFree(t *testing.T) {
-	p, gamma, eta := 4, []int{2, 2, 2}, []int{16, 16, 8}
-	env := mustTestEnv(t, p, gamma, eta)
-	rng := rand.New(rand.NewSource(10))
-	gs := makeBandedGrids(rng, eta, 1, 1, 0)
-	work := cloneAll(gs)
-	ms, err := NewMultiSweep(env, sweep.Tridiag{}, work)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mach := testMachine(p)
-	run := func() {
-		for v := range work {
-			copy(work[v].Data(), gs[v].Data())
-		}
-		if _, err := mach.Run(func(r *sim.Rank) { ms.Run(r, 0) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run() // warm arenas and pools
-	baseline := runOverhead(mach, p)
-	resetScratchStats(ms.scratchBuf)
-	pool := mach.PayloadPoolStats()
-	allocs := testing.AllocsPerRun(5, run)
-	t.Logf("allocs per run: sweep %v, bare machine %v", allocs, baseline)
-	if allocs > baseline+32 {
-		t.Errorf("warmed multipartitioned sweep allocates %v per run vs %v for an empty run: executor path is allocating", allocs, baseline)
-	}
-	if ws := ms.WorkspaceStats(); ws.Gets == 0 || ws.HitRate() != 1 {
-		t.Errorf("steady-state workspace hit rate = %v (%+v), want 1", ws.HitRate(), ws)
-	}
-	assertPoolSteadyState(t, mach, pool)
-}
-
 // resetScratchStats zeroes the arena counters of warmed per-rank scratch so
 // hit rates are measured from a steady-state baseline.
 func resetScratchStats(buf []Scratch) {
@@ -126,14 +88,6 @@ func assertPoolSteadyState(t *testing.T, mach *sim.Machine, pre mbox.PoolStats) 
 	if rate := float64(hits) / float64(gets); rate < 0.9 {
 		t.Errorf("steady-state payload pool hit rate = %v (%d/%d gets), want ≈ 1", rate, hits, gets)
 	}
-}
-
-// runOverhead measures Machine.Run's own fixed allocation cost (goroutines,
-// per-rank stats) with an empty body on an already-warmed machine.
-func runOverhead(mach *sim.Machine, p int) float64 {
-	body := func(r *sim.Rank) {}
-	mach.Run(body)
-	return testing.AllocsPerRun(5, func() { mach.Run(body) })
 }
 
 func mustTestEnv(t *testing.T, p int, gamma, eta []int) *Env {

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"genmp/internal/core"
 	"genmp/internal/grid"
 	"genmp/internal/sim"
 	"genmp/internal/sweep"
@@ -54,41 +53,6 @@ func identityGrids(t *testing.T, rng *rand.Rand, solver sweep.Solver, eta []int,
 // a width that never divides the odd line counts below, and one wider than
 // most cross-sections.
 var identityBatches = []int{1, 7, 64}
-
-func TestMultiSweepBatchBitIdentical(t *testing.T) {
-	p, gamma, eta := 8, []int{4, 4, 2}, []int{16, 13, 9}
-	m, err := core.NewGeneralized(p, gamma)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, err := NewEnv(m, eta, HandCoded())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(11))
-	for _, solver := range identitySolvers() {
-		for dim := range eta {
-			gs := identityGrids(t, rng, solver, eta, dim)
-			run := func(batch int) []*grid.Grid {
-				work := cloneAll(gs)
-				ms, err := NewMultiSweep(env, solver, work)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ms.Batch = batch
-				if _, err := testMachine(p).Run(func(r *sim.Rank) { ms.Run(r, dim) }); err != nil {
-					t.Fatalf("%s dim %d batch %d: %v", solver.Name(), dim, batch, err)
-				}
-				return work
-			}
-			want := run(-1)
-			for _, batch := range identityBatches {
-				tag := fmt.Sprintf("multisweep %s dim %d batch %d", solver.Name(), dim, batch)
-				requireBitIdentical(t, tag, want, run(batch))
-			}
-		}
-	}
-}
 
 func TestBlockSweepsBatchBitIdentical(t *testing.T) {
 	p := 4

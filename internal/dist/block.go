@@ -64,19 +64,6 @@ type wfKey struct {
 	overlap bool
 }
 
-// scratchWorkspaceStats aggregates arena counters across a per-rank
-// scratch slice — the executor-wide hit/miss view the alloc tests assert
-// on. Callers must not race it against running ranks.
-func scratchWorkspaceStats(buf []Scratch) sweep.WorkspaceStats {
-	var out sweep.WorkspaceStats
-	for q := range buf {
-		s := buf[q].WorkspaceStats()
-		out.Gets += s.Gets
-		out.Hits += s.Hits
-	}
-	return out
-}
-
 // scratch returns rank q's arena, presizing the per-rank slice on first use
 // so a Block built as a literal is served from persistent arenas too.
 func (b *Block) scratch(q int) *Scratch {
@@ -92,7 +79,13 @@ func (b *Block) scratch(q int) *Scratch {
 // scratch; with warmed arenas the hit rate is 1. Not safe against ranks
 // still running.
 func (b *Block) WorkspaceStats() sweep.WorkspaceStats {
-	return scratchWorkspaceStats(b.scratchBuf)
+	var out sweep.WorkspaceStats
+	for q := range b.scratchBuf {
+		s := b.scratchBuf[q].WorkspaceStats()
+		out.Gets += s.Gets
+		out.Hits += s.Hits
+	}
+	return out
 }
 
 // wavefrontPlan returns the compiled pipeline schedule for (solver, grain),
@@ -105,7 +98,7 @@ func (b *Block) wavefrontPlan(solver sweep.Solver, grainLines int) *plan.SweepPl
 		return pl
 	}
 	pl, err := plan.CompileWavefront(plan.WavefrontSpec{
-		P: b.P, Eta: b.Eta, Dim: b.Dim, Grain: grainLines, Solver: solver, Batch: b.Batch, Overlap: b.Overlap,
+		P: b.P, Eta: b.Eta, Dim: b.Dim, Grain: grainLines, Solver: solver, Overlap: b.Overlap,
 	})
 	if err != nil {
 		panic("dist: " + err.Error())
@@ -265,7 +258,7 @@ func (b *Block) WavefrontSweep(r xport.Transport, solver sweep.Solver, vecs []*g
 		}
 		pp := pl.Pass(q, b.Dim, backward)
 		RunPass(r, PassSpec{
-			Pass: pp, Solver: solver, Batch: b.Batch, Bind: sc.bindGrids(vecs, pp, true),
+			Pass: pp, Solver: solver, Batch: b.Batch, Bind: sc.bindGrids(vecs, pp),
 			Overhead: ov, Scratch: sc,
 		})
 	}

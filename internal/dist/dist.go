@@ -8,10 +8,10 @@
 //     communication phase (full communication vectorization, possible
 //     because generalized multipartitionings have the neighbor property).
 //     A rank keeps its tiles in private Fields, padded with halo shells;
-//     SweepRunner sweeps them and GatherToRoot assembles a result. The
-//     applications (nas, adi) step their compiled plans over Fields, on
-//     the simulator or the real-parallel runtime. MultiSweep runs the same
-//     schedule over shared global grids for the kernel benchmarks.
+//     SweepRunner sweeps them and GatherToRoot assembles a result. Every
+//     multipartitioned sweep runs this way: the applications (nas, adi)
+//     step their compiled plans over Fields, on the simulator or the
+//     real-parallel runtime, and so do the kernel benchmarks.
 //   - Static block unipartitioning (Block.WavefrontSweep): one dimension is
 //     cut into p slabs; sweeps along it are pipelined wavefronts whose
 //     message granularity trades pipeline fill/drain against per-message

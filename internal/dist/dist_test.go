@@ -95,7 +95,59 @@ func cloneAll(gs []*grid.Grid) []*grid.Grid {
 	return out
 }
 
-func runMultiSweep(t *testing.T, p int, gamma, eta []int, solver sweep.Solver, aggregate bool, dims []int) {
+// modelRunner builds rank q's model-only runner: one model field serves
+// every solver vector, since it holds no storage.
+func modelRunner(env *Env, q int, solver sweep.Solver) *SweepRunner {
+	f := NewModelField(env, q, 0)
+	fields := make([]*Field, solver.NumVecs())
+	for v := range fields {
+		fields[v] = f
+	}
+	return NewSweepRunner(solver, fields)
+}
+
+// sweepGlobal runs a multipartitioned sweep along each of dims, in order,
+// on a test machine: every rank's SweepRunner executes one shared compiled
+// plan. With gs set, each rank's fields are loaded from the global grids gs
+// before the run and stored back after it; gs nil runs model-only. perTile
+// selects the per-tile message ablation.
+func sweepGlobal(env *Env, solver sweep.Solver, gs []*grid.Grid, perTile bool, dims ...int) (sim.Result, error) {
+	pl, err := CompileSweepPlan(env, solver)
+	if err != nil {
+		return sim.Result{}, err
+	}
+	runners := make([]*SweepRunner, env.M.P())
+	for q := range runners {
+		if gs == nil {
+			runners[q] = modelRunner(env, q, solver)
+		} else {
+			fields := make([]*Field, len(gs))
+			for v, g := range gs {
+				fields[v] = NewField(env, q, 0)
+				fields[v].Load(g)
+			}
+			runners[q] = NewSweepRunner(solver, fields)
+		}
+		runners[q].Plan, runners[q].PerTileMessages = pl, perTile
+	}
+	res, err := testMachine(env.M.P()).Run(func(r *sim.Rank) {
+		for _, dim := range dims {
+			runners[r.ID].Run(r, dim)
+		}
+	})
+	if gs != nil {
+		for _, sr := range runners {
+			for v, f := range sr.Fields {
+				f.Store(gs[v])
+			}
+		}
+	}
+	return res, err
+}
+
+// sweepMatchesSerial sweeps freshly built systems along each of dims and
+// checks the result against the serial solve.
+func sweepMatchesSerial(t *testing.T, p int, gamma, eta []int, solver sweep.Solver, perTile bool, dims []int) {
 	t.Helper()
 	m, err := core.NewGeneralized(p, gamma)
 	if err != nil {
@@ -120,13 +172,7 @@ func runMultiSweep(t *testing.T, p int, gamma, eta []int, solver sweep.Solver, a
 		}
 		want := serialSolve(solver, gs, dim)
 		work := cloneAll(gs)
-		ms, err := NewMultiSweep(env, solver, work)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ms.Aggregate = aggregate
-		mach := testMachine(p)
-		res, err := mach.Run(func(r *sim.Rank) { ms.Run(r, dim) })
+		res, err := sweepGlobal(env, solver, work, perTile, dim)
 		if err != nil {
 			t.Fatalf("p=%d γ=%v dim=%d: %v", p, gamma, dim, err)
 		}
@@ -142,29 +188,29 @@ func runMultiSweep(t *testing.T, p int, gamma, eta []int, solver sweep.Solver, a
 }
 
 func TestMultiSweepTridiagMatchesSerial(t *testing.T) {
-	runMultiSweep(t, 4, []int{2, 2, 2}, []int{12, 10, 8}, sweep.Tridiag{}, true, []int{0, 1, 2})
-	runMultiSweep(t, 8, []int{4, 4, 2}, []int{16, 13, 9}, sweep.Tridiag{}, true, []int{0, 1, 2})
-	runMultiSweep(t, 16, []int{4, 4, 4}, []int{17, 16, 15}, sweep.Tridiag{}, true, []int{0, 1, 2})
-	runMultiSweep(t, 6, []int{6, 6, 1}, []int{13, 14, 5}, sweep.Tridiag{}, true, []int{0, 1, 2})
+	sweepMatchesSerial(t, 4, []int{2, 2, 2}, []int{12, 10, 8}, sweep.Tridiag{}, false, []int{0, 1, 2})
+	sweepMatchesSerial(t, 8, []int{4, 4, 2}, []int{16, 13, 9}, sweep.Tridiag{}, false, []int{0, 1, 2})
+	sweepMatchesSerial(t, 16, []int{4, 4, 4}, []int{17, 16, 15}, sweep.Tridiag{}, false, []int{0, 1, 2})
+	sweepMatchesSerial(t, 6, []int{6, 6, 1}, []int{13, 14, 5}, sweep.Tridiag{}, false, []int{0, 1, 2})
 }
 
 func TestMultiSweepPentaMatchesSerial(t *testing.T) {
-	runMultiSweep(t, 8, []int{4, 4, 2}, []int{14, 12, 10}, sweep.NewPenta(), true, []int{0, 1, 2})
-	runMultiSweep(t, 9, []int{3, 3, 3}, []int{12, 11, 13}, sweep.NewPenta(), true, []int{0, 1, 2})
+	sweepMatchesSerial(t, 8, []int{4, 4, 2}, []int{14, 12, 10}, sweep.NewPenta(), false, []int{0, 1, 2})
+	sweepMatchesSerial(t, 9, []int{3, 3, 3}, []int{12, 11, 13}, sweep.NewPenta(), false, []int{0, 1, 2})
 }
 
 func TestMultiSweepRecurrenceMatchesSerial(t *testing.T) {
-	runMultiSweep(t, 12, []int{6, 6, 2}, []int{12, 12, 12}, sweep.Recurrence{}, true, []int{0, 1, 2})
+	sweepMatchesSerial(t, 12, []int{6, 6, 2}, []int{12, 12, 12}, sweep.Recurrence{}, false, []int{0, 1, 2})
 }
 
 func TestMultiSweep2D(t *testing.T) {
-	runMultiSweep(t, 5, []int{5, 5}, []int{17, 13}, sweep.Tridiag{}, true, []int{0, 1})
+	sweepMatchesSerial(t, 5, []int{5, 5}, []int{17, 13}, sweep.Tridiag{}, false, []int{0, 1})
 }
 
 func TestMultiSweep4D(t *testing.T) {
 	// 4-D arrays: γ = (2,2,2,2) is valid for p = 8 (every co-product is 8),
 	// exercising the full d-generality of the construction and executor.
-	runMultiSweep(t, 8, []int{2, 2, 2, 2}, []int{8, 7, 6, 5}, sweep.Tridiag{}, true, []int{0, 1, 2, 3})
+	sweepMatchesSerial(t, 8, []int{2, 2, 2, 2}, []int{8, 7, 6, 5}, sweep.Tridiag{}, false, []int{0, 1, 2, 3})
 }
 
 func TestMultiSweepBlockTridiag(t *testing.T) {
@@ -187,11 +233,7 @@ func TestMultiSweepBlockTridiag(t *testing.T) {
 		gs := makeBlockTriGrids(rng, eta, 2, dim)
 		want := serialSolve(solver, gs, dim)
 		work := cloneAll(gs)
-		ms, err := NewMultiSweep(env, solver, work)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := testMachine(p).Run(func(r *sim.Rank) { ms.Run(r, dim) }); err != nil {
+		if _, err := sweepGlobal(env, solver, work, false, dim); err != nil {
 			t.Fatal(err)
 		}
 		for v := range want {
@@ -238,7 +280,7 @@ func makeBlockTriGrids(rng *rand.Rand, eta []int, b, dim int) []*grid.Grid {
 }
 
 func TestMultiSweepNonAggregated(t *testing.T) {
-	runMultiSweep(t, 8, []int{4, 4, 2}, []int{12, 12, 12}, sweep.Tridiag{}, false, []int{0, 2})
+	sweepMatchesSerial(t, 8, []int{4, 4, 2}, []int{12, 12, 12}, sweep.Tridiag{}, true, []int{0, 2})
 }
 
 func TestAggregationReducesMessages(t *testing.T) {
@@ -254,20 +296,15 @@ func TestAggregationReducesMessages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	count := func(aggregate bool) (int, float64) {
-		ms, err := NewMultiSweep(env, sweep.Tridiag{}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ms.Aggregate = aggregate
-		res, err := testMachine(p).Run(func(r *sim.Rank) { ms.Run(r, 0) })
+	count := func(perTile bool) (int, float64) {
+		res, err := sweepGlobal(env, sweep.Tridiag{}, nil, perTile, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.TotalMessages(), res.Makespan
 	}
-	aggMsgs, aggTime := count(true)
-	tileMsgs, tileTime := count(false)
+	aggMsgs, aggTime := count(false)
+	tileMsgs, tileTime := count(true)
 	if tileMsgs <= aggMsgs {
 		t.Errorf("per-tile messages (%d) should exceed aggregated (%d)", tileMsgs, aggMsgs)
 	}
@@ -292,19 +329,11 @@ func TestModelOnlyMatchesDataModeMakespan(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	gs := makeBandedGrids(rng, eta, 1, 1, 0)
 
-	msData, err := NewMultiSweep(env, sweep.Tridiag{}, cloneAll(gs))
+	resData, err := sweepGlobal(env, sweep.Tridiag{}, cloneAll(gs), false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resData, err := testMachine(p).Run(func(r *sim.Rank) { msData.Run(r, 0) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	msModel, err := NewMultiSweep(env, sweep.Tridiag{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resModel, err := testMachine(p).Run(func(r *sim.Rank) { msModel.Run(r, 0) })
+	resModel, err := sweepGlobal(env, sweep.Tridiag{}, nil, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -637,11 +666,7 @@ func TestMultiSweepExactMessageCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ms, err := NewMultiSweep(env, sweep.Tridiag{}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := testMachine(c.p).Run(func(r *sim.Rank) { ms.Run(r, c.dim) })
+		res, err := sweepGlobal(env, sweep.Tridiag{}, nil, false, c.dim)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -679,13 +704,9 @@ func TestSolverPanicMidRunSurfacesAsError(t *testing.T) {
 	}
 	gs[1].Fill(1)         // diag fine everywhere …
 	gs[1].Set(0, 5, 3, 2) // … except one zero pivot deep in the domain
-	ms, err := NewMultiSweep(env, sweep.Tridiag{}, gs)
-	if err != nil {
-		t.Fatal(err)
-	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := testMachine(p).Run(func(r *sim.Rank) { ms.Run(r, 0) })
+		_, err := sweepGlobal(env, sweep.Tridiag{}, gs, false, 0)
 		done <- err
 	}()
 	select {
@@ -715,22 +736,13 @@ func TestWavefrontInvalidGrainPanics(t *testing.T) {
 }
 
 func TestMultiSweepWrongVecCount(t *testing.T) {
-	m, err := core.NewGeneralized(4, []int{4, 4, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, err := NewEnv(m, []int{8, 8, 4}, HandCoded())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewMultiSweep(env, sweep.Tridiag{}, []*grid.Grid{grid.New(8, 8, 4)}); err == nil {
-		t.Error("vec-count mismatch should fail")
-	}
-	if _, err := NewMultiSweep(env, sweep.Tridiag{}, []*grid.Grid{
-		grid.New(8, 8, 4), grid.New(8, 8, 4), grid.New(8, 8, 4), grid.New(9, 8, 4),
-	}); err == nil {
-		t.Error("vec-shape mismatch should fail")
-	}
+	env := mustTestEnv(t, 4, []int{4, 4, 1}, []int{8, 8, 4})
+	defer func() {
+		if recover() == nil {
+			t.Error("field-count mismatch should panic")
+		}
+	}()
+	NewSweepRunner(sweep.Tridiag{}, []*Field{NewField(env, 0, 0)})
 }
 
 func TestOverheadModelsOrdering(t *testing.T) {
@@ -754,15 +766,7 @@ func TestDHPFOverheadSlowsSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ms, err := NewMultiSweep(env, sweep.Tridiag{}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := testMachine(p).Run(func(r *sim.Rank) {
-			for dim := 0; dim < 3; dim++ {
-				ms.Run(r, dim)
-			}
-		})
+		res, err := sweepGlobal(env, sweep.Tridiag{}, nil, false, 0, 1, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

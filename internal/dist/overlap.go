@@ -11,9 +11,9 @@
 // schedule: the batched kernels guarantee bit-equality regardless of panel
 // grouping, and the boundary/interior regrouping never reorders lines.
 //
-// RunPass is the one executor behind every sweep — MultiSweep, the
-// wavefront pipeline and the private-tile SweepRunner — so this choreography
-// exists once, solving each half with the pass loop's own range solver.
+// RunPass is the one executor behind every sweep — the wavefront pipeline
+// and the private-tile SweepRunner — so this choreography exists once,
+// solving each half with the pass loop's own range solver.
 package dist
 
 import "genmp/internal/xport"

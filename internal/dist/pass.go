@@ -8,11 +8,11 @@ import (
 )
 
 // Binding maps one rank's pass of a compiled sweep schedule onto storage.
-// It is the only part of a sweep that differs between executors: shared
-// global grids (MultiSweep), the windows of a slab's line list (the
-// wavefront pipeline), or one rank's padded private tiles
-// (SweepRunner). RunPass with a nil Binding runs the pass model-only:
-// the same clock charges and messages, without data.
+// It is the only part of a sweep that differs between executors: the
+// windows of a slab's line list in shared global grids (the wavefront
+// pipeline), or one rank's padded private tiles (SweepRunner). RunPass
+// with a nil Binding runs the pass model-only: the same clock charges and
+// messages, without data.
 type Binding interface {
 	// Tile returns the storage of phase k's tile ti: for each solver vec v,
 	// the grid grids[v] holding it and lines[v], the tile's lines in
@@ -46,10 +46,10 @@ type PassSpec struct {
 // rank runs: the SoA panel arena of the pass loop, a second workspace and
 // a line list for the whole-line solves of Block's local sweeps (a chunk
 // solve runs while panel views are live, so the workspaces must be
-// distinct), and the shared-grid binding, made on the first data-mode
-// bind so that model-only executors stay small. The zero value is ready
-// to use. A Scratch is not safe for concurrent use; executors keep one
-// per rank.
+// distinct), and the wavefront's shared-grid binding, made on the first
+// data-mode bind so that model-only executors stay small. The zero value
+// is ready to use. A Scratch is not safe for concurrent use; executors
+// keep one per rank.
 type Scratch struct {
 	pan   sweep.Workspace
 	chunk sweep.Workspace
@@ -71,11 +71,11 @@ func (sc *Scratch) publish(t xport.Transport) {
 	sc.pub.Publish(t.MetricsRegistry(), &sc.pan, &sc.chunk)
 }
 
-// bindGrids binds pass pp to the shared global grids vecs, or returns nil
-// (model-only) when vecs is nil. With slab set the pass's tiles are
-// windows of one line list — the wavefront pipeline's blocks, whose
-// LineOff counts from the start of the pass — enumerated here once.
-func (sc *Scratch) bindGrids(vecs []*grid.Grid, pp *plan.Pass, slab bool) Binding {
+// bindGrids binds the wavefront pass pp to the shared global grids vecs,
+// or returns nil (model-only) when vecs is nil. The pass's tiles are
+// windows of one line list — the pipeline's blocks, whose LineOff counts
+// from the start of the pass — enumerated here once.
+func (sc *Scratch) bindGrids(vecs []*grid.Grid, pp *plan.Pass) Binding {
 	if vecs == nil {
 		return nil
 	}
@@ -83,23 +83,20 @@ func (sc *Scratch) bindGrids(vecs []*grid.Grid, pp *plan.Pass, slab bool) Bindin
 		sc.grids = new(gridBinding)
 	}
 	b := sc.grids
-	b.vecs, b.pass, b.slab = vecs, pp, slab
+	b.vecs, b.pass = vecs, pp
 	if cap(b.views) < len(vecs) {
 		b.views = make([][]grid.Line, len(vecs))
 	}
 	b.views = b.views[:len(vecs)]
-	if slab {
-		b.lines = vecs[0].AppendLines(pp.Phases[0].Tiles[0].Rect, pp.Dim, b.lines[:0])
-	}
+	b.lines = vecs[0].AppendLines(pp.Phases[0].Tiles[0].Rect, pp.Dim, b.lines[:0])
 	return b
 }
 
-// gridBinding binds a pass to shared global grids: every vec reads the
-// same line list, that of the tile's region of the global array.
+// gridBinding binds a wavefront pass to shared global grids: every vec
+// reads the same window of the slab's line list.
 type gridBinding struct {
 	vecs  []*grid.Grid
 	pass  *plan.Pass
-	slab  bool
 	lines []grid.Line
 	views [][]grid.Line
 }
@@ -107,13 +104,7 @@ type gridBinding struct {
 // Tile implements Binding.
 func (b *gridBinding) Tile(k, ti int) ([]*grid.Grid, [][]grid.Line) {
 	tg := &b.pass.Phases[k].Tiles[ti]
-	var lines []grid.Line
-	if b.slab {
-		lines = b.lines[tg.LineOff : tg.LineOff+tg.Lines]
-	} else {
-		b.lines = b.vecs[0].AppendLines(tg.Rect, b.pass.Dim, b.lines[:0])
-		lines = b.lines
-	}
+	lines := b.lines[tg.LineOff : tg.LineOff+tg.Lines]
 	for v := range b.views {
 		b.views[v] = lines
 	}

@@ -26,14 +26,15 @@ type SweepRunner struct {
 	// sweep.DefaultBatchLines, negative forces the scalar per-line path
 	// (the bit-identical oracle / "before" ablation).
 	Batch int
-	// Overlap is folded into the lazily compiled plan's Spec (ignored when
-	// Plan is pre-set — use CompileSweepPlanOverlap for the shared
-	// instance). The runner itself switches on Plan.Overlap.
-	Overlap plan.Overlap
-	// Plan is the compiled schedule the runner executes. Leave nil to have
-	// the first Run compile it from the fields' environment; pre-set it
-	// (see CompileSweepPlan) to share one instance across all rank
-	// runners instead of compiling the full O(p) schedule per rank.
+	// PerTileMessages sends one carry message per tile instead of one
+	// aggregated message per phase: the ablation of DESIGN.md §4.1 (see
+	// PassSpec.PerTileMessages).
+	PerTileMessages bool
+	// Plan is the compiled schedule the runner executes; the runner
+	// switches on Plan.Overlap. Leave nil to have the first Run compile it
+	// from the fields' environment; pre-set it (see CompileSweepPlan) to
+	// share one instance across all rank runners instead of compiling the
+	// full O(p) schedule per rank.
 	Plan *plan.SweepPlan
 
 	scratch Scratch
@@ -118,10 +119,7 @@ func (sr *SweepRunner) ensurePlan() {
 	for i, f := range sr.Fields {
 		halos[i] = f.Depth
 	}
-	pl, err := plan.Compile(plan.Spec{
-		M: f0.Env.M, Eta: f0.Env.Eta, Solver: sr.Solver,
-		Halos: halos, Batch: sr.Batch, Overlap: sr.Overlap,
-	})
+	pl, err := plan.Compile(plan.Spec{M: f0.Env.M, Eta: f0.Env.Eta, Solver: sr.Solver, Halos: halos})
 	if err != nil {
 		panic("dist: " + err.Error())
 	}
@@ -145,7 +143,8 @@ func (sr *SweepRunner) Run(r xport.Transport, dim int) {
 		pp := sr.Plan.Pass(r.Rank(), dim, backward)
 		ps := PassSpec{
 			Pass: pp, Solver: sr.Solver, Batch: sr.Batch,
-			Overhead: sr.Fields[0].Env.Overhead, Scratch: &sr.scratch,
+			Overhead: sr.Fields[0].Env.Overhead, PerTileMessages: sr.PerTileMessages,
+			Scratch: &sr.scratch,
 		}
 		if sr.Fields[0].hasData() {
 			ps.Bind = sr.bindings(pp)

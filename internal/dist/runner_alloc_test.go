@@ -47,14 +47,14 @@ func TestSweepRunnerSteadyStateAllocFree(t *testing.T) {
 			runners[q] = NewSweepRunner(solver, fields)
 			runners[q].Plan = pl
 		}
-		// The model-only executor replays the same schedule, so the
+		// The model-only runners replay the same schedule, so the
 		// machine's own per-run bookkeeping (fresh ranks' request lists,
 		// channel maps, phase buckets) is the same in both runs.
-		model, err := NewMultiSweep(env, solver, nil)
-		if err != nil {
-			t.Fatal(err)
+		models := make([]*SweepRunner, p)
+		for q := range models {
+			models[q] = modelRunner(env, q, solver)
+			models[q].Plan = pl
 		}
-		model.Plan = pl
 		mach := testMachine(p)
 		strict := func(r *sim.Rank) {
 			sr := runners[r.ID]
@@ -71,7 +71,7 @@ func TestSweepRunnerSteadyStateAllocFree(t *testing.T) {
 		}
 		replay := func(r *sim.Rank) {
 			for dim := range eta {
-				model.Run(r, dim)
+				models[r.ID].Run(r, dim)
 			}
 		}
 		run := func(body func(*sim.Rank)) func() {

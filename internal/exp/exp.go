@@ -76,18 +76,19 @@ func Table1(eta []int, steps int) ([]Table1Row, error) {
 // topology (see sim.FabricNames; "" keeps the default crossbar model and
 // reproduces Table1 exactly). The serial baseline is topology-independent.
 //
-// After the serial baseline, each processor count is three independent
-// cells: the hand-coded speedup, the dHPF speedup and the partitioning
-// column's search. runCells computes them side by side, largest p first.
-// A speedup cell builds its own machine, and every cell writes only its
-// own field of its row, so the rows do not depend on how many cells run at
-// once. The error of the lowest failing p is returned.
+// After the serial baseline, each processor count is two independent
+// cells: the hand-coded speedup and the dHPF speedup, whose partition
+// search also fills the partitioning column. runCells computes them side
+// by side, largest p first. Each cell builds its own machine and writes
+// only its own fields of its row, so the rows do not depend on how many
+// cells run at once. The error of the lowest failing p is returned.
 func Table1On(topology string, eta []int, steps int) ([]Table1Row, error) {
 	serial, err := nas.SerialTime(nas.Origin2000Machine(1), eta, steps)
 	if err != nil {
 		return nil, err
 	}
-	speedup := func(v nas.Variant, p int, dst *float64) error {
+	// speedup fills dst, and gamma when non-nil, from one cell's run.
+	speedup := func(v nas.Variant, p int, dst *float64, gamma *string) error {
 		mach, err := nas.Origin2000MachineOn(topology, p)
 		if err != nil {
 			return err
@@ -96,26 +97,22 @@ func Table1On(topology string, eta []int, steps int) ([]Table1Row, error) {
 		// hand-coded code needs a perfect square, and dHPF needs an
 		// elementary partitioning that fits the domain extents (only
 		// possible to miss for small classes).
-		if s, err := nas.Speedup(v, p, mach, eta, steps, serial); err == nil {
+		if s, g, err := nas.Speedup(v, p, mach, eta, steps, serial); err == nil {
 			*dst = s
+			if gamma != nil {
+				*gamma = partition.Describe(g)
+			}
 		}
 		return nil
 	}
 	rows := make([]Table1Row, len(Table1Procs))
-	cells := make([]func() error, 0, 3*len(rows))
+	cells := make([]func() error, 0, 2*len(rows))
 	for i := len(rows) - 1; i >= 0; i-- {
 		row := &rows[i]
 		*row = Table1Row{P: Table1Procs[i], Hand: math.NaN(), DHPF: math.NaN(), DiffPct: math.NaN()}
 		cells = append(cells,
-			func() error { return speedup(nas.HandCodedDiagonal, row.P, &row.Hand) },
-			func() error { return speedup(nas.DHPFGeneralized, row.P, &row.DHPF) },
-			func() error {
-				obj := partition.MachineObjective(eta, 20e-6, 80e-9/float64(row.P))
-				if res, err := partition.OptimalCapped(row.P, len(eta), obj, eta); err == nil {
-					row.GammaStr = partition.Describe(res.Gamma)
-				}
-				return nil
-			})
+			func() error { return speedup(nas.HandCodedDiagonal, row.P, &row.Hand, nil) },
+			func() error { return speedup(nas.DHPFGeneralized, row.P, &row.DHPF, &row.GammaStr) })
 	}
 	errs := runCells(cells)
 	// Cells run largest p first, so the last error belongs to the lowest p.

@@ -135,6 +135,21 @@ func TestTable1CellsBitIdentical(t *testing.T) {
 	}
 }
 
+// TestTable1SearchesOncePerP: a table runs one partition search per
+// processor count, the dHPF cell's, which also fills the γ column.
+func TestTable1SearchesOncePerP(t *testing.T) {
+	reg := metrics.New()
+	partition.EnableMetrics(reg)
+	t.Cleanup(func() { partition.EnableMetrics(nil) })
+	if _, err := Table1(nas.ClassS.Eta, 1); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := reg.Snapshot().Value("partition_searches_total", metrics.L("kind", "capped"))
+	if want := float64(len(Table1Procs)); got != want {
+		t.Errorf("one table ran %g capped partition searches, want %g (one per processor count)", got, want)
+	}
+}
+
 // table1OneCellAtATime is Table1On computed serially, cell by cell, from
 // the same public calls.
 func table1OneCellAtATime(t *testing.T, topology string, eta []int, steps int) []Table1Row {
@@ -154,7 +169,7 @@ func table1OneCellAtATime(t *testing.T, topology string, eta []int, steps int) [
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s, err := nas.Speedup(cell.v, p, mach, eta, steps, serial); err == nil {
+			if s, _, err := nas.Speedup(cell.v, p, mach, eta, steps, serial); err == nil {
 				*cell.dst = s
 			}
 		}

@@ -2,6 +2,7 @@ package nas
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"genmp/internal/core"
@@ -135,15 +136,18 @@ func TestSpeedupHandCodedRequiresSquare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Speedup(HandCodedDiagonal, 8, mach, ClassS.Eta, 2, serial); err == nil {
+	if _, _, err := Speedup(HandCodedDiagonal, 8, mach, ClassS.Eta, 2, serial); err == nil {
 		t.Error("hand-coded diagonal on p=8 should fail (not a perfect square)")
 	}
-	s, err := Speedup(HandCodedDiagonal, 9, mach, ClassS.Eta, 2, serial)
+	s, gamma, err := Speedup(HandCodedDiagonal, 9, mach, ClassS.Eta, 2, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s <= 0 {
 		t.Errorf("speedup = %g", s)
+	}
+	if !slices.Equal(gamma, []int{3, 3, 3}) {
+		t.Errorf("hand-coded diagonal on p=9 used γ %v, want [3 3 3]", gamma)
 	}
 }
 
@@ -155,11 +159,11 @@ func TestSpeedupSerialOverheads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hand, err := Speedup(HandCodedDiagonal, 1, mach, ClassS.Eta, 2, serial)
+	hand, _, err := Speedup(HandCodedDiagonal, 1, mach, ClassS.Eta, 2, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dhpf, err := Speedup(DHPFGeneralized, 1, mach, ClassS.Eta, 2, serial)
+	dhpf, _, err := Speedup(DHPFGeneralized, 1, mach, ClassS.Eta, 2, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +185,7 @@ func TestSpeedupScalesOnSquares(t *testing.T) {
 	}
 	prev := 0.0
 	for _, p := range []int{1, 4, 9, 16} {
-		s, err := Speedup(DHPFGeneralized, p, Origin2000Machine(p), eta, steps, serial)
+		s, _, err := Speedup(DHPFGeneralized, p, Origin2000Machine(p), eta, steps, serial)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,11 +207,14 @@ func TestPrimeProcessorCountsWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s7, err := Speedup(DHPFGeneralized, 7, Origin2000Machine(7), eta, steps, serial)
+	s7, g7, err := Speedup(DHPFGeneralized, 7, Origin2000Machine(7), eta, steps, serial)
 	if err != nil {
 		t.Fatalf("prime p=7 should run: %v", err)
 	}
-	s8, err := Speedup(DHPFGeneralized, 8, Origin2000Machine(8), eta, steps, serial)
+	if slices.Sort(g7); !slices.Equal(g7, []int{1, 7, 7}) {
+		t.Errorf("prime p=7 used γ %v (sorted), want [1 7 7]", g7)
+	}
+	s8, _, err := Speedup(DHPFGeneralized, 8, Origin2000Machine(8), eta, steps, serial)
 	if err != nil {
 		t.Fatal(err)
 	}

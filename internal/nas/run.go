@@ -187,10 +187,11 @@ const (
 )
 
 // Speedup runs the SP model for one (variant, p) cell of Table 1 and
-// returns the speedup relative to serialTime. For HandCodedDiagonal on a
-// non-square p it returns an error (the hand-coded version cannot run
-// there, matching the blank cells of the table).
-func Speedup(variant Variant, p int, mach *sim.Machine, eta []int, steps int, serialTime float64) (float64, error) {
+// returns the speedup relative to serialTime and the tile-grid shape γ the
+// run used (for DHPFGeneralized, the result of the partition search). For
+// HandCodedDiagonal on a non-square p it returns an error (the hand-coded
+// version cannot run there, matching the blank cells of the table).
+func Speedup(variant Variant, p int, mach *sim.Machine, eta []int, steps int, serialTime float64) (float64, []int, error) {
 	var m *core.Multipartitioning
 	var ov dist.OverheadModel
 	var err error
@@ -207,14 +208,14 @@ func Speedup(variant Variant, p int, mach *sim.Machine, eta []int, steps int, se
 		}
 		ov = dist.DHPF()
 	default:
-		return 0, fmt.Errorf("nas: unknown variant %d", variant)
+		return 0, nil, fmt.Errorf("nas: unknown variant %d", variant)
 	}
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	env, err := dist.NewEnv(m, eta, ov)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	cpu := mach.CPU
 	cpu.WorkingSetBytes = WorkingSetBytes(eta, p)
@@ -225,15 +226,15 @@ func Speedup(variant Variant, p int, mach *sim.Machine, eta []int, steps int, se
 		// means, contention occupancy) and must not span machines.
 		fab, err := sim.NewFabric(mach.Fabric.Name(), mach.Net, p)
 		if err != nil {
-			return 0, err
+			return 0, nil, err
 		}
 		pm.Fabric = fab
 	}
 	res, err := Run(env, pm, steps, nil)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
-	return serialTime / res.Makespan, nil
+	return serialTime / res.Makespan, m.Gamma(), nil
 }
 
 // spGridCount is the number of resident full-size arrays in the SP state

@@ -40,7 +40,6 @@ type PlanJSON struct {
 	ForwardCarry  int    `json:"forward_carry"`
 	BackwardCarry int    `json:"backward_carry"`
 	Halos         []int  `json:"halos,omitempty"`
-	Batch         int    `json:"batch,omitempty"`
 	TagSpace      string `json:"tag_space"`
 	TagBase       int    `json:"tag_base"`
 	TagSize       int    `json:"tag_size"`
@@ -100,8 +99,7 @@ func NewPlanJSON(pl *plan.SweepPlan) PlanJSON {
 		Kind: string(pl.Kind), P: pl.P, Eta: pl.Eta, Gamma: pl.Gamma,
 		Dim: pl.Dim, Grain: pl.Grain,
 		Solver: pl.Solver, ForwardCarry: pl.ForwardCarry, BackwardCarry: pl.BackwardCarry,
-		Halos: pl.Halos, Batch: pl.Batch,
-		TagSpace: pl.Tags.Name(), TagBase: pl.Tags.Base(), TagSize: pl.Tags.Size(),
+		Halos: pl.Halos, TagSpace: pl.Tags.Name(), TagBase: pl.Tags.Base(), TagSize: pl.Tags.Size(),
 		OverlapEnabled: pl.Overlap.Enabled, OverlapFrac: pl.Overlap.Frac,
 		Ranks: make([]PlanRankJSON, pl.P),
 	}
@@ -168,8 +166,7 @@ func PlanFromJSON(pj PlanJSON) (*plan.SweepPlan, error) {
 		Kind: plan.Kind(pj.Kind), P: pj.P, Eta: pj.Eta, Gamma: pj.Gamma,
 		Dim: pj.Dim, Grain: pj.Grain,
 		Solver: pj.Solver, ForwardCarry: pj.ForwardCarry, BackwardCarry: pj.BackwardCarry,
-		Halos: pj.Halos, Batch: pj.Batch,
-		Tags:    ts,
+		Halos: pj.Halos, Tags: ts,
 		Overlap: plan.Overlap{Enabled: pj.OverlapEnabled, Frac: pj.OverlapFrac},
 		Passes:  make([][]plan.Pass, pj.P),
 	}

@@ -120,7 +120,7 @@ func TestPlanFromJSONFingerprint(t *testing.T) {
 	}
 	for _, o := range []plan.Overlap{{}, {Enabled: true}, {Enabled: true, Frac: 0.3}} {
 		pl, err := plan.Compile(plan.Spec{M: m, Eta: []int{8, 8, 8}, Solver: sweep.Tridiag{},
-			Halos: []int{2}, Batch: 8, Overlap: o})
+			Halos: []int{2}, Overlap: o})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,8 +139,8 @@ func TestPlanFromJSONFingerprint(t *testing.T) {
 		if got.Fingerprint() != pl.Fingerprint() {
 			t.Errorf("overlap %+v: round-tripped fingerprint differs from the original", o)
 		}
-		if got.Halos == nil || got.Halos[0] != 2 || got.Batch != 8 {
-			t.Errorf("overlap %+v: layout metadata lost: halos %v batch %d", o, got.Halos, got.Batch)
+		if got.Halos == nil || got.Halos[0] != 2 {
+			t.Errorf("overlap %+v: layout metadata lost: halos %v", o, got.Halos)
 		}
 		// LoadPlan is the one-call worker path.
 		got2, err := LoadPlan(path)

@@ -10,10 +10,10 @@ import (
 )
 
 // TestCrossRuntimeEquivalence is the contract the refactor exists for: the
-// shared-grid MultiSweep, the private-tile SweepRunner's compile helper and
-// runner, and a direct Compile all produce byte-identical schedules for one
-// configuration. The executors differ only in storage binding (halo
-// padding, batch width), which the fingerprint deliberately excludes.
+// private-tile SweepRunner's compile helper and runner and a direct Compile
+// all produce byte-identical schedules for one configuration. Runners
+// differ only in storage binding (halo padding, batch width), which the
+// fingerprint deliberately excludes.
 func TestCrossRuntimeEquivalence(t *testing.T) {
 	m, err := core.NewGeneralized(6, []int{2, 3, 6})
 	if err != nil {
@@ -24,15 +24,6 @@ func TestCrossRuntimeEquivalence(t *testing.T) {
 	env, err := dist.NewEnv(m, eta, dist.HandCoded())
 	if err != nil {
 		t.Fatal(err)
-	}
-
-	ms, err := dist.NewMultiSweep(env, solver, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	distPlan := ms.CompiledPlan()
-	if err := distPlan.Validate(); err != nil {
-		t.Fatalf("dist plan invalid: %v", err)
 	}
 
 	tilePlan, err := dist.CompileSweepPlan(env, solver)
@@ -64,7 +55,6 @@ func TestCrossRuntimeEquivalence(t *testing.T) {
 		name string
 		got  string
 	}{
-		{"dist", distPlan.Fingerprint()},
 		{"private-tile", tilePlan.Fingerprint()},
 		{"runner", runnerPlan.Fingerprint()},
 	} {

@@ -1,13 +1,13 @@
 // Package plan is the compiled intermediate representation of a line-sweep
 // communication schedule — the repo's stand-in for the schedule dHPF
 // materializes at compile time (paper Section 5). A SweepPlan is compiled
-// once from (partitioning, modular mapping, solver, per-field halo/layout,
-// batch knob) and then consumed by every subsystem that used to re-derive
-// it privately: the one pass executor dist.RunPass (which
-// dist.MultiSweep, the dist wavefront pipeline and the private-tile
-// dist.SweepRunner call with their own storage bindings), the cost model's per-phase prediction fold, and the obs plan
-// dump. One plan, many consumers — predictions and executors can no
-// longer silently disagree.
+// once from (partitioning, modular mapping, solver, per-field halo
+// layout) and then consumed by every subsystem that used to re-derive it
+// privately: the one pass executor dist.RunPass (which the dist wavefront
+// pipeline and the private-tile dist.SweepRunner call with their own
+// storage bindings), the cost model's per-phase prediction fold, and the
+// obs plan dump. One plan, many consumers — predictions and executors can
+// no longer silently disagree.
 //
 // The IR materializes, per rank × sweep dimension × direction, the full
 // phase schedule: neighbor ranks, tile line geometry in canonical
@@ -47,12 +47,8 @@ type Spec struct {
 	Solver sweep.Solver
 	// Halos records the per-field halo depths of the storage the plan will
 	// run over (layout metadata carried into the dump; nil when the
-	// executor's fields are unpadded or shared).
+	// executor does not record them).
 	Halos []int
-	// Batch is the executor's kernel panel-width knob, recorded for the
-	// dump (0 = default, negative = scalar oracle). It does not affect the
-	// schedule.
-	Batch int
 	// Tags is the tag space messages are minted from; the zero value picks
 	// SweepTags.
 	Tags xport.TagSpace
@@ -73,8 +69,6 @@ type WavefrontSpec struct {
 	Grain int
 	// Solver supplies the plan identity and carry lengths.
 	Solver sweep.Solver
-	// Batch is the executor's kernel panel-width knob (metadata).
-	Batch int
 	// Tags is the tag space; the zero value picks SweepTags.
 	Tags xport.TagSpace
 	// Overlap enables the boundary-first split annotation (see Overlap).
@@ -180,10 +174,9 @@ type SweepPlan struct {
 	Solver        string
 	ForwardCarry  int
 	BackwardCarry int
-	// Halos / Batch are compile-input metadata (see Spec); they do not
-	// affect the schedule or the Fingerprint.
+	// Halos is compile-input metadata (see Spec); it does not affect the
+	// schedule or the Fingerprint.
 	Halos []int
-	Batch int
 	// Tags is the reservation every RecvTag/SendTag falls in.
 	Tags xport.TagSpace
 	// Overlap records whether (and how) the plan's phases carry the
@@ -268,7 +261,6 @@ func Compile(spec Spec) (pl *SweepPlan, err error) {
 		ForwardCarry:  fwd,
 		BackwardCarry: bwd,
 		Halos:         numutil.CopyInts(spec.Halos),
-		Batch:         spec.Batch,
 		Tags:          tags,
 		Passes:        make([][]Pass, p),
 	}
@@ -421,7 +413,6 @@ func CompileWavefront(spec WavefrontSpec) (pl *SweepPlan, err error) {
 		Solver:        spec.Solver.Name(),
 		ForwardCarry:  fwd,
 		BackwardCarry: bwd,
-		Batch:         spec.Batch,
 		Tags:          tags,
 		Passes:        make([][]Pass, spec.P),
 	}

@@ -96,15 +96,15 @@ func TestCompileMultipartition(t *testing.T) {
 		}
 	}
 
-	// Fingerprints are deterministic and ignore the Halos/Batch metadata.
+	// Fingerprints are deterministic and ignore the Halos metadata.
 	m2, _ := core.NewGeneralized(4, []int{2, 2, 4})
 	pl2, err := plan.Compile(plan.Spec{M: m2, Eta: []int{12, 12, 12}, Solver: sweep.NewPenta(),
-		Halos: []int{2, 2, 2, 2, 2, 2}, Batch: -1})
+		Halos: []int{2, 2, 2, 2, 2, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pl.Fingerprint() != pl2.Fingerprint() {
-		t.Error("fingerprint depends on Halos/Batch metadata")
+		t.Error("fingerprint depends on Halos metadata")
 	}
 	if !strings.Contains(pl.Summary(), "multipartition plan") {
 		t.Errorf("summary = %q", pl.Summary())

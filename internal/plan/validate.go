@@ -440,8 +440,8 @@ func (pl *SweepPlan) validateSymmetry() error {
 // dimensions, solver identity, carry lengths, tag space, and every rank's
 // passes, phases and tiles. Two plans with equal fingerprints run
 // byte-identical schedules. Compile-input metadata that does not affect the
-// wire schedule (Halos, Batch) is deliberately excluded, so the shared-grid
-// and private-tile executors compile byte-identical fingerprints for one
+// wire schedule (Halos) is deliberately excluded, so runners over padded
+// and unpadded fields compile byte-identical fingerprints for one
 // configuration.
 //
 // The rendering is memoized: the first call materializes the string, later
