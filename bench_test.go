@@ -392,7 +392,7 @@ func BenchmarkStrictDistributedSP(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		if _, _, err := dmem.RunSP(env, nasMachine(8), 1); err != nil {
+		if _, _, err := dmem.RunSP(env, nasMachine(8), 1, plan.Overlap{}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -579,15 +579,10 @@ func BenchmarkSweepRunnerSteadyState(b *testing.B) {
 		b.Fatal(err)
 	}
 	runners := make([]*dist.SweepRunner, p)
-	pristine := make([][][]float64, p) // [rank][field*tiles+tile]
 	for q := range runners {
 		fields := make([]*dist.Field, len(gs))
-		for v, g := range gs {
+		for v := range gs {
 			fields[v] = dist.NewField(env, q, 0)
-			fields[v].Load(g)
-			for i := 0; i < fields[v].NumTiles(); i++ {
-				pristine[q] = append(pristine[q], append([]float64(nil), fields[v].TileGrid(i).Data()...))
-			}
 		}
 		runners[q] = dist.NewSweepRunner(sv, fields)
 		runners[q].Plan = pl
@@ -595,12 +590,9 @@ func BenchmarkSweepRunnerSteadyState(b *testing.B) {
 	mach := nasMachine(p)
 	run := func() {
 		if _, err := mach.Run(func(r *sim.Rank) {
-			sr, k := runners[r.ID], 0
-			for _, f := range sr.Fields {
-				for i := 0; i < f.NumTiles(); i++ {
-					copy(f.TileGrid(i).Data(), pristine[r.ID][k])
-					k++
-				}
+			sr := runners[r.ID]
+			for v, f := range sr.Fields {
+				f.Load(gs[v])
 			}
 			sr.Run(r, 0)
 		}); err != nil {
@@ -715,7 +707,7 @@ func BenchmarkSPClassAReal(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := dmem.RunSPReal(env, mach, 2, plan.Overlap{}, pl); err != nil {
+				if _, _, err := dmem.RunSP(env, mach, 2, plan.Overlap{}, pl); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -42,6 +42,7 @@ import (
 	"genmp/internal/grid"
 	"genmp/internal/nas"
 	"genmp/internal/obs"
+	"genmp/internal/plan"
 	"genmp/internal/sim"
 	"genmp/internal/sweep"
 )
@@ -82,7 +83,7 @@ func spCase(p int, gamma, eta []int, steps int) obs.BenchRecord {
 	if err != nil {
 		log.Fatal(err)
 	}
-	_, res, err := dmem.RunSP(env, nas.Origin2000Machine(p), steps)
+	_, res, err := dmem.RunSP(env, nas.Origin2000Machine(p), steps, plan.Overlap{}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -150,9 +151,8 @@ type pentaSweep struct {
 	eta     []int
 	runners []*dist.SweepRunner
 	mach    *sim.Machine
-	// prist[q] holds rank q's tile data as loaded (field by field, tile by
-	// tile); each run restores it in place.
-	prist [][][]float64
+	// gs is the shared system; each run loads every rank's fields from it.
+	gs []*grid.Grid
 }
 
 func newPentaSweep(p int, gamma, eta []int, batch int) *pentaSweep {
@@ -171,15 +171,11 @@ func newPentaSweep(p int, gamma, eta []int, batch int) *pentaSweep {
 	}
 	gs := pentaSystem(eta)
 	ps := &pentaSweep{eta: eta, runners: make([]*dist.SweepRunner, p),
-		mach: nas.Origin2000Machine(p), prist: make([][][]float64, p)}
+		mach: nas.Origin2000Machine(p), gs: gs}
 	for q := range ps.runners {
 		fields := make([]*dist.Field, len(gs))
-		for v, g := range gs {
+		for v := range gs {
 			fields[v] = dist.NewField(env, q, 0)
-			fields[v].Load(g)
-			for i := 0; i < fields[v].NumTiles(); i++ {
-				ps.prist[q] = append(ps.prist[q], append([]float64(nil), fields[v].TileGrid(i).Data()...))
-			}
 		}
 		ps.runners[q] = dist.NewSweepRunner(sv, fields)
 		ps.runners[q].Plan, ps.runners[q].Batch = pl, batch
@@ -189,12 +185,9 @@ func newPentaSweep(p int, gamma, eta []int, batch int) *pentaSweep {
 
 func (ps *pentaSweep) run() sim.Result {
 	res, err := ps.mach.Run(func(r *sim.Rank) {
-		sr, k := ps.runners[r.ID], 0
-		for _, f := range sr.Fields {
-			for i := 0; i < f.NumTiles(); i++ {
-				copy(f.TileGrid(i).Data(), ps.prist[r.ID][k])
-				k++
-			}
+		sr := ps.runners[r.ID]
+		for v, f := range sr.Fields {
+			f.Load(ps.gs[v])
 		}
 		sr.Run(r, 0)
 	})

@@ -37,7 +37,6 @@ import (
 	"genmp/internal/partition"
 	"genmp/internal/plan"
 	"genmp/internal/redist"
-	"genmp/internal/rt"
 	"genmp/internal/sim"
 )
 
@@ -322,11 +321,8 @@ func (b *bench) real() error {
 	recs, err := cli.CheckReal(os.Stdout, cli.RealRun{
 		Suite: "sp-real", Name: fmt.Sprintf("class%s-p%02d", class.Name, p),
 		P: p, Steps: steps, Eta: eta, Gamma: gamma,
-		Sim: func(m *sim.Machine, o plan.Overlap) (*grid.Grid, sim.Result, error) {
-			return dmem.RunSPOverlap(env, m, steps, o)
-		},
-		RT: func(m *rt.Machine, o plan.Overlap) (*grid.Grid, rt.Result, error) {
-			return dmem.RunSPReal(env, m, steps, o, nil)
+		Run: func(m *sim.Machine, o plan.Overlap) (*grid.Grid, sim.Result, error) {
+			return dmem.RunSP(env, m, steps, o, nil)
 		},
 	})
 	if err != nil {

@@ -37,7 +37,6 @@ import (
 	"genmp/internal/obs"
 	"genmp/internal/partition"
 	"genmp/internal/plan"
-	"genmp/internal/rt"
 	"genmp/internal/sim"
 	"genmp/internal/sweep"
 )
@@ -217,11 +216,8 @@ func (b *bench) real() error {
 	recs, err := cli.CheckReal(os.Stdout, cli.RealRun{
 		Suite: "adi-real", Name: fmt.Sprintf("multi-p%02d", p),
 		P: p, Steps: steps, Eta: eta, Gamma: gamma,
-		Sim: func(m *sim.Machine, o plan.Overlap) (*grid.Grid, sim.Result, error) {
-			return dmem.RunADIOverlap(pb, env, m, o)
-		},
-		RT: func(m *rt.Machine, o plan.Overlap) (*grid.Grid, rt.Result, error) {
-			return dmem.RunADIReal(pb, env, m, o, nil)
+		Run: func(m *sim.Machine, o plan.Overlap) (*grid.Grid, sim.Result, error) {
+			return dmem.RunADI(pb, env, m, o, nil)
 		},
 	})
 	if err != nil {

@@ -10,7 +10,6 @@ import (
 	"genmp/internal/nas"
 	"genmp/internal/obs"
 	"genmp/internal/plan"
-	"genmp/internal/rt"
 	"genmp/internal/sim"
 	"genmp/internal/xport"
 )
@@ -146,11 +145,8 @@ func TestCheckReal(t *testing.T) {
 	}
 	w := RealRun{
 		Suite: "x-real", Name: "multi-p02", P: 2, Steps: 1, Eta: []int{2, 2},
-		Sim: func(*sim.Machine, plan.Overlap) (*grid.Grid, sim.Result, error) {
+		Run: func(*sim.Machine, plan.Overlap) (*grid.Grid, sim.Result, error) {
 			return field(), sim.Result{}, nil
-		},
-		RT: func(*rt.Machine, plan.Overlap) (*grid.Grid, rt.Result, error) {
-			return field(), rt.Result{}, nil
 		},
 	}
 	var out strings.Builder
@@ -161,12 +157,12 @@ func TestCheckReal(t *testing.T) {
 	if len(recs) != 2 || recs[0].Name != "multi-p02" || recs[1].Name != "multi-p02+overlap" || recs[1].Suite != "x-real" {
 		t.Errorf("records %+v", recs)
 	}
-	w.RT = func(_ *rt.Machine, o plan.Overlap) (*grid.Grid, rt.Result, error) {
+	w.Run = func(m *sim.Machine, o plan.Overlap) (*grid.Grid, sim.Result, error) {
 		g := field()
-		if o.Enabled {
+		if o.Enabled && m.CPU.FlopsPerSec == 0 {
 			g.Data()[3] = math.Float64frombits(math.Float64bits(g.Data()[3]) ^ 1)
 		}
-		return g, rt.Result{}, nil
+		return g, sim.Result{}, nil
 	}
 	if _, err := CheckReal(&out, w); err == nil || !strings.Contains(err.Error(), "overlap=true") || !strings.Contains(err.Error(), "element 3") {
 		t.Errorf("flipped bit not caught: %v", err)

@@ -102,10 +102,9 @@ type RealRun struct {
 	P, Steps    int
 	Eta         []int
 	Gamma       string
-	// Sim and RT execute the workload under overlap annotation o on the
-	// given machine and return its final field.
-	Sim func(m *sim.Machine, o plan.Overlap) (*grid.Grid, sim.Result, error)
-	RT  func(m *rt.Machine, o plan.Overlap) (*grid.Grid, rt.Result, error)
+	// Run executes the workload under overlap annotation o on the given
+	// machine, the simulator's or rt's, and returns its final field.
+	Run func(m *sim.Machine, o plan.Overlap) (*grid.Grid, sim.Result, error)
 }
 
 // CheckReal runs w on the virtual-time Origin 2000 and on the real-parallel
@@ -117,11 +116,11 @@ type RealRun struct {
 func CheckReal(out io.Writer, w RealRun) ([]obs.BenchRecord, error) {
 	var recs []obs.BenchRecord
 	for _, o := range []plan.Overlap{{}, {Enabled: true}} {
-		want, _, err := w.Sim(nas.Origin2000Machine(w.P), o)
+		want, _, err := w.Run(nas.Origin2000Machine(w.P), o)
 		if err != nil {
 			return nil, err
 		}
-		got, res, err := w.RT(rt.NewMachine(w.P), o)
+		got, res, err := w.Run(rt.NewMachine(w.P), o)
 		if err != nil {
 			return nil, err
 		}
@@ -133,12 +132,12 @@ func CheckReal(out io.Writer, w RealRun) ([]obs.BenchRecord, error) {
 			name += "+overlap"
 		}
 		fmt.Fprintf(out, "  %-20s  wall %9.3f ms  %7d messages  %11d bytes  (field bits match sim)\n",
-			name, float64(res.Wall.Nanoseconds())/1e6, res.TotalMessages(), res.TotalBytes())
+			name, res.Makespan*1e3, res.TotalMessages(), res.TotalBytes())
 		recs = append(recs, obs.BenchRecord{
 			Suite: w.Suite, Name: name,
 			P: w.P, Eta: w.Eta, Steps: w.Steps, Gamma: w.Gamma,
 			Messages: res.TotalMessages(), Bytes: res.TotalBytes(),
-			Extra: map[string]float64{"wall_sec": res.Wall.Seconds()},
+			Extra: map[string]float64{"wall_sec": res.Makespan},
 		})
 	}
 	return recs, nil

@@ -175,16 +175,18 @@ func (f *Field) FillFunc(fn func(global []int) float64) {
 }
 
 // Load copies g, a grid over the whole array, into every tile's interior.
+// It allocates nothing.
 func (f *Field) Load(g *grid.Grid) {
 	for i, tg := range f.tiles {
-		tg.InjectFrom(f.interior[i], g.Extract(f.bounds[i]))
+		tg.CopyRect(f.interior[i], g, f.bounds[i])
 	}
 }
 
 // Store copies every tile's interior into g, a grid over the whole array.
+// It allocates nothing.
 func (f *Field) Store(g *grid.Grid) {
 	for i, tg := range f.tiles {
-		g.Inject(f.bounds[i], tg.Extract(f.interior[i]))
+		g.CopyRect(f.bounds[i], tg, f.interior[i])
 	}
 }
 

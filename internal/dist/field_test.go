@@ -48,6 +48,37 @@ func TestFieldLayout(t *testing.T) {
 	}
 }
 
+// Load and Store copy each tile's interior straight between the global
+// grid and the padded tile, so a round trip over every rank reproduces the
+// grid bit for bit and neither call allocates.
+func TestFieldLoadStoreRoundTripAllocFree(t *testing.T) {
+	p, eta := 8, []int{32, 32, 32}
+	env := mustTestEnv(t, p, []int{4, 4, 2}, eta)
+	rng := rand.New(rand.NewSource(3))
+	g, h := grid.New(eta...), grid.New(eta...)
+	g.FillFunc(func([]int) float64 { return rng.Float64() })
+	fields := make([]*Field, p)
+	for q := range fields {
+		fields[q] = NewField(env, q, 2)
+		fields[q].Load(g)
+		fields[q].Store(h)
+	}
+	for i, v := range h.Data() {
+		if v != g.Data()[i] {
+			t.Fatalf("element %d: %g after the round trip, want %g", i, v, g.Data()[i])
+		}
+	}
+	if f := fields[0]; f.NumTiles() != 4 {
+		t.Fatalf("rank 0 owns %d tiles, want 4", f.NumTiles())
+	}
+	if n := testing.AllocsPerRun(10, func() { fields[0].Load(g) }); n != 0 {
+		t.Errorf("Load made %g allocations per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(10, func() { fields[0].Store(h) }); n != 0 {
+		t.Errorf("Store made %g allocations per call, want 0", n)
+	}
+}
+
 func TestFillFuncUsesGlobalCoordinates(t *testing.T) {
 	env := mustTestEnv(t, 4, []int{4, 4, 1}, []int{8, 8, 4})
 	fields := make([]*Field, 4)

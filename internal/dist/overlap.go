@@ -63,8 +63,8 @@ func (x *passRun) overlapPhase(k int, preB, preI xport.Request) (nextB, nextI xp
 	}
 
 	// The boundary carry is on the wire. Prepost the next phase's receives
-	// (free in virtual time; the MPI discipline the real-parallel backend
-	// inherits), then solve the interior while the messages fly.
+	// (free in virtual time; the MPI discipline the real-parallel machine
+	// runs too), then solve the interior while the messages fly.
 	if k+1 < len(pp.Phases) {
 		if np := &pp.Phases[k+1]; np.Boundary > 0 && np.RecvFrom >= 0 && carryLen > 0 {
 			nextB = t.Irecv(np.RecvFrom, np.RecvTag)

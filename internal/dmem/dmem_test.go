@@ -9,6 +9,7 @@ import (
 	"genmp/internal/dist"
 	"genmp/internal/grid"
 	"genmp/internal/nas"
+	"genmp/internal/plan"
 	"genmp/internal/sim"
 )
 
@@ -53,7 +54,7 @@ func TestStrictSPMatchesSerial(t *testing.T) {
 		nas.SerialSolve(want, steps)
 
 		env := mustEnv(t, c.p, c.gamma, c.eta)
-		got, res, err := RunSP(env, testMachine(c.p), steps)
+		got, res, err := RunSP(env, testMachine(c.p), steps, plan.Overlap{}, nil)
 		if err != nil {
 			t.Fatalf("p=%d: %v", c.p, err)
 		}
@@ -89,7 +90,7 @@ func TestStrictADIMatchesSerial(t *testing.T) {
 		pb.SerialSolve(want)
 
 		env := mustEnv(t, c.p, c.gamma, c.eta)
-		got, res, err := RunADI(pb, env, testMachine(c.p))
+		got, res, err := RunADI(pb, env, testMachine(c.p), plan.Overlap{}, nil)
 		if err != nil {
 			t.Fatalf("p=%d: %v", c.p, err)
 		}
@@ -111,7 +112,7 @@ func TestStrictBTMatchesSerial(t *testing.T) {
 	nas.BTSerialSolve(want, steps)
 
 	env := mustEnv(t, p, gamma, eta)
-	got, res, err := RunBT(env, testMachine(p), steps)
+	got, res, err := RunBT(env, testMachine(p), steps, plan.Overlap{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestStrictBTMatchesSerial(t *testing.T) {
 
 func TestStrictSPRejectsThinTiles(t *testing.T) {
 	env := mustEnv(t, 8, []int{8, 8, 1}, []int{8, 8, 4}) // tiles 1 cell thick
-	if _, _, err := RunSP(env, testMachine(8), 1); err == nil {
+	if _, _, err := RunSP(env, testMachine(8), 1, plan.Overlap{}, nil); err == nil {
 		t.Error("tiles thinner than the halo depth should be rejected")
 	}
 }

@@ -21,8 +21,8 @@ type OverlapResult struct {
 	P     int
 	Eta   []int
 	Steps int
-	// Frac is the boundary fraction of the overlap annotation (0 picks
-	// plan.DefaultOverlapFrac).
+	// Frac is the boundary fraction of the overlap annotation,
+	// plan.DefaultOverlapFrac.
 	Frac float64
 	// Off/On are the measured makespans; Predicted is the causal replay of
 	// the off trace with every solve-phase carry posted early — the model's
@@ -55,9 +55,8 @@ func (r OverlapResult) WithinPredictedBound() bool {
 // strict schedule (tracing), the causal what-if replay posting every
 // solve-phase carry early, then the same run with the overlap-annotated
 // plan — same partitioning, fresh machine per run so fabric state never
-// leaks between them. It reads s.Topology, s.P, s.Eta, s.Steps and
-// s.Overlap.Frac (0 picks plan.DefaultOverlapFrac). It runs overlap off
-// and on by itself, so callers leave s.Overlap.Enabled off.
+// leaks between them. It reads s.Topology, s.P, s.Eta and s.Steps. It runs
+// overlap off and on by itself, so callers leave s.Overlap.Enabled off.
 func OverlapComparison(s Spec) (OverlapResult, error) {
 	topology, p, eta, steps := s.Topology, s.P, s.Eta, s.Steps
 	d := len(eta)
@@ -70,8 +69,8 @@ func OverlapComparison(s Spec) (OverlapResult, error) {
 	if err != nil {
 		return OverlapResult{}, err
 	}
-	o := plan.Overlap{Enabled: true, Frac: s.Overlap.Frac}
-	out := OverlapResult{P: p, Eta: eta, Steps: steps, Frac: o.Fraction(), Gamma: partition.Describe(m.Gamma())}
+	o := plan.Overlap{Enabled: true}
+	out := OverlapResult{P: p, Eta: eta, Steps: steps, Frac: plan.DefaultOverlapFrac, Gamma: partition.Describe(m.Gamma())}
 
 	// Overlap off, traced: the baseline and the causal engine's input.
 	machOff, err := nas.Origin2000MachineOn(topology, p)

@@ -10,6 +10,7 @@ import (
 	"genmp/internal/dmem"
 	"genmp/internal/nas"
 	"genmp/internal/partition"
+	"genmp/internal/plan"
 )
 
 // Bit-identity contract of the redistribution refactor: the dynamic-block
@@ -139,7 +140,7 @@ func TestRedistBitIdentityStrict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, res, err := dmem.RunSP(env, nas.Origin2000Machine(p), steps)
+	got, res, err := dmem.RunSP(env, nas.Origin2000Machine(p), steps, plan.Overlap{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

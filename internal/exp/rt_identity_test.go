@@ -15,11 +15,14 @@ import (
 )
 
 // Backend bit-identity contract (DESIGN.md §15): the real-parallel runtime
-// executes the same compiled SweepPlan as the virtual-time simulator, so
-// the final field data must match the simulator run to the last
-// Float64bits — on every application, processor count, and overlap
-// setting. The rt backend shares nothing with sim but the schedule and
-// the kernels; any divergence means a backend reordered the arithmetic.
+// is the simulator's machine without a cost model, executing the same
+// compiled SweepPlan, so the final field data must match the simulator run
+// to the last Float64bits — on every application, processor count, and
+// overlap setting. What the two runs do not share is the schedule of the
+// goroutines: in wall time messages arrive in whatever order the host
+// produces, receives spin or park where the simulator's clocks would wait,
+// and Compute charges nothing. A divergence means some arithmetic depends
+// on arrival order or on the pricing hooks.
 
 // TestRTBitIdentitySP: strict distributed-memory SP, sim vs rt backends,
 // overlap off and on, at p ∈ {2, 4, 16}. At p=2 on a host with two or

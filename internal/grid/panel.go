@@ -216,6 +216,28 @@ func (g *Grid) ExtractInto(r Rect, dst []float64) {
 	}
 }
 
+// CopyRect copies region sr of src into region dr of g, row by row; the
+// regions must have the same shape. It allocates nothing for grids of up
+// to maxOdoDims dimensions.
+func (g *Grid) CopyRect(dr Rect, src *Grid, sr Rect) {
+	if len(g.shape) != len(src.shape) {
+		panic("grid: CopyRect: grid rank mismatch")
+	}
+	for i := range g.shape {
+		if dr.Hi[i]-dr.Lo[i] != sr.Hi[i]-sr.Lo[i] {
+			panic(fmt.Sprintf("grid: CopyRect: region [%v,%v) and [%v,%v) differ in shape", sr.Lo, sr.Hi, dr.Lo, dr.Hi))
+		}
+	}
+	last := len(g.shape) - 1
+	var dodo, sodo [maxOdoDims]int
+	dl, didx := g.firstLine(dr, last, dodo[:])
+	sl, sidx := src.firstLine(sr, last, sodo[:])
+	for ok := true; ok; ok = g.nextLine(dr, last, didx, &dl) {
+		copy(g.data[dl.Base:dl.Base+dl.N], src.data[sl.Base:sl.Base+sl.N])
+		src.nextLine(sr, last, sidx, &sl)
+	}
+}
+
 // InjectFrom copies a packed buffer (the Extract layout) into region r of g
 // without allocating. len(src) must be r.Size().
 func (g *Grid) InjectFrom(r Rect, src []float64) {

@@ -213,6 +213,32 @@ func TestExtractIntoInjectFrom(t *testing.T) {
 	}
 }
 
+// TestCopyRect: copying a region between grids of different shapes agrees
+// with Extract then Inject, up to and past the odometer's rank.
+func TestCopyRect(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, shape := range [][]int{{13}, {4, 6}, {5, 4, 7}, {2, 2, 2, 2, 2, 2, 2, 2, 3}} {
+		src := randomGrid(rng, shape...)
+		big := make([]int, len(shape))
+		sr, dr := src.Bounds(), Rect{Lo: make([]int, len(shape)), Hi: make([]int, len(shape))}
+		for i, n := range shape {
+			big[i] = n + 3
+			if n > 2 {
+				sr.Lo[i] = 1
+			}
+			dr.Lo[i] = 2
+			dr.Hi[i] = 2 + sr.Hi[i] - sr.Lo[i]
+		}
+		got, want := randomGrid(rng, big...), New(big...)
+		want.CopyFrom(got)
+		want.Inject(dr, src.Extract(sr))
+		got.CopyRect(dr, src, sr)
+		if d := MaxAbsDiff(got, want); d != 0 {
+			t.Fatalf("shape %v: CopyRect differs from Extract+Inject by %v", shape, d)
+		}
+	}
+}
+
 // TestPanelOpsZeroAllocs: the batched pack/unpack and region copies are
 // inner-loop operations and must not allocate.
 func TestPanelOpsZeroAllocs(t *testing.T) {
@@ -232,6 +258,7 @@ func TestPanelOpsZeroAllocs(t *testing.T) {
 		g.ScatterLines(runs, runPanel)
 		g.ExtractInto(r, buf)
 		g.InjectFrom(r, buf)
+		g.CopyRect(r, g, r)
 		linesBuf = g.AppendLines(r, 1, linesBuf[:0])
 	})
 	if allocs != 0 {

@@ -7,24 +7,27 @@ import (
 	"genmp/internal/obs/causal"
 )
 
+// parseCases are what-if expressions and what they parse to; they also
+// seed FuzzParsePerturbations.
+var parseCases = []struct {
+	expr string
+	want []causal.Perturbation
+}{
+	{"identity", []causal.Perturbation{{Kind: causal.Identity, Src: -1, Dst: -1, Tag: -1, Factor: 1, Frac: 0.25}}},
+	{"scale-link:0->1:0.5", []causal.Perturbation{{Kind: causal.ScaleLink, Src: 0, Dst: 1, Tag: -1, Factor: 0.5, Frac: 0.25}}},
+	{"scale-link:*->3:2", []causal.Perturbation{{Kind: causal.ScaleLink, Src: -1, Dst: 3, Tag: -1, Factor: 2, Frac: 0.25}}},
+	{"zero-wait:phase=halo", []causal.Perturbation{{Kind: causal.ZeroWait, Src: -1, Dst: -1, Tag: -1, Phase: "halo", Factor: 1, Frac: 0.25}}},
+	{"zero-wait:link=2->0,tag=9", []causal.Perturbation{{Kind: causal.ZeroWait, Src: 2, Dst: 0, Tag: 9, Factor: 1, Frac: 0.25}}},
+	{"overlap:phase=solve0", []causal.Perturbation{{Kind: causal.Overlap, Src: -1, Dst: -1, Tag: -1, Phase: "solve0", Factor: 1, Frac: 0.25}}},
+	{"overlap:phase=solve1,frac=0.5", []causal.Perturbation{{Kind: causal.Overlap, Src: -1, Dst: -1, Tag: -1, Phase: "solve1", Factor: 1, Frac: 0.5}}},
+	{" overlap:phase=a ; scale-link:1->0:4 ", []causal.Perturbation{
+		{Kind: causal.Overlap, Src: -1, Dst: -1, Tag: -1, Phase: "a", Factor: 1, Frac: 0.25},
+		{Kind: causal.ScaleLink, Src: 1, Dst: 0, Tag: -1, Factor: 4, Frac: 0.25},
+	}},
+}
+
 func TestParsePerturbations(t *testing.T) {
-	cases := []struct {
-		expr string
-		want []causal.Perturbation
-	}{
-		{"identity", []causal.Perturbation{{Kind: causal.Identity, Src: -1, Dst: -1, Tag: -1, Factor: 1, Frac: 0.25}}},
-		{"scale-link:0->1:0.5", []causal.Perturbation{{Kind: causal.ScaleLink, Src: 0, Dst: 1, Tag: -1, Factor: 0.5, Frac: 0.25}}},
-		{"scale-link:*->3:2", []causal.Perturbation{{Kind: causal.ScaleLink, Src: -1, Dst: 3, Tag: -1, Factor: 2, Frac: 0.25}}},
-		{"zero-wait:phase=halo", []causal.Perturbation{{Kind: causal.ZeroWait, Src: -1, Dst: -1, Tag: -1, Phase: "halo", Factor: 1, Frac: 0.25}}},
-		{"zero-wait:link=2->0,tag=9", []causal.Perturbation{{Kind: causal.ZeroWait, Src: 2, Dst: 0, Tag: 9, Factor: 1, Frac: 0.25}}},
-		{"overlap:phase=solve0", []causal.Perturbation{{Kind: causal.Overlap, Src: -1, Dst: -1, Tag: -1, Phase: "solve0", Factor: 1, Frac: 0.25}}},
-		{"overlap:phase=solve1,frac=0.5", []causal.Perturbation{{Kind: causal.Overlap, Src: -1, Dst: -1, Tag: -1, Phase: "solve1", Factor: 1, Frac: 0.5}}},
-		{" overlap:phase=a ; scale-link:1->0:4 ", []causal.Perturbation{
-			{Kind: causal.Overlap, Src: -1, Dst: -1, Tag: -1, Phase: "a", Factor: 1, Frac: 0.25},
-			{Kind: causal.ScaleLink, Src: 1, Dst: 0, Tag: -1, Factor: 4, Frac: 0.25},
-		}},
-	}
-	for _, c := range cases {
+	for _, c := range parseCases {
 		got, err := causal.ParsePerturbations(c.expr)
 		if err != nil {
 			t.Errorf("%q: %v", c.expr, err)
@@ -42,28 +45,31 @@ func TestParsePerturbations(t *testing.T) {
 	}
 }
 
+// parseErrorCases are rejected what-if expressions and a substring of
+// each error; they also seed FuzzParsePerturbations.
+var parseErrorCases = []struct{ expr, wantSub string }{
+	{"", "empty"},
+	{" ; ", "empty"},
+	{"warp-speed:1", "unknown perturbation"},
+	{"identity:extra", "no arguments"},
+	{"scale-link:0->1", "wants SRC->DST:FACTOR"},
+	{"scale-link:0-1:2", "bad link"},
+	{"scale-link:0->x:2", "bad rank"},
+	{"scale-link:0->1:-3", "factor"},
+	{"scale-link:0->1:NaN", "factor"},
+	{"scale-link:0->1:Inf", "factor"},
+	{"zero-wait:", "at least one filter"},
+	{"zero-wait:color=red", "unknown filter"},
+	{"zero-wait:tag=-4", "bad tag"},
+	{"overlap:frac=0.5", "needs phase"},
+	{"overlap:phase=a,frac=1.5", "outside [0, 1]"},
+	{"overlap:phase=a,frac=x", "bad frac"},
+	{"overlap:phase=x,frac=NaN", "bad frac"},
+	{"overlap:phase", "key=value"},
+}
+
 func TestParsePerturbationsErrors(t *testing.T) {
-	cases := []struct{ expr, wantSub string }{
-		{"", "empty"},
-		{" ; ", "empty"},
-		{"warp-speed:1", "unknown perturbation"},
-		{"identity:extra", "no arguments"},
-		{"scale-link:0->1", "wants SRC->DST:FACTOR"},
-		{"scale-link:0-1:2", "bad link"},
-		{"scale-link:0->x:2", "bad rank"},
-		{"scale-link:0->1:-3", "factor"},
-		{"scale-link:0->1:NaN", "factor"},
-		{"scale-link:0->1:Inf", "factor"},
-		{"zero-wait:", "at least one filter"},
-		{"zero-wait:color=red", "unknown filter"},
-		{"zero-wait:tag=-4", "bad tag"},
-		{"overlap:frac=0.5", "needs phase"},
-		{"overlap:phase=a,frac=1.5", "outside [0, 1]"},
-		{"overlap:phase=a,frac=x", "bad frac"},
-		{"overlap:phase=x,frac=NaN", "bad frac"},
-		{"overlap:phase", "key=value"},
-	}
-	for _, c := range cases {
+	for _, c := range parseErrorCases {
 		_, err := causal.ParsePerturbations(c.expr)
 		if err == nil {
 			t.Errorf("%q: parsed without error", c.expr)

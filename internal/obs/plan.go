@@ -43,7 +43,9 @@ type PlanJSON struct {
 	TagSpace      string `json:"tag_space"`
 	TagBase       int    `json:"tag_base"`
 	TagSize       int    `json:"tag_size"`
-	// OverlapEnabled / OverlapFrac mirror plan.Overlap. Both omit when the
+	// OverlapEnabled mirrors plan.Overlap, and OverlapFrac records the
+	// boundary share an overlap plan splits at (plan.DefaultOverlapFrac;
+	// readers take each phase's Boundary as recorded). Both omit when the
 	// plan was compiled without overlap, so pre-overlap dumps (and the
 	// committed fixtures) keep their historical bytes.
 	OverlapEnabled bool           `json:"overlap_enabled,omitempty"`
@@ -100,8 +102,11 @@ func NewPlanJSON(pl *plan.SweepPlan) PlanJSON {
 		Dim: pl.Dim, Grain: pl.Grain,
 		Solver: pl.Solver, ForwardCarry: pl.ForwardCarry, BackwardCarry: pl.BackwardCarry,
 		Halos: pl.Halos, TagSpace: pl.Tags.Name(), TagBase: pl.Tags.Base(), TagSize: pl.Tags.Size(),
-		OverlapEnabled: pl.Overlap.Enabled, OverlapFrac: pl.Overlap.Frac,
-		Ranks: make([]PlanRankJSON, pl.P),
+		OverlapEnabled: pl.Overlap.Enabled,
+		Ranks:          make([]PlanRankJSON, pl.P),
+	}
+	if pl.Overlap.Enabled {
+		out.OverlapFrac = plan.DefaultOverlapFrac
 	}
 	for q := 0; q < pl.P; q++ {
 		rj := PlanRankJSON{Rank: q, Passes: make([]PlanPassJSON, len(pl.Passes[q]))}
@@ -167,7 +172,7 @@ func PlanFromJSON(pj PlanJSON) (*plan.SweepPlan, error) {
 		Dim: pj.Dim, Grain: pj.Grain,
 		Solver: pj.Solver, ForwardCarry: pj.ForwardCarry, BackwardCarry: pj.BackwardCarry,
 		Halos: pj.Halos, Tags: ts,
-		Overlap: plan.Overlap{Enabled: pj.OverlapEnabled, Frac: pj.OverlapFrac},
+		Overlap: plan.Overlap{Enabled: pj.OverlapEnabled},
 		Passes:  make([][]plan.Pass, pj.P),
 	}
 	for q, rj := range pj.Ranks {

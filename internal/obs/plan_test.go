@@ -118,7 +118,7 @@ func TestPlanFromJSONFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, o := range []plan.Overlap{{}, {Enabled: true}, {Enabled: true, Frac: 0.3}} {
+	for _, o := range []plan.Overlap{{}, {Enabled: true}} {
 		pl, err := plan.Compile(plan.Spec{M: m, Eta: []int{8, 8, 8}, Solver: sweep.Tridiag{},
 			Halos: []int{2}, Overlap: o})
 		if err != nil {

@@ -9,8 +9,8 @@ package plan
 
 import "fmt"
 
-// DefaultOverlapFrac is the boundary share of each phase's lines when
-// Overlap.Frac is left zero. It matches the causal engine's default
+// DefaultOverlapFrac is the boundary share of each phase's lines in an
+// overlap plan. It matches the causal engine's default
 // `overlap:` perturbation fraction (obs/causal), so `critpath -whatif`
 // predictions and the executed schedule describe the same split.
 const DefaultOverlapFrac = 0.25
@@ -23,22 +23,12 @@ const interiorTagDelta = 1 << 26
 
 // Overlap configures the boundary-first split of every phase's compute.
 type Overlap struct {
-	// Enabled turns the split on. Off (the default), plans are byte-identical
-	// to pre-overlap compiles: Boundary stays 0 everywhere and the
-	// fingerprint is unchanged.
+	// Enabled turns the split on: each phase solves DefaultOverlapFrac of
+	// its lines (the boundary share) before the carry posts and the
+	// remaining interior lines while the boundary carry is in flight. Off
+	// (the default), plans are byte-identical to pre-overlap compiles:
+	// Boundary stays 0 everywhere and the fingerprint is unchanged.
 	Enabled bool
-	// Frac is the fraction of each phase's lines solved before the carry
-	// posts (the boundary share); 0 picks DefaultOverlapFrac. The remaining
-	// interior lines are solved while the boundary carry is in flight.
-	Frac float64
-}
-
-// Fraction returns the effective boundary share.
-func (o Overlap) Fraction() float64 {
-	if o.Frac > 0 {
-		return o.Frac
-	}
-	return DefaultOverlapFrac
 }
 
 // BoundaryLines returns the boundary share of a phase's line count: at
@@ -75,8 +65,8 @@ func (ph *Phase) InteriorBoundary() (boundary, interior int) {
 // at least two lines. Because matched send/recv phases carry equal line
 // counts (validateSymmetry), computing Boundary from Lines alone keeps the
 // two sides of every channel in agreement by construction.
-func (pl *SweepPlan) applyOverlap(o Overlap) {
-	pl.Overlap = Overlap{Enabled: true, Frac: o.Fraction()}
+func (pl *SweepPlan) applyOverlap() {
+	pl.Overlap = Overlap{Enabled: true}
 	for q := range pl.Passes {
 		for k := range pl.Passes[q] {
 			pass := &pl.Passes[q][k]
@@ -85,7 +75,7 @@ func (pl *SweepPlan) applyOverlap(o Overlap) {
 				if ph.RecvFrom < 0 && ph.SendTo < 0 {
 					continue
 				}
-				ph.Boundary = BoundaryLines(ph.Lines, pl.Overlap.Frac)
+				ph.Boundary = BoundaryLines(ph.Lines, DefaultOverlapFrac)
 				if ph.Boundary == 0 {
 					continue
 				}

@@ -284,7 +284,7 @@ func Compile(spec Spec) (pl *SweepPlan, err error) {
 		}
 	}
 	if spec.Overlap.Enabled {
-		pl.applyOverlap(spec.Overlap)
+		pl.applyOverlap()
 	}
 	return pl, nil
 }
@@ -442,7 +442,7 @@ func CompileWavefront(spec WavefrontSpec) (pl *SweepPlan, err error) {
 		}
 	}
 	if spec.Overlap.Enabled {
-		pl.applyOverlap(spec.Overlap)
+		pl.applyOverlap()
 	}
 	return pl, nil
 }

@@ -473,7 +473,7 @@ func (pl *SweepPlan) fingerprint() string {
 	// their historical fingerprints (and the committed goldens) byte for
 	// byte.
 	if pl.Overlap.Enabled {
-		fmt.Fprintf(&sb, "overlap frac=%g\n", pl.Overlap.Frac)
+		fmt.Fprintf(&sb, "overlap frac=%g\n", DefaultOverlapFrac)
 	}
 	for q, passes := range pl.Passes {
 		for k := range passes {

@@ -9,6 +9,9 @@ import (
 	"genmp/internal/xport"
 )
 
+// collTags is a tag range reserved for these tests' exchanges.
+var collTags = xport.ReserveTags("rt/collective", 1<<29, 16)
+
 // Messages on one (src, dst, tag) channel arrive in send order, and
 // distinct tags are independent channels.
 func TestFIFOAndTagIsolation(t *testing.T) {
@@ -208,13 +211,13 @@ func TestResultTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Wall <= 0 {
-		t.Errorf("wall clock %v, want > 0", res.Wall)
+	if res.Makespan <= 0 {
+		t.Errorf("wall clock %v, want > 0", res.Makespan)
 	}
 	if res.TotalMessages() != 1 || res.TotalBytes() != 1000 {
 		t.Errorf("traffic = %d msgs / %d bytes, want 1 / 1000", res.TotalMessages(), res.TotalBytes())
 	}
-	if res.Ranks[1].MsgsRecvd != 1 || res.Ranks[1].BytesRecvd != 1000 {
+	if res.Ranks[1].MsgsRecv != 1 || res.Ranks[1].BytesRecv != 1000 {
 		t.Errorf("rank 1 recv stats = %+v", res.Ranks[1])
 	}
 }
@@ -238,7 +241,7 @@ func TestPoolAndMachineReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := m.store.GetPayload(64); cap(got) < 64 {
+	if st := m.PayloadPoolStats(); st.Hits == 0 {
 		t.Errorf("pool did not retain a recycled buffer")
 	}
 }
@@ -313,9 +316,9 @@ func stressNoFalseDeadlock(t *testing.T, p int) {
 			t.Fatalf("p=%d seed %d (nonblocking=%v): run hung", p, seed, nonblocking)
 		}
 		for q, s := range res.Ranks {
-			if s.MsgsRecvd != rounds*(p-1) || s.MsgsSent != rounds*(p-1) {
+			if s.MsgsRecv != rounds*(p-1) || s.MsgsSent != rounds*(p-1) {
 				t.Fatalf("p=%d seed %d: rank %d sent %d / received %d messages, want %d each",
-					p, seed, q, s.MsgsSent, s.MsgsRecvd, rounds*(p-1))
+					p, seed, q, s.MsgsSent, s.MsgsRecv, rounds*(p-1))
 			}
 		}
 	}

@@ -1,8 +1,8 @@
-// The simulator's messaging runs on the shared message core
-// (internal/xport/mbox): per-rank inboxes whose envelopes are stamped with
-// the virtual send time, the rendezvous behind Barrier and AllReduce, the
-// exact deadlock counter and the machine-wide payload pool. This file holds
-// the simulator's accessors for that store.
+// The machine's messaging runs on the message core (internal/xport/mbox):
+// per-rank inboxes whose envelopes are stamped with the virtual send time,
+// the rendezvous behind Barrier and AllReduce, the exact deadlock counter
+// and the machine-wide payload pool. This file holds the machine's
+// accessors for that store.
 package sim
 
 import "genmp/internal/xport/mbox"

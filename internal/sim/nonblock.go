@@ -22,8 +22,8 @@
 // Because all cost accrues at Wait with the same arithmetic Recv uses,
 // posting receives early is timing-neutral on its own; the win comes from
 // posting *sends* early (boundary-first compute). The primitives still model
-// the full discipline so the real-parallel backend (ROADMAP item 1) can
-// inherit the schedule unchanged.
+// the full discipline, and the real-parallel backend — this machine without
+// a cost model — runs the same schedule through the same code.
 package sim
 
 import (
@@ -85,7 +85,7 @@ func (r *Rank) Isend(dst, tag int, m xport.Msg) xport.Request {
 	r.clock += r.machine.Net.SendOverhead
 	r.addComm(r.machine.Net.SendOverhead)
 	sent := r.machine.Fabric.Inject(r.ID, dst, r.clock, m.Bytes)
-	r.addSent(dst, m.Bytes)
+	r.addSent(m.Bytes)
 	if mm := r.machine.mm; mm != nil {
 		mm.sent(r.ID, dst, m.Bytes)
 		mm.nonblocking("isend").Inc()
@@ -160,7 +160,7 @@ func (q *Request) Wait() xport.Msg {
 	}
 	m, sent, err := r.machine.store.Get(q.peer, r.ID, q.tag)
 	if err != nil {
-		panic(err)
+		r.fail(err)
 	}
 	fab := r.machine.Fabric
 	headArrive := sent + fab.HeadLatency(q.peer, r.ID)
@@ -173,7 +173,7 @@ func (q *Request) Wait() xport.Msg {
 	body := fab.BodyTime(q.peer, r.ID, m.Bytes)
 	r.clock += body + r.machine.Net.RecvOverhead
 	r.addComm(body + r.machine.Net.RecvOverhead)
-	r.addRecvd(q.peer, m.Bytes)
+	r.addRecvd(m.Bytes)
 	if r.observing() {
 		r.emit(Event{Rank: r.ID, Kind: EvWait, Start: waitStart, End: r.clock, Peer: q.peer, Bytes: m.Bytes, Tag: q.tag, Wait: wait, Phase: r.phase})
 	}

@@ -1,32 +1,42 @@
-// Package sim is a deterministic virtual-time message-passing machine — the
-// stand-in for the paper's MPI runs on a 128-CPU SGI Origin 2000. Each rank
-// executes as a goroutine and carries a logical clock; computation advances
-// the clock by modeled time, and every message carries the virtual time at
-// which it arrives (sender clock + per-message latency + bytes / bandwidth).
-// A receive completes at max(receiver clock, arrival time). The program's
+// Package sim is the message-passing machine both backends run on. With a
+// cost model it is a deterministic virtual-time machine — the stand-in for
+// the paper's MPI runs on a 128-CPU SGI Origin 2000. Each rank executes as a
+// goroutine and carries a logical clock; computation advances the clock by
+// modeled time, and every message carries the virtual time at which it
+// arrives (sender clock + per-message latency + bytes / bandwidth). A
+// receive completes at max(receiver clock, arrival time). The program's
 // makespan is the maximum final clock over all ranks.
 //
 // The timing is data-driven, so results are bit-reproducible regardless of
 // goroutine scheduling. Payloads are optional: correctness runs exchange
 // real float64 data; performance-model runs ship only byte counts.
+//
+// Without a CPU model (a zero CPU.FlopsPerSec, as internal/rt builds it)
+// the same machine is the real-parallel runtime: Compute and ComputeFlops
+// charge nothing, because the work itself took the time, the zero Network
+// makes messages free, and Run's makespan is its wall time. Everything
+// else — matching, collectives, deadlock diagnosis, stats, metrics, the
+// flight recorder and pprof labels — is shared.
 package sim
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"runtime/pprof"
 	"sort"
 	"strconv"
 	"sync"
+	"time"
 
 	"genmp/internal/obs/metrics"
 	"genmp/internal/xport"
 	"genmp/internal/xport/mbox"
 )
 
-// A Rank is the virtual-time implementation of the transport interface the
-// plan executors run against; internal/rt provides the wall-clock one.
+// A Rank is the implementation of the transport interface the plan
+// executors run against, on both backends.
 var _ xport.Transport = (*Rank)(nil)
 
 // Network models the communication fabric. Transit time of an n-byte
@@ -103,8 +113,10 @@ func (c CPU) EffectiveFlopsPerSec() float64 {
 	return c.FlopsPerSec * (1 + (c.CacheBoost-1)*frac)
 }
 
-// Machine is a p-rank virtual machine. Set Trace to a non-nil *Trace
-// before Run to collect per-rank event timelines.
+// Machine is a p-rank machine: virtual time under its Network and CPU
+// models, wall time when it has no CPU model (see the package comment).
+// Set Trace to a non-nil *Trace before Run to collect per-rank event
+// timelines.
 type Machine struct {
 	P   int
 	Net Network
@@ -166,15 +178,14 @@ type Stats struct {
 	BytesRecv   int
 	// FinalClock is the rank's clock when its body returned; IdleTime is
 	// Makespan − FinalClock, the trailing idle until the slowest rank
-	// finishes. Both are filled in by Run.
+	// finishes. Both are filled in by Run, and both are 0 in wall time,
+	// where the clock does not advance.
 	FinalClock float64
 	IdleTime   float64
 	// Phases breaks the three time counters and the traffic down by the
 	// phase label active when they accrued (see Rank.BeginPhase). Activity
 	// before the first BeginPhase lands under the empty label.
 	Phases map[string]PhaseStats
-	// Peers breaks the point-to-point traffic down by counterpart rank.
-	Peers map[int]PeerIO
 }
 
 // PhaseStats is one phase-label bucket of a rank's Stats.
@@ -206,17 +217,11 @@ func (s Stats) PhaseLabels() []string {
 	return out
 }
 
-// PeerIO is the point-to-point traffic between one rank and one peer.
-type PeerIO struct {
-	MsgsSent  int
-	BytesSent int
-	MsgsRecv  int
-	BytesRecv int
-}
-
 // Result summarizes a completed run.
 type Result struct {
-	Makespan float64 // max final clock over ranks (seconds of virtual time)
+	// Makespan is the max final clock over ranks in seconds of virtual
+	// time, or the run's wall time on a machine without a CPU model.
+	Makespan float64
 	Ranks    []Stats // per-rank statistics
 }
 
@@ -260,14 +265,14 @@ type Rank struct {
 	ID      int
 	machine *Machine
 	clock   float64
-	// stats holds the totals and Peers; the per-phase buckets live in
-	// buckets (copied into Stats.Phases by Stats and at the end of Run),
-	// and cur caches the current phase's bucket until the next BeginPhase.
-	stats   Stats
-	buckets map[string]*PhaseStats
-	cur     *PhaseStats
-	phase   string
-	idStr   string // preformatted rank label for pprof (set when PProfLabels)
+	// stats holds the totals and the closed phase buckets; cur is the
+	// current phase's bucket while inCur, filed into stats.Phases by the
+	// next BeginPhase and at the end of Run.
+	stats Stats
+	cur   PhaseStats
+	inCur bool
+	phase string
+	idStr string // preformatted rank label for pprof (set when PProfLabels)
 	// quiet suppresses per-event tracing while > 0 (stats still accrue):
 	// collectives bracket their constituent messages with it so the
 	// timeline carries one labeled interval instead of the pieces.
@@ -292,27 +297,26 @@ func (r *Rank) Clock() float64 { return r.clock }
 // Stats returns a snapshot of the rank's statistics so far.
 func (r *Rank) Stats() Stats {
 	s := r.stats
-	s.Phases = r.phaseStats()
-	if r.stats.Peers != nil {
-		s.Peers = make(map[int]PeerIO, len(r.stats.Peers))
-		for q, io := range r.stats.Peers {
-			s.Peers[q] = io
+	s.Phases = maps.Clone(r.stats.Phases)
+	if r.inCur {
+		if s.Phases == nil {
+			s.Phases = make(map[string]PhaseStats)
 		}
+		s.Phases[r.phase] = r.cur
 	}
 	return s
 }
 
-// phaseStats copies the phase buckets into a Stats.Phases map (nil when no
-// phase saw activity).
-func (r *Rank) phaseStats() map[string]PhaseStats {
-	if r.buckets == nil {
-		return nil
+// closePhase files the current phase's bucket into stats.Phases.
+func (r *Rank) closePhase() {
+	if !r.inCur {
+		return
 	}
-	out := make(map[string]PhaseStats, len(r.buckets))
-	for l, ps := range r.buckets {
-		out[l] = *ps
+	if r.stats.Phases == nil {
+		r.stats.Phases = make(map[string]PhaseStats)
 	}
-	return out
+	r.stats.Phases[r.phase] = r.cur
+	r.inCur = false
 }
 
 // BeginPhase labels all subsequent activity of this rank with the given
@@ -320,9 +324,9 @@ func (r *Rank) phaseStats() map[string]PhaseStats {
 // until the next BeginPhase. It returns the previous label so nested
 // libraries can restore it.
 func (r *Rank) BeginPhase(label string) (prev string) {
+	r.closePhase()
 	prev = r.phase
 	r.phase = label
-	r.cur = nil
 	if r.machine.PProfLabels {
 		pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
 			pprof.Labels("rank", r.idStr, "phase", label)))
@@ -350,22 +354,15 @@ func (r *Rank) emit(e Event) {
 // Phase returns the rank's current phase label.
 func (r *Rank) Phase() string { return r.phase }
 
-// phaseBucket returns the current phase's bucket: the cached pointer, or —
-// on the first activity since BeginPhase — the label's bucket, created if
-// new. The hot paths thus touch the label map once per phase, not once per
-// event.
+// phaseBucket returns the current phase's bucket, loading the label's
+// closed bucket (zero if new) on the first activity since BeginPhase. The
+// hot paths thus touch the label map twice per phase, not once per event.
 func (r *Rank) phaseBucket() *PhaseStats {
-	if r.cur == nil {
-		if r.buckets == nil {
-			r.buckets = make(map[string]*PhaseStats)
-		}
-		r.cur = r.buckets[r.phase]
-		if r.cur == nil {
-			r.cur = new(PhaseStats)
-			r.buckets[r.phase] = r.cur
-		}
+	if !r.inCur {
+		r.cur = r.stats.Phases[r.phase]
+		r.inCur = true
 	}
-	return r.cur
+	return &r.cur
 }
 
 func (r *Rank) addCompute(sec float64) {
@@ -383,40 +380,42 @@ func (r *Rank) addWait(sec float64) {
 	r.phaseBucket().WaitTime += sec
 }
 
-func (r *Rank) addSent(peer, bytes int) {
+func (r *Rank) addSent(bytes int) {
 	r.stats.MsgsSent++
 	r.stats.BytesSent += bytes
 	ps := r.phaseBucket()
 	ps.MsgsSent++
 	ps.BytesSent += bytes
-	if r.stats.Peers == nil {
-		r.stats.Peers = make(map[int]PeerIO)
-	}
-	io := r.stats.Peers[peer]
-	io.MsgsSent++
-	io.BytesSent += bytes
-	r.stats.Peers[peer] = io
 }
 
-func (r *Rank) addRecvd(peer, bytes int) {
+func (r *Rank) addRecvd(bytes int) {
 	r.stats.MsgsRecv++
 	r.stats.BytesRecv += bytes
 	ps := r.phaseBucket()
 	ps.MsgsRecv++
 	ps.BytesRecv += bytes
-	if r.stats.Peers == nil {
-		r.stats.Peers = make(map[int]PeerIO)
-	}
-	io := r.stats.Peers[peer]
-	io.MsgsRecv++
-	io.BytesRecv += bytes
-	r.stats.Peers[peer] = io
 }
 
-// Compute advances the rank's clock by the given virtual seconds.
+// wallClock reports whether the machine has no CPU model and so runs in
+// wall time (see the package comment).
+func (m *Machine) wallClock() bool { return m.CPU.FlopsPerSec == 0 }
+
+// name labels the machine's errors: "rt" in wall time, "sim" otherwise.
+func (m *Machine) name() string {
+	if m.wallClock() {
+		return "rt"
+	}
+	return "sim"
+}
+
+// Compute advances the rank's clock by the given virtual seconds; in wall
+// time it charges nothing.
 func (r *Rank) Compute(seconds float64) {
 	if seconds < 0 {
 		panic("sim: Compute with negative time")
+	}
+	if r.machine.wallClock() {
+		seconds = 0
 	}
 	start := r.clock
 	r.clock += seconds
@@ -426,9 +425,14 @@ func (r *Rank) Compute(seconds float64) {
 	}
 }
 
-// ComputeFlops advances the clock by flops / CPU.EffectiveFlopsPerSec().
+// ComputeFlops advances the clock by flops / CPU.EffectiveFlopsPerSec();
+// in wall time it charges nothing.
 func (r *Rank) ComputeFlops(flops float64) {
-	r.Compute(flops / r.machine.CPU.EffectiveFlopsPerSec())
+	sec := 0.0
+	if !r.machine.wallClock() {
+		sec = flops / r.machine.CPU.EffectiveFlopsPerSec()
+	}
+	r.Compute(sec)
 }
 
 // Send posts a message to dst. Sends are eager (buffered): the sender only
@@ -448,7 +452,7 @@ func (r *Rank) Send(dst, tag int, m xport.Msg) {
 	// egress link is still busy (contention); the sender itself does not
 	// stall — injection is eager.
 	sent := r.machine.Fabric.Inject(r.ID, dst, r.clock, m.Bytes)
-	r.addSent(dst, m.Bytes)
+	r.addSent(m.Bytes)
 	if mm := r.machine.mm; mm != nil {
 		mm.sent(r.ID, dst, m.Bytes)
 	}
@@ -474,7 +478,7 @@ func (r *Rank) Recv(src, tag int) xport.Msg {
 	}
 	m, sent, err := r.machine.store.Get(src, r.ID, tag)
 	if err != nil {
-		panic(err)
+		r.fail(err)
 	}
 	// The first byte reaches the receiver at sent + head latency (fabric
 	// hop count); the message body then occupies the receiver's link,
@@ -491,11 +495,19 @@ func (r *Rank) Recv(src, tag int) xport.Msg {
 	body := fab.BodyTime(src, r.ID, m.Bytes)
 	r.clock += body + r.machine.Net.RecvOverhead
 	r.addComm(body + r.machine.Net.RecvOverhead)
-	r.addRecvd(src, m.Bytes)
+	r.addRecvd(m.Bytes)
 	if r.observing() {
 		r.emit(Event{Rank: r.ID, Kind: EvRecv, Start: recvStart, End: r.clock, Peer: src, Bytes: m.Bytes, Tag: tag, Wait: wait, Phase: r.phase})
 	}
 	return m
+}
+
+// fail ends the rank with err, naming its phase.
+func (r *Rank) fail(err error) {
+	if r.phase != "" {
+		err = fmt.Errorf("%w [phase %s]", err, r.phase)
+	}
+	panic(err)
 }
 
 // SendRecv posts a send to dst and then receives from src (safe in rings
@@ -523,7 +535,7 @@ func (r *Rank) rendezvous(label string, vals []float64, combine func(a, b float6
 	start := r.clock
 	t, out, err := r.machine.store.Rendezvous(r.ID, label, r.clock, vals, combine)
 	if err != nil {
-		panic(err)
+		r.fail(err)
 	}
 	cost := r.collectiveCost(8 * len(vals))
 	wait := 0.0
@@ -580,7 +592,10 @@ func (r *Rank) collectiveCost(bytes int) float64 {
 }
 
 // Run executes body on every rank concurrently and returns the run's
-// Result. A panic in any rank aborts the run and is returned as an error.
+// Result. A panic in any rank ends that rank; peers it leaves blocked fail
+// with the deadlock diagnosis, and every failure is returned as one error
+// that carries the flight report, or without a flight recorder the
+// messages sent but never received.
 func (m *Machine) Run(body func(r *Rank)) (Result, error) {
 	if m.Fabric == nil {
 		m.Fabric = DefaultFabric(m.Net, m.P)
@@ -617,6 +632,7 @@ func (m *Machine) Run(body func(r *Rank)) (Result, error) {
 	m.ranks = ranks
 	errs := make([]error, m.P)
 	var wg sync.WaitGroup
+	start := time.Now()
 	for id := 0; id < m.P; id++ {
 		ranks[id] = &Rank{ID: id, machine: m}
 		if m.PProfLabels {
@@ -628,7 +644,7 @@ func (m *Machine) Run(body func(r *Rank)) (Result, error) {
 			defer st.Exit()
 			defer func() {
 				if rec := recover(); rec != nil {
-					errs[r.ID] = fmt.Errorf("sim: rank %d: %v", r.ID, rec)
+					errs[r.ID] = fmt.Errorf("%s: rank %d: %v", m.name(), r.ID, rec)
 				}
 			}()
 			if m.PProfLabels {
@@ -641,6 +657,7 @@ func (m *Machine) Run(body func(r *Rank)) (Result, error) {
 		}(ranks[id])
 	}
 	wg.Wait()
+	wall := time.Since(start)
 	if m.mm != nil {
 		m.mm.runs.Inc()
 		if st.Deadlocked() {
@@ -650,6 +667,8 @@ func (m *Machine) Run(body func(r *Rank)) (Result, error) {
 	if err := errors.Join(errs...); err != nil {
 		if m.Flight != nil {
 			err = fmt.Errorf("%w\n\n%s", err, m.FlightReport())
+		} else if undelivered := st.Undelivered(); undelivered != "" {
+			err = fmt.Errorf("%w\n\n%s", err, undelivered)
 		}
 		return Result{}, err
 	}
@@ -662,8 +681,11 @@ func (m *Machine) Run(body func(r *Rank)) (Result, error) {
 	for id, r := range ranks {
 		r.stats.FinalClock = r.clock
 		r.stats.IdleTime = res.Makespan - r.clock
-		r.stats.Phases = r.phaseStats()
+		r.closePhase()
 		res.Ranks[id] = r.stats
+	}
+	if m.wallClock() {
+		res.Makespan = wall.Seconds()
 	}
 	if m.mm != nil {
 		m.mm.makespan.Set(res.Makespan)

@@ -4,7 +4,7 @@ import "fmt"
 
 // Alg selects a collective algorithm. The enum lives here (not in sim)
 // because plan consumers carry it in their options structs, and those are
-// transport-neutral; each backend maps the values onto its own
+// transport-neutral; the machine maps the values onto its
 // implementations.
 type Alg int
 

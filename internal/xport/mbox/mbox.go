@@ -1,11 +1,11 @@
-// Package mbox is the message core both transport backends share: the
-// per-destination inboxes with their per-(src, tag) FIFO channels, the
-// rendezvous behind Barrier and AllReduce, the blocked-rank counter that
-// detects deadlock, and the machine-wide payload pool. The rules are MPI's:
-// sends are eager, matching is FIFO per (source, tag), and a collective
-// completes once every rank has entered it. Each envelope carries an opaque
-// float64 stamp: the virtual-time simulator stores the virtual send time
-// there, the goroutine runtime stores 0.
+// Package mbox is the message core of sim's machine, in virtual and in
+// wall time: the per-destination inboxes with their per-(src, tag) FIFO
+// channels, the rendezvous behind Barrier and AllReduce, the blocked-rank
+// counter that detects deadlock, and the machine-wide payload pool. The
+// rules are MPI's: sends are eager, matching is FIFO per (source, tag), and
+// a collective completes once every rank has entered it. Each envelope
+// carries an opaque float64 stamp: the virtual send time, which is 0 on a
+// machine without a cost model.
 //
 // A send locks only the receiver's inbox and wakes the receiver only when
 // it is blocked on exactly the channel that just became non-empty, so

@@ -1,18 +1,19 @@
 // Package xport is the transport abstraction every plan consumer runs
 // against — the subset of the messaging machine the executors actually use,
-// carved out of internal/sim so a compiled plan.SweepPlan can execute on
-// any backend that implements it. Two implementations exist: sim.Rank (the
-// deterministic virtual-time machine, the repo's performance model) and
-// rt.Rank (real OS goroutines with shared-memory mailboxes, measured in
-// wall-clock time). The executors in dist and redist are written
-// against Transport alone, so schedule and transport cannot drift: the same
-// compiled schedule replays bit-identically on both.
+// carved out of internal/sim so a compiled plan.SweepPlan does not depend on
+// the machine that runs it. One implementation exists, sim.Rank, on two
+// machines: the deterministic virtual-time simulator (the repo's
+// performance model) and, with no cost model, the real-parallel runtime
+// internal/rt (measured in wall-clock time). The executors in dist and
+// redist are written against Transport alone and each collective has one
+// implementation, so the same compiled schedule replays bit-identically on
+// both machines.
 //
 // The package also hosts the transport-neutral vocabulary the interface
 // needs: the message struct, the global tag registry, and the collective
-// algorithm/options types. Its subpackage mbox is the message store both
-// backends share, so they match messages, meet in collectives and detect
-// deadlock by one set of rules.
+// algorithm/options types. Its subpackage mbox is the message store the
+// machine runs on, which matches messages, meets ranks in collectives and
+// detects deadlock.
 package xport
 
 import "genmp/internal/obs/metrics"
@@ -47,8 +48,9 @@ type Request interface {
 // Transport is one rank's view of the messaging machine: point-to-point
 // sends and receives (blocking and nonblocking), the collectives, payload
 // pooling, and the cost-accounting hooks (Compute/ComputeFlops advance a
-// virtual clock on the simulator and are free on a real backend, where time
-// passes by itself). All methods are called from the rank's own goroutine.
+// virtual clock on the simulator and are free on the real-parallel
+// machine, where time passes by itself). All methods are called from the
+// rank's own goroutine.
 type Transport interface {
 	// Rank returns this rank's id in [0, P).
 	Rank() int
@@ -58,9 +60,9 @@ type Transport interface {
 	// BeginPhase labels subsequent activity (profiling/tracing); it returns
 	// the previous label so nested libraries can restore it.
 	BeginPhase(label string) (prev string)
-	// Compute accounts seconds of modeled computation (virtual-time
-	// backends advance the clock; real backends do nothing — the work
-	// itself took the time).
+	// Compute accounts seconds of modeled computation (the virtual-time
+	// machine advances the clock; the real-parallel one does nothing — the
+	// work itself took the time).
 	Compute(seconds float64)
 	// ComputeFlops accounts flops of modeled computation.
 	ComputeFlops(flops float64)
