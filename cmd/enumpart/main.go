@@ -31,12 +31,7 @@ func main() {
 	top := flag.Int("top", 12, "growth table: show the N largest counts")
 	factor := flag.Int("factor", 0, "run the Figure 2 generator: distributions of r=N instances of one factor into d bins")
 	optimal := flag.Bool("optimal", false, "also run the optimal-partitioning search and report its statistics")
-	serial := flag.Bool("serial", false, "force the serial search walk (default: fan out on large spaces)")
 	flag.Parse()
-
-	if *serial {
-		partition.SetSearchParallelism(1)
-	}
 
 	if *factor > 0 {
 		fmt.Printf("Figure 2 generator: distributions of r = %d instances of one prime\n", *factor)
@@ -97,12 +92,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		mode := fmt.Sprintf("parallel ≤%d workers", partition.SearchParallelism())
-		if *serial || partition.SearchParallelism() == 1 {
-			mode = "serial"
-		}
-		fmt.Printf("\noptimal under uniform weights (%s search): %s, cost %g\n",
-			mode, partition.Describe(res.Gamma), res.Cost)
+		fmt.Printf("\noptimal under uniform weights: %s, cost %g\n",
+			partition.Describe(res.Gamma), res.Cost)
 		fmt.Println(stats.String())
 	}
 }

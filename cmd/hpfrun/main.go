@@ -111,7 +111,7 @@ func main() {
 	}
 	pb := adi.Problem{Eta: eta, Alpha: 0.3, Steps: *steps}
 	// Each plan kind picks its strategy; -plan dumps the schedule it runs.
-	cfg := adi.Config{Machine: mach, ModelOnly: true, Overlap: spec.Overlap}
+	cfg := adi.Config{Machine: mach, Overlap: spec.Overlap}
 	variant, gammaStr := "serial", ""
 	switch {
 	case plan.Multi != nil:

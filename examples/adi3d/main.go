@@ -72,12 +72,12 @@ func main() {
 		log.Fatal(err)
 	}
 	wave, err := adi.Run(pb, nil, adi.Config{
-		Machine: nas.Origin2000Machine(p), Strategy: adi.BlockWavefront, Block: blk, Grain: 64, ModelOnly: true})
+		Machine: nas.Origin2000Machine(p), Strategy: adi.BlockWavefront, Block: blk, Grain: 64})
 	if err != nil {
 		log.Fatal(err)
 	}
 	trans, err := adi.Run(pb, nil, adi.Config{
-		Machine: nas.Origin2000Machine(p), Strategy: adi.BlockTranspose, Block: blk, ModelOnly: true})
+		Machine: nas.Origin2000Machine(p), Strategy: adi.BlockTranspose, Block: blk})
 	if err != nil {
 		log.Fatal(err)
 	}

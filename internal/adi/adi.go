@@ -218,9 +218,6 @@ type Config struct {
 	Block *dist.Block
 	// Grain is the wavefront message granularity in lines (BlockWavefront).
 	Grain int
-	// ModelOnly skips the real data movement: u is not advanced, only
-	// virtual time and communication volumes are produced.
-	ModelOnly bool
 	// Overlap compiles the sweep schedule with the boundary-first overlap
 	// annotation (plan.Overlap): split phases solve their boundary lines
 	// first and post the carry while the interior computes. Applies to
@@ -231,7 +228,8 @@ type Config struct {
 
 // Run advances u by pb.Steps distributed timesteps and returns the
 // simulation result. In data mode the final u matches SerialSolve exactly
-// (same arithmetic, same order within each line).
+// (same arithmetic, same order within each line). A nil u runs model-only:
+// no data moves, only virtual time and communication volumes are produced.
 func Run(pb Problem, u *grid.Grid, cfg Config) (sim.Result, error) {
 	if pb.Periodic {
 		return sim.Result{}, fmt.Errorf("adi: periodic boundaries are whole-line only (use SerialSolve); a distributed cyclic sweep needs an end-to-end correction exchange this runtime does not implement")
@@ -256,7 +254,7 @@ func runMulti(pb Problem, u *grid.Grid, cfg Config) (sim.Result, error) {
 	if err != nil {
 		return sim.Result{}, err
 	}
-	if cfg.ModelOnly {
+	if u == nil {
 		return cfg.Machine.Run(func(r *sim.Rank) { pb.RunRank(r, cfg.Env, pl, nil) })
 	}
 	return cfg.Machine.Run(func(r *sim.Rank) {
@@ -350,7 +348,7 @@ func runBlock(pb Problem, u *grid.Grid, cfg Config) (sim.Result, error) {
 	// an overlap-on run must not keep running split.
 	b.Overlap = cfg.Overlap
 	var vecs []*grid.Grid
-	if !cfg.ModelOnly {
+	if u != nil {
 		vecs = []*grid.Grid{grid.New(pb.Eta...), grid.New(pb.Eta...), grid.New(pb.Eta...), grid.New(pb.Eta...)}
 	}
 	grain := cfg.Grain
@@ -366,7 +364,7 @@ func runBlock(pb Problem, u *grid.Grid, cfg Config) (sim.Result, error) {
 				copyBack := func(rect grid.Rect) {
 					copySolution(rect, vecs[3], u, dim)
 				}
-				if cfg.ModelOnly {
+				if u == nil {
 					fill, copyBack = nil, nil
 				}
 				b.ComputeOnSlab(r, buildFlops, fill)

@@ -163,9 +163,7 @@ func TestModelOnlyMatchesDataMakespan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgModel := multiConfig(t, p, gamma, eta)
-	cfgModel.ModelOnly = true
-	resModel, err := Run(pb, nil, cfgModel)
+	resModel, err := Run(pb, nil, multiConfig(t, p, gamma, eta))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,9 +179,7 @@ func TestMultipartitioningBeatsBaselinesOnVirtualTime(t *testing.T) {
 	eta := []int{64, 64, 64}
 	pb := Problem{Eta: eta, Alpha: 0.3, Steps: 2}
 
-	cfg := multiConfig(t, p, []int{4, 4, 4}, eta)
-	cfg.ModelOnly = true
-	resMulti, err := Run(pb, nil, cfg)
+	resMulti, err := Run(pb, nil, multiConfig(t, p, []int{4, 4, 4}, eta))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,11 +188,11 @@ func TestMultipartitioningBeatsBaselinesOnVirtualTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resWave, err := Run(pb, nil, Config{Machine: testMachine(p), Strategy: BlockWavefront, Block: b, Grain: 64, ModelOnly: true})
+	resWave, err := Run(pb, nil, Config{Machine: testMachine(p), Strategy: BlockWavefront, Block: b, Grain: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resTrans, err := Run(pb, nil, Config{Machine: testMachine(p), Strategy: BlockTranspose, Block: b, ModelOnly: true})
+	resTrans, err := Run(pb, nil, Config{Machine: testMachine(p), Strategy: BlockTranspose, Block: b})
 	if err != nil {
 		t.Fatal(err)
 	}

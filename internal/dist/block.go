@@ -24,9 +24,6 @@ type Block struct {
 	Eta      []int
 	Dim      int
 	Overhead OverheadModel
-	// Coll selects the all-to-all algorithm of TransposeSweep
-	// (xport.AlgAuto: the direct pairwise exchange).
-	Coll xport.Alg
 	// Batch is the panel width of the batched sweep kernels: 0 picks
 	// sweep.DefaultBatchLines, negative forces the scalar per-line path
 	// (the bit-identical oracle, also used as the "before" ablation).
@@ -348,12 +345,13 @@ func (b *Block) transposeSizes(q, tDim, nGrids, phase int) []int {
 }
 
 // allToAll runs one transpose phase by executing its compiled plan: a
-// single OpAllToAll step under the algorithm selected by Block.Coll,
-// bit-identical to the historical hand-rolled collective call.
+// single OpAllToAll step under the machine's default algorithm
+// (Machine.Coll; auto is the direct pairwise exchange), bit-identical to
+// the historical hand-rolled collective call.
 func (b *Block) allToAll(r xport.Transport, tDim, nGrids, phase int) {
 	if b.P == 1 {
 		return
 	}
 	redist.Execute(r, b.transposePlans(tDim, nGrids)[phase],
-		redist.ExecOpts{Coll: b.Coll, PerMessage: b.Overhead.PerMessage})
+		redist.ExecOpts{PerMessage: b.Overhead.PerMessage})
 }

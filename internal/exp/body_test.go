@@ -57,7 +57,7 @@ func TestDataMatchesModelMakespan(t *testing.T) {
 				}},
 				{"adi", pb.InitialCondition, func(u *grid.Grid) (sim.Result, error) {
 					return adi.Run(pb, u, adi.Config{Machine: nas.Origin2000Machine(p), Strategy: adi.Multipartition,
-						Env: env, ModelOnly: u == nil, Overlap: o})
+						Env: env, Overlap: o})
 				}},
 			}
 			for _, app := range apps {

@@ -358,7 +358,6 @@ func StrategyComparison(s Spec) ([]StrategyRow, error) {
 		if st.cfg.Machine, err = strategyMachineOn(s); err != nil {
 			return nil, err
 		}
-		st.cfg.ModelOnly = true
 		res, err := adi.Run(pb, nil, st.cfg)
 		if err != nil {
 			return nil, err

@@ -92,7 +92,7 @@ func TestRedistBitIdentityTranspose(t *testing.T) {
 		pb := adi.Problem{Eta: eta, Alpha: 0.3, Steps: 2}
 		r, err := adi.Run(pb, nil, adi.Config{
 			Machine: nas.Origin2000Machine(p), Strategy: adi.BlockTranspose,
-			Block: blk, ModelOnly: true,
+			Block: blk,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -1,9 +1,7 @@
 // Live metrics bridge for the partitioning searches. SearchStats remains
 // the per-call accounting callers consume programmatically; EnableMetrics
 // additionally mirrors the counters into an obs/metrics.Registry as
-// process-wide cumulative series. Parallel searches stream each chunk's
-// counts as the chunk completes, so a long search shows progress on a
-// scrape instead of one lump at the end.
+// process-wide cumulative series, one entry→exit delta per search.
 package partition
 
 import (
@@ -50,8 +48,7 @@ func EnableMetrics(reg *metrics.Registry) {
 	partMetricsPtr.Store(pm)
 }
 
-// add publishes one SearchStats increment (a chunk's counts, or a serial
-// walk's entry→exit delta).
+// add publishes one search's entry→exit SearchStats delta.
 func (pm *partMetrics) add(d SearchStats) {
 	pm.nodes.Add(int64(d.NodesVisited))
 	pm.leaves.Add(int64(d.LeavesEvaluated))

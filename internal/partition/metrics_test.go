@@ -59,37 +59,8 @@ func TestSearchMetricsSerial(t *testing.T) {
 			t.Errorf("pruned{cap} = %g, want %d", got, capped.PrunedCap)
 		}
 	}
-}
-
-// The parallel fan-out streams per-chunk counts; the registry totals must
-// still agree with the aggregated SearchStats the caller receives.
-func TestSearchMetricsParallel(t *testing.T) {
-	oldFloor := parallelLeafFloor
-	parallelLeafFloor = 1
-	defer func() { parallelLeafFloor = oldFloor }()
-
-	reg := metrics.New()
-	EnableMetrics(reg)
-	defer EnableMetrics(nil)
-
-	var stats SearchStats
-	if _, err := OptimalStats(24, 3, UniformObjective(3), &stats); err != nil {
-		t.Fatal(err)
-	}
-	if got := value(t, reg, "partition_search_nodes_total"); got != float64(stats.NodesVisited) {
-		t.Errorf("parallel nodes = %g, want %d", got, stats.NodesVisited)
-	}
-	if got := value(t, reg, "partition_search_leaves_total"); got != float64(stats.LeavesEvaluated) {
-		t.Errorf("parallel leaves = %g, want %d", got, stats.LeavesEvaluated)
-	}
-
-	var capped SearchStats
-	if _, err := OptimalCappedStats(24, 3, UniformObjective(3), []int{24, 24, 24}, &capped); err != nil {
-		t.Fatal(err)
-	}
-	wantNodes := stats.NodesVisited + capped.NodesVisited
-	if got := value(t, reg, "partition_search_nodes_total"); got != float64(wantNodes) {
-		t.Errorf("nodes after capped parallel = %g, want %d", got, wantNodes)
+	if got := value(t, reg, "partition_search_nodes_total"); got != float64(stats.NodesVisited+capped.NodesVisited) {
+		t.Errorf("nodes after capped = %g, want %d", got, stats.NodesVisited+capped.NodesVisited)
 	}
 	if got := value(t, reg, "partition_search_distributions_total"); got != float64(stats.Distributions+capped.Distributions) {
 		t.Errorf("distributions = %g, want %d", got, stats.Distributions+capped.Distributions)

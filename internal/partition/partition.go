@@ -296,9 +296,7 @@ func EachElementaryStats(p, d int, stats *SearchStats, f func(gamma []int) bool)
 }
 
 // elemRec walks the cross product of the per-factor distributions from level
-// j down, streaming complete partitionings to f. It is shared by the serial
-// stream and the per-chunk workers of the parallel search, which enter at
-// j = 1 after applying one top-level distribution themselves.
+// j down, streaming complete partitionings to f.
 func elemRec(factors []numutil.Factor, dists [][][]int, j int, gamma []int, stats *SearchStats, stopped *bool, f func([]int) bool) {
 	if *stopped {
 		return
@@ -394,8 +392,12 @@ func (s *SearchStats) String() string {
 // Optimal returns a partitioning of p processors over d dimensions
 // minimizing obj, using the paper's optimized exhaustive search over
 // elementary partitionings with branch-and-bound pruning (partial products
-// only grow, so the partial objective is a lower bound). Ties are broken
-// deterministically toward the lexicographically smallest γ.
+// only grow, so the partial objective is a lower bound). Of several minimal
+// γ, the first one the walk visits wins: it places the prime powers αⱼ^rⱼ
+// largest first, each through its distributions in Figure 2 order, and the
+// bound cuts a later leaf of equal cost before it is evaluated. That γ need
+// not be the lexicographically smallest (p = 24, d = 3 under uniform
+// weights gives 6×4×12, not 4×6×12); OptimalAll lists every tie.
 func Optimal(p, d int, obj Objective) (Result, error) {
 	return OptimalStats(p, d, obj, nil)
 }
@@ -416,13 +418,15 @@ func OptimalStats(p, d int, obj Objective, stats *SearchStats) (Result, error) {
 	if stats == nil {
 		stats = &SearchStats{} // discard counts without nil checks below
 	}
-	pm := partMetricsPtr.Load()
-	if pm != nil {
+	if pm := partMetricsPtr.Load(); pm != nil {
 		pm.searchesOptimal.Inc()
 		pm.inflight.Add(1)
-		defer pm.inflight.Add(-1)
+		pre := *stats
+		defer func() {
+			pm.add(stats.minus(pre))
+			pm.inflight.Add(-1)
+		}()
 	}
-	pre := *stats
 	stats.BruteForceLeaves = CountElementary(p, d)
 	if p == 1 {
 		gamma := make([]int, d)
@@ -431,9 +435,6 @@ func OptimalStats(p, d int, obj Objective, stats *SearchStats) (Result, error) {
 		}
 		stats.NodesVisited++
 		stats.LeavesEvaluated++
-		if pm != nil {
-			pm.add(stats.minus(pre))
-		}
 		return Result{Gamma: gamma, Cost: obj.Cost(gamma)}, nil
 	}
 	if d == 1 {
@@ -457,28 +458,14 @@ func OptimalStats(p, d int, obj Objective, stats *SearchStats) (Result, error) {
 	for i := range gamma {
 		gamma[i] = 1
 	}
-	if useParallelSearch(stats.BruteForceLeaves, len(dists[0])) {
-		res := parallelOptimal(factors, dists, d, obj, stats)
-		// The chunks streamed their own counts from runChunks; only the
-		// shared root node and the distribution generation remain.
-		if pm != nil {
-			pm.add(SearchStats{NodesVisited: 1, Distributions: stats.Distributions - pre.Distributions})
-		}
-		return res, nil
-	}
 	best := Result{Cost: math.Inf(1)}
 	optimalRec(factors, dists, obj, 0, obj.Cost(gamma), gamma, &best, stats)
-	if pm != nil {
-		pm.add(stats.minus(pre))
-	}
 	return best, nil
 }
 
 // optimalRec is the branch-and-bound walk of the optimized exhaustive
 // search from level j down. The partial objective is a lower bound because
-// the remaining factors can only grow every γᵢ. Shared by the serial search
-// and the per-chunk workers of the parallel search (which enter at j = 1
-// with a chunk-local incumbent).
+// the remaining factors can only grow every γᵢ.
 func optimalRec(factors []numutil.Factor, dists [][][]int, obj Objective, j int, partial float64, gamma []int, best *Result, stats *SearchStats) {
 	if partial >= best.Cost {
 		stats.PrunedBound++
@@ -486,10 +473,9 @@ func optimalRec(factors []numutil.Factor, dists [][][]int, obj Objective, j int,
 	}
 	stats.NodesVisited++
 	if j == len(factors) {
+		// The bound above let only a strictly cheaper leaf through.
 		stats.LeavesEvaluated++
-		if partial < best.Cost || (partial == best.Cost && lexLess(gamma, best.Gamma)) {
-			*best = Result{Gamma: numutil.CopyInts(gamma), Cost: partial}
-		}
+		*best = Result{Gamma: numutil.CopyInts(gamma), Cost: partial}
 		return
 	}
 	alpha := factors[j].Prime
@@ -538,23 +524,10 @@ func OptimalCappedStats(p, d int, obj Objective, caps []int, stats *SearchStats)
 	if stats == nil {
 		stats = &SearchStats{}
 	}
-	pm := partMetricsPtr.Load()
-	if pm != nil {
+	if pm := partMetricsPtr.Load(); pm != nil {
 		pm.searchesCapped.Inc()
 		pm.inflight.Add(1)
 		defer pm.inflight.Add(-1)
-	}
-	preDist := stats.Distributions
-	if res, ok := parallelOptimalCapped(p, d, obj, caps, stats); ok {
-		// Chunk counts streamed from runChunks; publish the remainder. The
-		// serial fallback below is accounted by EachElementaryStats itself.
-		if pm != nil {
-			pm.add(SearchStats{NodesVisited: 1, Distributions: stats.Distributions - preDist})
-		}
-		if res.Gamma == nil {
-			return Result{}, fmt.Errorf("partition: no elementary partitioning of p = %d fits within caps %v", p, caps)
-		}
-		return res, nil
 	}
 	best := Result{Cost: math.Inf(1)}
 	EachElementaryStats(p, d, stats, func(gamma []int) bool {

@@ -410,6 +410,19 @@ func TestOptimalAllFindsAllOrientations(t *testing.T) {
 	if !numutil.EqualInts(res2[0].Gamma, []int{4, 4, 2}) {
 		t.Errorf("asymmetric optimum = %v, want [4 4 2] (cheap dims take more cuts)", res2[0].Gamma)
 	}
+	// Optimal keeps the first tie its walk visits, which need not be the
+	// lexicographically first one.
+	all, err := OptimalAll(24, 3, UniformObjective(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := Optimal(24, 3, UniformObjective(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if Describe(all[0].Gamma) != "4×6×12" || Describe(one.Gamma) != "6×4×12" {
+		t.Errorf("p=24: OptimalAll first %v, Optimal %v; want 4×6×12 and 6×4×12", all[0].Gamma, one.Gamma)
+	}
 }
 
 func TestOptimalErrors(t *testing.T) {
@@ -601,6 +614,17 @@ func TestSearchStatsOptimal(t *testing.T) {
 	}
 	if st.LeavesEvaluated >= st.BruteForceLeaves {
 		t.Errorf("pruned search evaluated the whole space: %+v", st)
+	}
+	// Every counter is exact and the same on every host, also on the 4 104
+	// leaves of p = 840, d = 4.
+	var st4 SearchStats
+	res, err := OptimalStats(840, 4, UniformObjective(4), &st4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := SearchStats{Factors: 4, Distributions: 37, NodesVisited: 298, LeavesEvaluated: 9, PrunedBound: 1450, BruteForceLeaves: 4104}
+	if Describe(res.Gamma) != "30×30×14×14" || st4 != want {
+		t.Errorf("p=840 d=4: γ %s with %+v, want 30×30×14×14 with %+v", Describe(res.Gamma), st4, want)
 	}
 }
 
