@@ -19,6 +19,7 @@ import (
 	"genmp/internal/adi"
 	"genmp/internal/cli"
 	"genmp/internal/core"
+	"genmp/internal/cost"
 	"genmp/internal/dist"
 	"genmp/internal/hpf"
 	"genmp/internal/nas"
@@ -78,22 +79,12 @@ func main() {
 		}
 	}
 
-	tmpl, ok := dirs.Templates[name]
-	if !ok {
-		// May be an aligned array; PlanTemplate resolves it.
-		tmpl = hpf.Template{}
-	}
-	eta := tmpl.Eta
-	var obj *partition.Objective
-	if eta != nil {
-		o := partition.MachineObjective(eta, 20e-6, 80e-9)
-		obj = &o
-	}
-	plan, err := dirs.PlanTemplate(name, obj)
+	model := cost.Origin2000()
+	plan, err := dirs.PlanTemplate(name, &model)
 	if err != nil {
 		log.Fatal(err)
 	}
-	eta = plan.Template.Eta
+	eta := plan.Template.Eta
 
 	ov := dist.HandCoded()
 	if plan.PartialReplication {

@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"genmp/internal/core"
+	"genmp/internal/cost"
 	"genmp/internal/modmap"
 	"genmp/internal/obs"
 	"genmp/internal/partition"
@@ -53,8 +54,9 @@ func main() {
 	render := flag.Bool("render", false, "print the tile→processor table (d = 2 or 3)")
 	alternatives := flag.Int("alternatives", 0, "also list up to N distinct alternative legal mappings")
 	planPath := flag.String("plan", "", "compile, validate and dump the tridiagonal SweepPlan over the mapping (requires -eta)")
-	k2 := flag.Float64("k2", 20e-6, "per-phase start-up cost K2 (seconds)")
-	k3 := flag.Float64("k3", 80e-9, "per-element transfer cost K3 (seconds)")
+	origin := cost.Origin2000()
+	k2 := flag.Float64("k2", origin.K2, "per-phase start-up cost K2 (seconds)")
+	k3 := flag.Float64("k3", origin.K3(1), "per-element transfer cost K3 (seconds)")
 	flag.Parse()
 
 	eta, err := parseInts(*etaStr)
@@ -75,9 +77,8 @@ func main() {
 		}
 		m, err = core.NewGeneralized(*p, gamma)
 	case eta != nil:
-		obj := partition.MachineObjective(eta, *k2, *k3/float64(*p))
 		var res partition.Result
-		res, err = partition.Optimal(*p, len(eta), obj)
+		res, err = cost.Model{K2: *k2, K3: cost.ScalableNetwork(*k3)}.BestPartitioning(*p, eta, nil)
 		if err == nil {
 			fmt.Printf("optimal partitioning for p=%d on %v: %s (objective %.4g)\n",
 				*p, eta, partition.Describe(res.Gamma), res.Cost)

@@ -27,6 +27,7 @@ import (
 
 	"genmp/internal/cli"
 	"genmp/internal/core"
+	"genmp/internal/cost"
 	"genmp/internal/dist"
 	"genmp/internal/dmem"
 	"genmp/internal/exp"
@@ -205,7 +206,7 @@ func table1Records(s exp.Spec, rows []exp.Table1Row) ([]obs.BenchRecord, error) 
 		}
 		if !math.IsNaN(r.DHPF) {
 			var st partition.SearchStats
-			if _, err := search(r.P, s.Eta, &st); err != nil {
+			if _, err := cost.Origin2000().BestPartitioning(r.P, s.Eta, &st); err != nil {
 				return nil, err
 			}
 			recs = append(recs, obs.BenchRecord{
@@ -331,17 +332,11 @@ func (b *bench) real() error {
 	return b.c.WriteJSON(os.Stdout, b.src, recs)
 }
 
-// search finds the SP partitioning for p processors over eta, counting
-// into st when it is non-nil.
-func search(p int, eta []int, st *partition.SearchStats) (partition.Result, error) {
-	obj := partition.MachineObjective(eta, 20e-6, 80e-9/float64(p))
-	return partition.OptimalCappedStats(p, len(eta), obj, eta, st)
-}
-
-// multi builds the generalized multipartitioning search picks for p over
-// eta and its dHPF environment.
+// multi builds the generalized multipartitioning the Origin 2000 model
+// picks for p over eta and its dHPF environment, counting the search into
+// st when it is non-nil.
 func multi(p int, eta []int, st *partition.SearchStats) (*core.Multipartitioning, *dist.Env, error) {
-	res, err := search(p, eta, st)
+	res, err := cost.Origin2000().BestPartitioning(p, eta, st)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -29,6 +29,7 @@ import (
 	"genmp/internal/adi"
 	"genmp/internal/cli"
 	"genmp/internal/core"
+	"genmp/internal/cost"
 	"genmp/internal/dist"
 	"genmp/internal/dmem"
 	"genmp/internal/exp"
@@ -187,11 +188,14 @@ func (b *bench) redist() error {
 	return b.c.WriteJSON(os.Stdout, b.src, exp.RedistRecords(s, rows))
 }
 
-// multi builds the optimal multipartitioning for p over eta and its
-// hand-coded environment.
+// multi builds the multipartitioning the Origin 2000 model picks for p
+// over eta and its hand-coded environment.
 func multi(p int, eta []int) (*core.Multipartitioning, *dist.Env, error) {
-	obj := partition.MachineObjective(eta, 20e-6, 80e-9/float64(p))
-	m, err := core.NewOptimal(p, len(eta), obj)
+	res, err := cost.Origin2000().BestPartitioning(p, eta, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	m, err := core.NewGeneralized(p, res.Gamma)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -10,10 +10,10 @@ import (
 
 	"genmp/internal/adi"
 	"genmp/internal/core"
+	"genmp/internal/cost"
 	"genmp/internal/dist"
 	"genmp/internal/grid"
 	"genmp/internal/nas"
-	"genmp/internal/partition"
 )
 
 func main() {
@@ -25,8 +25,11 @@ func main() {
 
 	// Choose the partitioning with the machine-aware objective and build
 	// the multipartitioning.
-	obj := partition.MachineObjective(eta, 20e-6, 80e-9/float64(p))
-	m, err := core.NewOptimal(p, 3, obj)
+	best, err := cost.Origin2000().BestPartitioning(p, eta, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	m, err := core.NewGeneralized(p, best.Gamma)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func main() {
 	fmt.Printf("generalized multipartitionings of a %v domain (analytic model)\n\n", eta)
 	fmt.Printf("%5s  %12s  %10s  %8s  %10s\n", "p", "optimal γ", "tiles/proc", "compact", "efficiency")
 	for p := 1; p <= 64; p++ {
-		res, err := model.BestPartitioning(p, eta)
+		res, err := model.BestPartitioning(p, eta, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -9,11 +9,11 @@ import (
 	"fmt"
 	"log"
 
+	"genmp/internal/cost"
 	"genmp/internal/dist"
 	"genmp/internal/grid"
 	"genmp/internal/hpf"
 	"genmp/internal/nas"
-	"genmp/internal/partition"
 	"genmp/internal/sim"
 	"genmp/internal/sweep"
 )
@@ -54,12 +54,12 @@ func main() {
 
 	// Plan with a machine-aware objective, resolving through the alignment
 	// of array U.
-	eta := dirs.Templates["T"].Eta
-	obj := partition.MachineObjective(eta, 20e-6, 80e-9/18)
-	plan, err := dirs.PlanTemplate("U", &obj)
+	model := cost.Origin2000()
+	plan, err := dirs.PlanTemplate("U", &model)
 	if err != nil {
 		log.Fatal(err)
 	}
+	eta := plan.Template.Eta
 	m := plan.Multi
 	fmt.Printf("\nplanned distribution: %s (shadow widths %v)\n", m.Name(), plan.ShadowWidths)
 	if err := m.Verify(); err != nil {

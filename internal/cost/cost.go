@@ -161,9 +161,11 @@ func (m Model) Objective(p int, eta []int) partition.Objective {
 }
 
 // BestPartitioning searches the optimal (γᵢ) for an array of extents eta on
-// p processors under the model's objective.
-func (m Model) BestPartitioning(p int, eta []int) (partition.Result, error) {
-	return partition.Optimal(p, len(eta), m.Objective(p, eta))
+// p processors under the model's objective, capped at γᵢ ≤ ηᵢ: a dimension
+// takes no more cuts than it has elements. It counts the search into st
+// when st is non-nil, and fails when no elementary partitioning fits.
+func (m Model) BestPartitioning(p int, eta []int, st *partition.SearchStats) (partition.Result, error) {
+	return partition.OptimalCappedStats(p, len(eta), m.Objective(p, eta), eta, st)
 }
 
 // Advice is the outcome of the Section 6 compact-partitioning search: the
@@ -197,7 +199,7 @@ func (m Model) Advise(p int, eta []int, timeOf func(p int, gamma []int) float64)
 	root := numutil.IntRoot(p, d-1)
 	best := Advice{Time: math.Inf(1), DiagonalProcs: numutil.Pow(root, d-1)}
 	for pp := best.DiagonalProcs; pp <= p; pp++ {
-		res, err := partition.Optimal(pp, d, m.Objective(pp, eta))
+		res, err := m.BestPartitioning(pp, eta, nil)
 		if err != nil {
 			continue
 		}

@@ -50,7 +50,7 @@ func TestSpeedupMonotoneOnSquares(t *testing.T) {
 	eta := []int{102, 102, 102}
 	prev := 0.0
 	for _, p := range []int{1, 4, 9, 16, 25, 36, 49, 64, 81} {
-		res, err := m.BestPartitioning(p, eta)
+		res, err := m.BestPartitioning(p, eta, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func TestSpeedupMonotoneOnSquares(t *testing.T) {
 func TestSpeedupNearLinearAtModerateP(t *testing.T) {
 	m := Origin2000()
 	eta := []int{102, 102, 102}
-	res, err := m.BestPartitioning(16, eta)
+	res, err := m.BestPartitioning(16, eta, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestObjectivePrefersFewerCutsOfSmallDims(t *testing.T) {
 	// The model objective must reproduce the skewed-domain remark.
 	m := Origin2000()
 	eta := []int{500, 500, 100}
-	res, err := m.BestPartitioning(4, eta)
+	res, err := m.BestPartitioning(4, eta, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

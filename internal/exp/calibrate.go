@@ -5,7 +5,6 @@ import (
 	"math"
 	"strings"
 
-	"genmp/internal/core"
 	"genmp/internal/cost"
 	"genmp/internal/dist"
 	"genmp/internal/nas"
@@ -69,12 +68,7 @@ func Calibrate(s Spec) ([]CalibrationRow, error) {
 	var rows []CalibrationRow
 	d := len(eta)
 	for _, p := range Table1Procs {
-		obj := partition.MachineObjective(eta, 20e-6, 80e-9/float64(p))
-		res, err := partition.OptimalCapped(p, d, obj, eta)
-		if err != nil {
-			return nil, fmt.Errorf("exp: Calibrate: p=%d: %w", p, err)
-		}
-		m, err := core.NewGeneralized(p, res.Gamma)
+		m, err := bestMulti(p, eta)
 		if err != nil {
 			return nil, fmt.Errorf("exp: Calibrate: p=%d: %w", p, err)
 		}
@@ -103,7 +97,7 @@ func Calibrate(s Spec) ([]CalibrationRow, error) {
 		for _, phase := range calibrationPhases(d) {
 			row := CalibrationRow{
 				P:         p,
-				Gamma:     res.Gamma,
+				Gamma:     m.Gamma(),
 				Phase:     phase,
 				Predicted: pred[phase],
 				Measured:  prof.Phase(phase).Mean(),

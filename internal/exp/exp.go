@@ -305,6 +305,16 @@ func distEnv(m *core.Multipartitioning, eta []int) (*dist.Env, error) {
 	return dist.NewEnv(m, eta, dist.DHPF())
 }
 
+// bestMulti builds the generalized multipartitioning of the γ the Origin
+// 2000 model picks for p processors over eta.
+func bestMulti(p int, eta []int) (*core.Multipartitioning, error) {
+	res, err := cost.Origin2000().BestPartitioning(p, eta, nil)
+	if err != nil {
+		return nil, err
+	}
+	return core.NewGeneralized(p, res.Gamma)
+}
+
 // StrategyRow is one strategy's virtual time in the ADI comparison. Key is
 // the stable machine-readable identifier (bench record name); Strategy is
 // the human-readable label and may carry run parameters like the chosen
@@ -327,8 +337,7 @@ type StrategyRow struct {
 // run gets its own fabric instance, so contention state never leaks between
 // runs. Requires a p with a valid 3-D multipartitioning.
 func StrategyComparison(s Spec) ([]StrategyRow, error) {
-	obj := partition.MachineObjective(s.Eta, 20e-6, 80e-9/float64(s.P))
-	m, err := core.NewOptimal(s.P, len(s.Eta), obj)
+	m, err := bestMulti(s.P, s.Eta)
 	if err != nil {
 		return nil, err
 	}
@@ -464,8 +473,7 @@ type BTvsSPRow struct {
 // BTvsSP runs both applications (model-only) on the optimal generalized
 // multipartitioning for p over eta.
 func BTvsSP(p int, eta []int, steps int) ([]BTvsSPRow, error) {
-	obj := partition.MachineObjective(eta, 20e-6, 80e-9/float64(p))
-	m, err := core.NewOptimal(p, len(eta), obj)
+	m, err := bestMulti(p, eta)
 	if err != nil {
 		return nil, err
 	}

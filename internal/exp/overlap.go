@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"genmp/internal/core"
 	"genmp/internal/nas"
 	"genmp/internal/obs"
 	"genmp/internal/obs/causal"
@@ -59,9 +58,7 @@ func (r OverlapResult) WithinPredictedBound() bool {
 // overlap off and on by itself, so callers leave s.Overlap.Enabled off.
 func OverlapComparison(s Spec) (OverlapResult, error) {
 	topology, p, eta, steps := s.Topology, s.P, s.Eta, s.Steps
-	d := len(eta)
-	obj := partition.MachineObjective(eta, 20e-6, 80e-9/float64(p))
-	m, err := core.NewOptimal(p, d, obj)
+	m, err := bestMulti(p, eta)
 	if err != nil {
 		return OverlapResult{}, err
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"genmp/internal/core"
 	"genmp/internal/dist"
 	"genmp/internal/numutil"
 	"genmp/internal/obs"
@@ -56,8 +55,7 @@ func RedistComparison(s Spec) ([]RedistRow, error) {
 	if d < 2 {
 		return nil, fmt.Errorf("exp: redist comparison needs d ≥ 2")
 	}
-	obj := partition.MachineObjective(eta, 20e-6, 80e-9/float64(p))
-	m, err := core.NewOptimal(p, d, obj)
+	m, err := bestMulti(p, eta)
 	if err != nil {
 		return nil, err
 	}

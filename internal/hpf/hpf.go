@@ -31,6 +31,7 @@ import (
 	"strings"
 
 	"genmp/internal/core"
+	"genmp/internal/cost"
 	"genmp/internal/numutil"
 	"genmp/internal/partition"
 	"genmp/internal/plan"
@@ -395,9 +396,11 @@ type Plan struct {
 }
 
 // PlanTemplate resolves the distribution of a template (or of an array
-// aligned with one) into a runtime plan. obj weighs the partitioning search
-// for MULTI distributions; pass nil for the uniform objective.
-func (d *Directives) PlanTemplate(name string, obj *partition.Objective) (*Plan, error) {
+// aligned with one) into a runtime plan. For a MULTI distribution it
+// searches γ under model's objective at the plan's processor count,
+// restricted to the MULTI dimensions and capped at their extents; a nil
+// model weighs every dimension alike.
+func (d *Directives) PlanTemplate(name string, model *cost.Model) (*Plan, error) {
 	name = strings.ToUpper(name)
 	if al, ok := d.Alignments[name]; ok {
 		name = al.Template
@@ -455,7 +458,7 @@ func (d *Directives) PlanTemplate(name string, obj *partition.Objective) (*Plan,
 			return nil, fmt.Errorf("hpf: template %s: MULTI cannot be distributed onto the %d-dimensional arrangement %s; processors cannot be specified per dimension for a multipartitioning — declare %s(%d) instead",
 				name, len(procs.Shape), procs.Name, procs.Name, p)
 		}
-		m, err := planMulti(p, tmpl.Eta, multiDims, obj)
+		m, err := planMulti(p, tmpl.Eta, multiDims, model)
 		if err != nil {
 			return nil, fmt.Errorf("hpf: template %s: %w", name, err)
 		}
@@ -499,46 +502,36 @@ func (p *Plan) SweepPlan(solver sweep.Solver) (*plan.SweepPlan, error) {
 	return plan.Compile(plan.Spec{M: p.Multi, Eta: p.Template.Eta, Solver: solver, Halos: halos})
 }
 
-// planMulti searches the optimal partitioning over the MULTI dimensions
-// (others pinned to γ = 1) and builds the generalized multipartitioning.
-func planMulti(p int, eta []int, multiDims []int, obj *partition.Objective) (*core.Multipartitioning, error) {
+// planMulti searches the optimal partitioning over the MULTI dimensions,
+// each capped at its extent (others pinned to γ = 1), and builds the
+// generalized multipartitioning.
+func planMulti(p int, eta []int, multiDims []int, model *cost.Model) (*core.Multipartitioning, error) {
+	gamma := make([]int, len(eta))
+	for i := range gamma {
+		gamma[i] = 1
+	}
 	if p == 1 {
-		gamma := make([]int, len(eta))
-		for i := range gamma {
-			gamma[i] = 1
-		}
 		return core.NewGeneralized(1, gamma)
 	}
 	if len(multiDims) < 2 {
 		return nil, fmt.Errorf("MULTI on %d dimension(s) cannot be balanced on %d processors; a multipartitioning needs at least two distributed dimensions", len(multiDims), p)
 	}
 	// Solve the restricted |multiDims|-dimensional problem.
-	var sub partition.Objective
-	if obj != nil {
-		if len(obj.Lambda) != len(eta) {
-			return nil, fmt.Errorf("objective has %d weights for a %d-dimensional template", len(obj.Lambda), len(eta))
-		}
-		lambda := make([]float64, len(multiDims))
-		for k, dim := range multiDims {
-			lambda[k] = obj.Lambda[dim]
-		}
-		sub = partition.Objective{Lambda: lambda}
-	} else {
-		sub = partition.UniformObjective(len(multiDims))
+	full := partition.UniformObjective(len(eta))
+	if model != nil {
+		full = model.Objective(p, eta)
 	}
-	res, err := partition.Optimal(p, len(multiDims), sub)
+	sub := partition.Objective{Lambda: make([]float64, len(multiDims))}
+	caps := make([]int, len(multiDims))
+	for k, dim := range multiDims {
+		sub.Lambda[k], caps[k] = full.Lambda[dim], eta[dim]
+	}
+	res, err := partition.OptimalCapped(p, len(multiDims), sub, caps)
 	if err != nil {
 		return nil, err
 	}
-	gamma := make([]int, len(eta))
-	for i := range gamma {
-		gamma[i] = 1
-	}
 	for k, dim := range multiDims {
 		gamma[dim] = res.Gamma[k]
-		if gamma[dim] > eta[dim] {
-			return nil, fmt.Errorf("dimension %d: %d cuts exceed extent %d", dim, gamma[dim], eta[dim])
-		}
 	}
 	return core.NewGeneralized(p, gamma)
 }

@@ -1,11 +1,12 @@
 package hpf
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"genmp/internal/cost"
 	"genmp/internal/numutil"
-	"genmp/internal/partition"
 )
 
 const spProgram = `
@@ -135,14 +136,62 @@ func TestPlanWithObjective(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj := partition.VolumeObjective([]int{500, 500, 100})
-	plan, err := d.PlanTemplate("T", &obj)
+	// K₂ = 0 and a constant K₃ leave λᵢ ∝ η/ηᵢ, the volume objective.
+	plan, err := d.PlanTemplate("T", &cost.Model{K3: cost.BusNetwork(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The skewed-domain remark through the HPF front end.
 	if !numutil.EqualInts(plan.Multi.Gamma(), []int{4, 4, 1}) {
 		t.Errorf("γ = %v, want [4 4 1]", plan.Multi.Gamma())
+	}
+
+	// The model is priced at the plan's own p: K₃'s 1/p on 16 processors
+	// picks what every other tool picks for this template.
+	d, err = Parse(`
+!HPF$ PROCESSORS P(16)
+!HPF$ TEMPLATE T(100, 100, 20)
+!HPF$ DISTRIBUTE T(MULTI, MULTI, MULTI) ONTO P
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := cost.Origin2000()
+	if plan, err = d.PlanTemplate("T", &model); err != nil {
+		t.Fatal(err)
+	}
+	want, err := model.BestPartitioning(16, []int{100, 100, 20}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !numutil.EqualInts(plan.Multi.Gamma(), want.Gamma) {
+		t.Errorf("p=16: γ = %v, want BestPartitioning's %v", plan.Multi.Gamma(), want.Gamma)
+	}
+}
+
+func TestThinTemplatesPlanWithinExtents(t *testing.T) {
+	// Each search is capped at the template's extents, so a thin dimension
+	// takes no more cuts than it has elements.
+	for _, c := range []struct {
+		procs int
+		eta   string
+		want  []int
+	}{
+		{8, "50, 50, 2", []int{4, 4, 2}},
+		{4, "1, 64, 64", []int{1, 4, 4}},
+	} {
+		d, err := Parse(fmt.Sprintf("!HPF$ PROCESSORS P(%d)\n!HPF$ TEMPLATE T(%s)\n!HPF$ DISTRIBUTE T(MULTI, MULTI, MULTI) ONTO P", c.procs, c.eta))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := d.PlanTemplate("T", nil)
+		if err != nil {
+			t.Errorf("T(%s) on %d: %v", c.eta, c.procs, err)
+			continue
+		}
+		if !numutil.EqualInts(plan.Multi.Gamma(), c.want) {
+			t.Errorf("T(%s) on %d: γ = %v, want %v", c.eta, c.procs, plan.Multi.Gamma(), c.want)
+		}
 	}
 }
 

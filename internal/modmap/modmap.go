@@ -49,8 +49,11 @@ func New(p int, b []int) (*Mapping, error) {
 			return nil, fmt.Errorf("modmap: tile-grid extent b[%d] = %d must be ≥ 1", i, bi)
 		}
 	}
+	if _, ok := numutil.CheckedProd(b...); !ok {
+		return nil, fmt.Errorf("modmap: tile grid %v has more tiles than an int holds", b)
+	}
 	for i := range b {
-		if numutil.ProdExcept(b, i)%p != 0 {
+		if !numutil.DividesProdExcept(p, b, i) {
 			return nil, fmt.Errorf("modmap: invalid partitioning %v for p = %d: slab along dimension %d has %d tiles, not a multiple of p",
 				b, p, i, numutil.ProdExcept(b, i))
 		}

@@ -86,6 +86,14 @@ func TestNewRejectsInvalidPartitioning(t *testing.T) {
 	if _, err := New(2, nil); err == nil {
 		t.Error("empty shape should fail")
 	}
+	// 2⁶⁴ slab tiles along dim 2 wrap to 0 in an int, and 2⁶⁴·2 tiles
+	// overflow it even where p divides every slab.
+	if _, err := New(3, []int{1 << 32, 1 << 32, 3}); err == nil {
+		t.Error("New(3, 2³²×2³²×3) should fail: p does not divide the slabs along dim 2")
+	}
+	if _, err := New(2, []int{1 << 32, 1 << 32, 2}); err == nil {
+		t.Error("New(2, 2³²×2³²×2) should fail: the tile count overflows int")
+	}
 }
 
 func TestFigure1ShapeMapping(t *testing.T) {

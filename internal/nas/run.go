@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"genmp/internal/core"
+	"genmp/internal/cost"
 	"genmp/internal/dist"
 	"genmp/internal/grid"
 	"genmp/internal/partition"
@@ -200,9 +201,8 @@ func Speedup(variant Variant, p int, mach *sim.Machine, eta []int, steps int, se
 		m, err = core.NewDiagonal(p, len(eta))
 		ov = dist.HandCoded()
 	case DHPFGeneralized:
-		obj := partition.MachineObjective(eta, 20e-6, 80e-9/float64(p))
 		var res partition.Result
-		res, err = partition.OptimalCapped(p, len(eta), obj, eta)
+		res, err = cost.Origin2000().BestPartitioning(p, eta, nil)
 		if err == nil {
 			m, err = core.NewGeneralized(p, res.Gamma)
 		}

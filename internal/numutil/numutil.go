@@ -163,6 +163,20 @@ func ProdExcept(xs []int, i int) int {
 	return p
 }
 
+// DividesProdExcept reports whether p ≥ 1 divides ∏_{j≠i} xs[j] without
+// forming the product, which can overflow: starting from r = p it divides
+// out gcd(r, xs[j]) for every j ≠ i, and p divides the product exactly when
+// r reaches 1.
+func DividesProdExcept(p int, xs []int, i int) bool {
+	r := p
+	for j, x := range xs {
+		if j != i {
+			r /= GCD(r, x)
+		}
+	}
+	return r == 1
+}
+
 // Sum returns the sum of xs.
 func Sum(xs ...int) int {
 	s := 0

@@ -54,10 +54,10 @@ func TestSearchMetricsSerial(t *testing.T) {
 	if got := value(t, reg, "partition_searches_total", metrics.L("kind", "capped")); got != 1 {
 		t.Errorf("searches{capped} = %g, want 1", got)
 	}
-	if capped.PrunedCap > 0 {
-		if got := value(t, reg, "partition_search_pruned_total", metrics.L("reason", "cap")); got != float64(capped.PrunedCap) {
-			t.Errorf("pruned{cap} = %g, want %d", got, capped.PrunedCap)
-		}
+	// 16 = 2⁴ has 7 distributions over 3 dimensions; caps of 4 cut the 6
+	// subtrees other than 4×4×4.
+	if got := value(t, reg, "partition_search_pruned_total", metrics.L("reason", "cap")); got != 6 || capped.PrunedCap != 6 {
+		t.Errorf("pruned{cap} = %g, SearchStats %d, want 6", got, capped.PrunedCap)
 	}
 	if got := value(t, reg, "partition_search_nodes_total"); got != float64(stats.NodesVisited+capped.NodesVisited) {
 		t.Errorf("nodes after capped = %g, want %d", got, stats.NodesVisited+capped.NodesVisited)

@@ -21,6 +21,7 @@ package partition
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"genmp/internal/numutil"
@@ -110,7 +111,7 @@ func IsValid(p int, gamma []int) bool {
 		}
 	}
 	for i := range gamma {
-		if numutil.ProdExcept(gamma, i)%p != 0 {
+		if !numutil.DividesProdExcept(p, gamma, i) {
 			return false
 		}
 	}
@@ -248,65 +249,31 @@ func Elementary(p, d int) [][]int {
 // returns false. It panics if p < 1 or d < 1; for d = 1 only p = 1 has a
 // valid partitioning.
 func EachElementary(p, d int, f func(gamma []int) bool) {
-	EachElementaryStats(p, d, nil, f)
-}
-
-// EachElementaryStats is EachElementary with search accounting: when stats is
-// non-nil, the factor count, generated distributions, visited nodes and
-// streamed leaves are recorded.
-func EachElementaryStats(p, d int, stats *SearchStats, f func(gamma []int) bool) {
 	if p < 1 {
 		panic(fmt.Sprintf("partition: EachElementary: p = %d must be ≥ 1", p))
 	}
 	if d < 1 {
 		panic(fmt.Sprintf("partition: EachElementary: d = %d must be ≥ 1", d))
 	}
-	if stats == nil {
-		stats = &SearchStats{} // discard counts without nil checks below
-	}
-	if pm := partMetricsPtr.Load(); pm != nil {
-		pre := *stats
-		defer func() { pm.add(stats.minus(pre)) }()
-	}
-	stats.BruteForceLeaves = CountElementary(p, d)
-	gamma := make([]int, d)
-	for i := range gamma {
-		gamma[i] = 1
-	}
-	if p == 1 {
-		stats.NodesVisited++
-		stats.LeavesEvaluated++
-		f(gamma)
-		return
-	}
-	if d == 1 {
+	if d == 1 && p > 1 {
 		return // no valid partitioning of a 1-D array on p > 1 processors
 	}
 	factors := numutil.Factorize(p)
-	stats.Factors = len(factors)
 	// Pre-generate the distribution lists so the cross product below can
 	// iterate them repeatedly.
 	dists := make([][][]int, len(factors))
 	for j, fac := range factors {
 		dists[j] = Distributions(fac.Exp, d)
-		stats.Distributions += len(dists[j])
 	}
 	stopped := false
-	elemRec(factors, dists, 0, gamma, stats, &stopped, f)
+	elemRec(factors, dists, 0, ones(d), &stopped, f)
 }
 
 // elemRec walks the cross product of the per-factor distributions from level
 // j down, streaming complete partitionings to f.
-func elemRec(factors []numutil.Factor, dists [][][]int, j int, gamma []int, stats *SearchStats, stopped *bool, f func([]int) bool) {
-	if *stopped {
-		return
-	}
-	stats.NodesVisited++
+func elemRec(factors []numutil.Factor, dists [][][]int, j int, gamma []int, stopped *bool, f func([]int) bool) {
 	if j == len(factors) {
-		stats.LeavesEvaluated++
-		if !f(gamma) {
-			*stopped = true
-		}
+		*stopped = !f(gamma)
 		return
 	}
 	alpha := factors[j].Prime
@@ -314,7 +281,7 @@ func elemRec(factors []numutil.Factor, dists [][][]int, j int, gamma []int, stat
 		for i, e := range bins {
 			gamma[i] *= numutil.Pow(alpha, e)
 		}
-		elemRec(factors, dists, j+1, gamma, stats, stopped, f)
+		elemRec(factors, dists, j+1, gamma, stopped, f)
 		for i, e := range bins {
 			gamma[i] /= numutil.Pow(alpha, e)
 		}
@@ -362,7 +329,7 @@ type SearchStats struct {
 	NodesVisited     int // search-tree nodes expanded (incl. leaves)
 	LeavesEvaluated  int // complete partitionings whose cost was evaluated
 	PrunedBound      int // subtrees cut by the branch-and-bound lower bound
-	PrunedCap        int // candidates discarded for exceeding a γ cap
+	PrunedCap        int // subtrees cut because a partial γᵢ exceeded its cap
 	BruteForceLeaves int // CountElementary(p,d): leaves an unpruned exhaustive scan evaluates
 }
 
@@ -392,34 +359,58 @@ func (s *SearchStats) String() string {
 // Optimal returns a partitioning of p processors over d dimensions
 // minimizing obj, using the paper's optimized exhaustive search over
 // elementary partitionings with branch-and-bound pruning (partial products
-// only grow, so the partial objective is a lower bound). Of several minimal
-// γ, the first one the walk visits wins: it places the prime powers αⱼ^rⱼ
-// largest first, each through its distributions in Figure 2 order, and the
-// bound cuts a later leaf of equal cost before it is evaluated. That γ need
-// not be the lexicographically smallest (p = 24, d = 3 under uniform
-// weights gives 6×4×12, not 4×6×12); OptimalAll lists every tie.
-func Optimal(p, d int, obj Objective) (Result, error) {
-	return OptimalStats(p, d, obj, nil)
-}
+// only grow, so the partial objective is a lower bound). Of several γ whose
+// costs lie within a relative 1e-12 of the minimum, the lexicographically
+// smallest wins, so neither the walk order nor float rounding picks among
+// tied orientations: p = 24, d = 3 under uniform weights gives 4×6×12, the
+// first of OptimalAll's ties.
+func Optimal(p, d int, obj Objective) (Result, error) { return search(p, d, obj, nil, nil) }
 
 // OptimalStats is Optimal with search accounting: when stats is non-nil it
 // records the nodes visited, subtrees cut by the lower bound, leaves whose
 // full cost was evaluated, and the size of the unpruned elementary space.
 func OptimalStats(p, d int, obj Objective, stats *SearchStats) (Result, error) {
+	return search(p, d, obj, nil, stats)
+}
+
+// OptimalCapped returns the cheapest elementary partitioning with
+// γᵢ ≤ caps[i] for every i — the practical constraint that a dimension
+// cannot be cut into more pieces than it has elements (or, stricter, than
+// some minimum block size allows, the dHPF limitation the paper describes
+// for large prime factors). It is Optimal's walk under Optimal's tie rule,
+// which cuts a subtree as soon as a factor's distribution pushes some γᵢ
+// past its cap, since γᵢ only grow further down; nil caps cap nothing. It
+// fails when no elementary partitioning fits.
+func OptimalCapped(p, d int, obj Objective, caps []int) (Result, error) {
+	return search(p, d, obj, caps, nil)
+}
+
+// OptimalCappedStats is OptimalCapped with search accounting: when stats is
+// non-nil it additionally records how many subtrees the caps cut.
+func OptimalCappedStats(p, d int, obj Objective, caps []int, stats *SearchStats) (Result, error) {
+	return search(p, d, obj, caps, stats)
+}
+
+// search is the one partitioning search behind Optimal and OptimalCapped.
+func search(p, d int, obj Objective, caps []int, stats *SearchStats) (Result, error) {
 	if err := obj.validate(d); err != nil {
 		return Result{}, err
 	}
-	if p < 1 {
-		return Result{}, fmt.Errorf("partition: Optimal: p = %d must be ≥ 1", p)
+	if caps != nil && len(caps) != d {
+		return Result{}, fmt.Errorf("partition: OptimalCapped: %d caps for %d dimensions", len(caps), d)
 	}
-	if d < 1 {
-		return Result{}, fmt.Errorf("partition: Optimal: d = %d must be ≥ 1", d)
+	if p < 1 || d < 1 {
+		return Result{}, fmt.Errorf("partition: Optimal: need p ≥ 1 and d ≥ 1 (got p = %d, d = %d)", p, d)
 	}
 	if stats == nil {
 		stats = &SearchStats{} // discard counts without nil checks below
 	}
 	if pm := partMetricsPtr.Load(); pm != nil {
-		pm.searchesOptimal.Inc()
+		kind := pm.searchesOptimal
+		if caps != nil {
+			kind = pm.searchesCapped
+		}
+		kind.Inc()
 		pm.inflight.Add(1)
 		pre := *stats
 		defer func() {
@@ -428,126 +419,83 @@ func OptimalStats(p, d int, obj Objective, stats *SearchStats) (Result, error) {
 		}()
 	}
 	stats.BruteForceLeaves = CountElementary(p, d)
-	if p == 1 {
-		gamma := make([]int, d)
-		for i := range gamma {
-			gamma[i] = 1
-		}
-		stats.NodesVisited++
-		stats.LeavesEvaluated++
-		return Result{Gamma: gamma, Cost: obj.Cost(gamma)}, nil
-	}
-	if d == 1 {
+	if d == 1 && p > 1 {
 		return Result{}, fmt.Errorf("partition: no valid multipartitioning of a 1-D array on %d > 1 processors", p)
 	}
 
 	factors := numutil.Factorize(p)
 	stats.Factors = len(factors)
-	// Process large primes first: their placement moves the partial cost the
-	// most, which makes the lower-bound pruning bite early.
-	sort.Slice(factors, func(a, b int) bool {
-		return numutil.Pow(factors[a].Prime, factors[a].Exp) > numutil.Pow(factors[b].Prime, factors[b].Exp)
+	// Process large prime powers first: their placement moves the partial
+	// cost the most, which makes the lower-bound pruning bite early.
+	slices.SortFunc(factors, func(a, b numutil.Factor) int {
+		return numutil.Pow(b.Prime, b.Exp) - numutil.Pow(a.Prime, a.Exp)
 	})
-	dists := make([][][]int, len(factors))
+	w := walk{mults: make([][][]int, len(factors)), obj: obj, caps: caps, gamma: ones(d), stats: stats}
 	for j, fac := range factors {
-		dists[j] = Distributions(fac.Exp, d)
-		stats.Distributions += len(dists[j])
-	}
-
-	gamma := make([]int, d)
-	for i := range gamma {
-		gamma[i] = 1
-	}
-	best := Result{Cost: math.Inf(1)}
-	optimalRec(factors, dists, obj, 0, obj.Cost(gamma), gamma, &best, stats)
-	return best, nil
-}
-
-// optimalRec is the branch-and-bound walk of the optimized exhaustive
-// search from level j down. The partial objective is a lower bound because
-// the remaining factors can only grow every γᵢ.
-func optimalRec(factors []numutil.Factor, dists [][][]int, obj Objective, j int, partial float64, gamma []int, best *Result, stats *SearchStats) {
-	if partial >= best.Cost {
-		stats.PrunedBound++
-		return // lower bound: remaining factors only increase every γᵢ
-	}
-	stats.NodesVisited++
-	if j == len(factors) {
-		// The bound above let only a strictly cheaper leaf through.
-		stats.LeavesEvaluated++
-		*best = Result{Gamma: numutil.CopyInts(gamma), Cost: partial}
-		return
-	}
-	alpha := factors[j].Prime
-	for _, bins := range dists[j] {
-		delta := 0.0
-		for i, e := range bins {
-			if e > 0 {
-				grown := gamma[i] * numutil.Pow(alpha, e)
-				delta += float64(grown-gamma[i]) * obj.Lambda[i]
-				gamma[i] = grown
+		w.mults[j] = Distributions(fac.Exp, d)
+		for _, bins := range w.mults[j] {
+			for i, e := range bins {
+				bins[i] = numutil.Pow(fac.Prime, e)
 			}
 		}
-		optimalRec(factors, dists, obj, j+1, partial+delta, gamma, best, stats)
-		for i, e := range bins {
-			if e > 0 {
-				gamma[i] /= numutil.Pow(alpha, e)
-			}
-		}
+		stats.Distributions += len(w.mults[j])
 	}
-}
-
-// OptimalCapped returns the cheapest elementary partitioning with
-// γᵢ ≤ caps[i] for every i — the practical constraint that a dimension
-// cannot be cut into more pieces than it has elements (or, stricter, than
-// some minimum block size allows, the dHPF limitation the paper describes
-// for large prime factors). It fails when no elementary partitioning fits.
-func OptimalCapped(p, d int, obj Objective, caps []int) (Result, error) {
-	return OptimalCappedStats(p, d, obj, caps, nil)
-}
-
-// OptimalCappedStats is OptimalCapped with search accounting: when stats is
-// non-nil it additionally records how many candidates the caps discarded.
-func OptimalCappedStats(p, d int, obj Objective, caps []int, stats *SearchStats) (Result, error) {
-	if err := obj.validate(d); err != nil {
-		return Result{}, err
-	}
-	if len(caps) != d {
-		return Result{}, fmt.Errorf("partition: OptimalCapped: %d caps for %d dimensions", len(caps), d)
-	}
-	if p < 1 || d < 1 {
-		return Result{}, fmt.Errorf("partition: OptimalCapped: need p ≥ 1, d ≥ 1")
-	}
-	if d == 1 && p > 1 {
-		return Result{}, fmt.Errorf("partition: no valid multipartitioning of a 1-D array on %d > 1 processors", p)
-	}
-	if stats == nil {
-		stats = &SearchStats{}
-	}
-	if pm := partMetricsPtr.Load(); pm != nil {
-		pm.searchesCapped.Inc()
-		pm.inflight.Add(1)
-		defer pm.inflight.Add(-1)
-	}
-	best := Result{Cost: math.Inf(1)}
-	EachElementaryStats(p, d, stats, func(gamma []int) bool {
-		for i, g := range gamma {
-			if g > caps[i] {
-				stats.PrunedCap++
-				stats.LeavesEvaluated-- // streamed but never costed
-				return true
-			}
-		}
-		c := obj.Cost(gamma)
-		if betterResult(c, gamma, best) {
-			best = Result{Gamma: numutil.CopyInts(gamma), Cost: c}
-		}
-		return true
-	})
-	if best.Gamma == nil {
+	w.rec(0)
+	if w.best.Gamma == nil {
 		return Result{}, fmt.Errorf("partition: no elementary partitioning of p = %d fits within caps %v", p, caps)
 	}
-	return best, nil
+	return w.best, nil
+}
+
+// walk is the state of one search: for each factor of p in placement
+// order, its distributions as per-dimension multipliers αⱼ^e; the partial
+// γ; and the incumbent.
+type walk struct {
+	mults [][][]int
+	obj   Objective
+	caps  []int
+	gamma []int
+	best  Result
+	stats *SearchStats
+}
+
+// rec is the branch-and-bound walk from level j down; level j multiplies
+// factor j's distribution into γ. γᵢ only grow further down, so a partial
+// γ past a cap rules out its whole subtree, and its cost bounds every leaf
+// below from below. The bound cuts a subtree no leaf of which betterResult
+// would prefer to the incumbent: one already costlier, or one that ties and
+// whose partial γ is not lexicographically smaller, since every leaf below
+// is at least as large in every γᵢ.
+func (w *walk) rec(j int) {
+	c := 0.0 // w.obj.Cost(w.gamma), inlined: this runs at every node
+	for i, g := range w.gamma {
+		if w.caps != nil && g > w.caps[i] {
+			w.stats.PrunedCap++
+			return
+		}
+		c += float64(g) * w.obj.Lambda[i]
+	}
+	if !betterResult(c, w.gamma, w.best) {
+		w.stats.PrunedBound++
+		return
+	}
+	w.stats.NodesVisited++
+	if j == len(w.mults) {
+		w.stats.LeavesEvaluated++
+		w.best = Result{Gamma: numutil.CopyInts(w.gamma), Cost: c}
+		return
+	}
+	for _, mult := range w.mults[j] {
+		for i, f := range mult {
+			w.gamma[i] *= f
+		}
+		w.rec(j + 1)
+		for i, f := range mult {
+			if f > 1 {
+				w.gamma[i] /= f
+			}
+		}
+	}
 }
 
 // OptimalAll returns every elementary partitioning achieving the minimum
@@ -630,7 +578,7 @@ func OptimalPrimePower(alpha, r, d int, obj Objective) (Result, error) {
 	}
 	sort.Slice(order, func(a, b int) bool { return obj.Lambda[order[a]] < obj.Lambda[order[b]] })
 
-	best := Result{Cost: math.Inf(1)}
+	var best Result
 	for m := numutil.CeilDiv(r, d-1); m <= r; m++ {
 		exps := make([]int, d) // exponent per (sorted) position
 		exps[0], exps[1] = m, m
@@ -661,8 +609,7 @@ func OptimalPrimePower(alpha, r, d int, obj Objective) (Result, error) {
 		for pos, e := range exps {
 			gamma[order[pos]] = numutil.Pow(alpha, e)
 		}
-		c := obj.Cost(gamma)
-		if c < best.Cost || (c == best.Cost && lexLess(gamma, best.Gamma)) {
+		if c := obj.Cost(gamma); betterResult(c, gamma, best) {
 			best = Result{Gamma: gamma, Cost: c}
 		}
 	}
@@ -688,6 +635,15 @@ func Describe(gamma []int) string {
 		s += fmt.Sprintf("%d", g)
 	}
 	return s
+}
+
+// ones returns the trivial partitioning (1,…,1) of d dimensions.
+func ones(d int) []int {
+	gamma := make([]int, d)
+	for i := range gamma {
+		gamma[i] = 1
+	}
+	return gamma
 }
 
 func lexLess(a, b []int) bool {

@@ -34,6 +34,9 @@ func TestIsValidBasics(t *testing.T) {
 		{1, []int{1}, true},  // trivial
 		{4, []int{0, 4}, false},
 		{0, []int{1}, false},
+		// The slab product along dim 2 is 2⁶⁴, which wraps to 0 in an int.
+		{3, []int{1 << 32, 1 << 32, 3}, false},
+		{2, []int{1 << 32, 1 << 32, 2}, true},
 	}
 	for _, c := range cases {
 		if got := IsValid(c.p, c.gamma); got != c.want {
@@ -410,8 +413,8 @@ func TestOptimalAllFindsAllOrientations(t *testing.T) {
 	if !numutil.EqualInts(res2[0].Gamma, []int{4, 4, 2}) {
 		t.Errorf("asymmetric optimum = %v, want [4 4 2] (cheap dims take more cuts)", res2[0].Gamma)
 	}
-	// Optimal keeps the first tie its walk visits, which need not be the
-	// lexicographically first one.
+	// Optimal keeps the lexicographically first tie, whatever its walk
+	// visits first.
 	all, err := OptimalAll(24, 3, UniformObjective(3))
 	if err != nil {
 		t.Fatal(err)
@@ -420,8 +423,8 @@ func TestOptimalAllFindsAllOrientations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Describe(all[0].Gamma) != "4×6×12" || Describe(one.Gamma) != "6×4×12" {
-		t.Errorf("p=24: OptimalAll first %v, Optimal %v; want 4×6×12 and 6×4×12", all[0].Gamma, one.Gamma)
+	if Describe(all[0].Gamma) != "4×6×12" || Describe(one.Gamma) != "4×6×12" {
+		t.Errorf("p=24: OptimalAll first %v, Optimal %v; want 4×6×12 for both", all[0].Gamma, one.Gamma)
 	}
 }
 
@@ -622,9 +625,9 @@ func TestSearchStatsOptimal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := SearchStats{Factors: 4, Distributions: 37, NodesVisited: 298, LeavesEvaluated: 9, PrunedBound: 1450, BruteForceLeaves: 4104}
-	if Describe(res.Gamma) != "30×30×14×14" || st4 != want {
-		t.Errorf("p=840 d=4: γ %s with %+v, want 30×30×14×14 with %+v", Describe(res.Gamma), st4, want)
+	want := SearchStats{Factors: 4, Distributions: 37, NodesVisited: 303, LeavesEvaluated: 14, PrunedBound: 1445, BruteForceLeaves: 4104}
+	if Describe(res.Gamma) != "14×14×30×30" || st4 != want {
+		t.Errorf("p=840 d=4: γ %s with %+v, want 14×14×30×30 with %+v", Describe(res.Gamma), st4, want)
 	}
 }
 
@@ -640,12 +643,10 @@ func TestSearchStatsCapped(t *testing.T) {
 	if Describe(res.Gamma) != "8×8×8" {
 		t.Errorf("capped optimum %v", res.Gamma)
 	}
-	if st.PrunedCap == 0 {
-		t.Errorf("caps excluded candidates but PrunedCap = 0: %+v", st)
-	}
-	if st.LeavesEvaluated+st.PrunedCap != st.BruteForceLeaves {
-		t.Errorf("capped accounting: evaluated %d + capped %d != space %d",
-			st.LeavesEvaluated, st.PrunedCap, st.BruteForceLeaves)
+	// 64 = 2⁶ is one factor: the root and its 10 distributions, of which
+	// the caps cut the 9 other than (3, 3, 3).
+	if want := (SearchStats{Factors: 1, Distributions: 10, NodesVisited: 2, LeavesEvaluated: 1, PrunedCap: 9, BruteForceLeaves: 10}); st != want {
+		t.Errorf("p=64 caps 8: %+v, want %+v", st, want)
 	}
 	plain, err := OptimalCapped(64, 3, UniformObjective(3), []int{8, 8, 8})
 	if err != nil {
@@ -654,22 +655,104 @@ func TestSearchStatsCapped(t *testing.T) {
 	if !reflect.DeepEqual(res, plain) {
 		t.Errorf("stats variant %+v differs from plain %+v", res, plain)
 	}
+
+	// The caps cut a subtree as soon as a partial γᵢ passes its cap: class B
+	// at p = 360 (Table 1's objective) walked 103 nodes when the caps were
+	// applied only at the leaves, and p = 720 720, d = 4 walked all 435 429
+	// nodes to find that nothing fits.
+	eta := []int{102, 102, 102}
+	st = SearchStats{}
+	res, err = OptimalCappedStats(360, 3, MachineObjective(eta, 20e-6, 80e-9/360), eta, &st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if Describe(res.Gamma) != "12×30×60" || st.NodesVisited >= 103 || st.PrunedCap == 0 {
+		t.Errorf("p=360 class B: γ %s with %+v, want 12×30×60 in fewer than 103 nodes", Describe(res.Gamma), st)
+	}
+	st = SearchStats{}
+	if _, err := OptimalCappedStats(720720, 4, UniformObjective(4), []int{102, 102, 102, 102}, &st); err == nil {
+		t.Error("p=720720 d=4 caps 102: no elementary partitioning fits, want an error")
+	}
+	if st.NodesVisited >= 1000 || st.LeavesEvaluated != 0 {
+		t.Errorf("p=720720 d=4 caps 102: %+v, want fewer than 1000 nodes and no leaf", st)
+	}
 }
 
-func TestSearchStatsEachElementary(t *testing.T) {
-	var st SearchStats
-	n := 0
-	EachElementaryStats(60, 3, &st, func([]int) bool { n++; return true })
-	if st.LeavesEvaluated != n || n != CountElementary(60, 3) {
-		t.Errorf("streamed %d, stats %+v, count %d", n, st, CountElementary(60, 3))
+// leafScan is the capped search as a plain scan, the reference for the
+// walk: stream every elementary partitioning, skip those past a cap (nil
+// caps skip none) and keep the best under betterResult.
+func leafScan(p, d int, obj Objective, caps []int) (Result, bool) {
+	var best Result
+	EachElementary(p, d, func(gamma []int) bool {
+		for i, g := range gamma {
+			if caps != nil && g > caps[i] {
+				return true
+			}
+		}
+		if c := obj.Cost(gamma); betterResult(c, gamma, best) {
+			best = Result{Gamma: numutil.CopyInts(gamma), Cost: c}
+		}
+		return true
+	})
+	return best, best.Gamma != nil
+}
+
+// Every entry point keeps one tie rule, the lexicographically smallest γ
+// within a relative 1e-12 of the minimum: Optimal, OptimalCapped under caps
+// that bind nothing and the first of OptimalAll agree, and the walk returns
+// the leaf scan's γ, or fails where the scan finds nothing, under binding
+// caps too.
+func TestOneTieRule(t *testing.T) {
+	weights := [][]float64{{1, 1, 1, 1}, {1, 2, 3, 4}, {3, 1, 1, 3}, {2, 5, 2, 5}}
+	for d := 2; d <= 4; d++ {
+		for _, w := range weights {
+			obj := Objective{Lambda: w[:d]}
+			for p := 1; p <= 1000; p++ {
+				one, err := Optimal(p, d, obj)
+				if err != nil {
+					t.Fatalf("Optimal(%d, %d, %v): %v", p, d, obj.Lambda, err)
+				}
+				free, err := OptimalCapped(p, d, obj, []int{p, p, p, p}[:d])
+				if err != nil {
+					t.Fatalf("OptimalCapped(%d, %d, %v, p): %v", p, d, obj.Lambda, err)
+				}
+				all, err := OptimalAll(p, d, obj)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !numutil.EqualInts(one.Gamma, free.Gamma) || !numutil.EqualInts(one.Gamma, all[0].Gamma) {
+					t.Errorf("p=%d d=%d λ=%v: Optimal %v, OptimalCapped %v, OptimalAll[0] %v",
+						p, d, obj.Lambda, one.Gamma, free.Gamma, all[0].Gamma)
+				}
+				for _, c := range []int{0, 102, 30} {
+					var caps []int
+					if c > 0 {
+						caps = []int{c, c, c, c}[:d]
+					}
+					checkAgainstScan(t, p, d, obj, caps)
+				}
+			}
+		}
 	}
-	if st.Distributions == 0 || st.Factors != 3 {
-		t.Errorf("stats %+v", st)
+	// Table 1's objective, capped at the extents of cubes of six sizes.
+	for _, n := range []int{12, 24, 36, 64, 102, 162} {
+		eta := []int{n, n, n}
+		for p := 1; p <= 400; p++ {
+			checkAgainstScan(t, p, 3, MachineObjective(eta, 20e-6, 80e-9/float64(p)), eta)
+		}
 	}
-	// p = 1: the trivial partitioning is one leaf.
-	st = SearchStats{}
-	EachElementaryStats(1, 4, &st, func([]int) bool { return true })
-	if st.LeavesEvaluated != 1 || st.BruteForceLeaves != 1 {
-		t.Errorf("p=1 stats %+v", st)
+}
+
+func checkAgainstScan(t *testing.T, p, d int, obj Objective, caps []int) {
+	t.Helper()
+	want, ok := leafScan(p, d, obj, caps)
+	got, err := OptimalCapped(p, d, obj, caps)
+	switch {
+	case !ok && err == nil:
+		t.Errorf("p=%d d=%d λ=%v caps %v: walk returned %v, scan found nothing", p, d, obj.Lambda, caps, got.Gamma)
+	case ok && err != nil:
+		t.Errorf("p=%d d=%d λ=%v caps %v: walk failed (%v), scan found %v", p, d, obj.Lambda, caps, err, want.Gamma)
+	case ok && (!numutil.EqualInts(got.Gamma, want.Gamma) || got.Cost != want.Cost):
+		t.Errorf("p=%d d=%d λ=%v caps %v: walk %v (%g), scan %v (%g)", p, d, obj.Lambda, caps, got.Gamma, got.Cost, want.Gamma, want.Cost)
 	}
 }
