@@ -14,6 +14,7 @@ import (
 
 	"genmp/internal/adi"
 	"genmp/internal/core"
+	"genmp/internal/cost"
 	"genmp/internal/dist"
 	"genmp/internal/dmem"
 	"genmp/internal/exp"
@@ -627,10 +628,10 @@ func BenchmarkVerifyProperties(b *testing.B) {
 func BenchmarkPlanSetupP360(b *testing.B) {
 	const p = 360
 	eta := nas.ClassB.Eta
-	obj := partition.MachineObjective(eta, 20e-6, 80e-9/p)
+	model := cost.Origin2000()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := partition.OptimalCapped(p, len(eta), obj, eta)
+		res, err := model.BestPartitioning(p, eta, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -659,10 +660,10 @@ func BenchmarkPlanSetupP360(b *testing.B) {
 // time, model only, with two timesteps: the `table1-b-model` operation of
 // the repository benchmark. Nearly all of its CPU time is the simulator's
 // message path (mailbox hand-offs, per-phase accounting) plus the per-run
-// halo schedule compile. Table1 runs its 60 cells (two speedups and one
-// partition search per processor count) on GOMAXPROCS goroutines, so
-// ns/op is the wall time of one table at the -cpu value, and -cpu 1 times
-// the cells one after another.
+// halo schedule compile. Table1 runs its 40 cells (two speedups per
+// processor count) on GOMAXPROCS goroutines, so ns/op is the wall time of
+// one table at the -cpu value, and -cpu 1 times the cells one after
+// another.
 func BenchmarkTable1ClassB(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -686,8 +687,7 @@ func BenchmarkSPClassAReal(b *testing.B) {
 	eta := nas.ClassA.Eta
 	for _, p := range []int{2, 1} {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			obj := partition.MachineObjective(eta, 20e-6, 80e-9/float64(p))
-			res, err := partition.OptimalCapped(p, len(eta), obj, eta)
+			res, err := cost.Origin2000().BestPartitioning(p, eta, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -40,37 +40,67 @@ type TileMap interface {
 // Multipartitioning is a tile grid plus a TileMap, with precomputed per-
 // processor tile lists and per-slab ownership used by sweep executors.
 type Multipartitioning struct {
-	tm      TileMap
-	gamma   []int
-	p       int
+	tm    TileMap
+	gamma []int
+	p     int
+	// owner[r] is tm.Proc of the tile of row-major rank r in γ.
+	owner   []int
 	tilesOf [][][]int // [proc] -> tiles (coords), row-major tile order
 	// slabOf[dim][slab][proc] -> tiles of proc in that slab, row-major order
 	slabOf [][][][][]int
 	name   string
 }
 
-// FromTileMap wraps an arbitrary TileMap. The per-processor tile lists are
-// materialized eagerly (O(∏γ·d) time and space).
+// FromTileMap wraps an arbitrary TileMap. It evaluates tm.Proc once per
+// tile into an owner table and materializes the per-processor and per-slab
+// tile lists eagerly (O(∏γ·d) time and space).
 func FromTileMap(tm TileMap, name string) *Multipartitioning {
 	gamma := numutil.CopyInts(tm.Shape())
 	p := tm.P()
-	m := &Multipartitioning{tm: tm, gamma: gamma, p: p, name: name}
-	m.tilesOf = make([][][]int, p)
 	d := len(gamma)
-	m.slabOf = make([][][][][]int, d)
-	for dim := 0; dim < d; dim++ {
-		m.slabOf[dim] = make([][][][]int, gamma[dim])
-		for s := 0; s < gamma[dim]; s++ {
-			m.slabOf[dim][s] = make([][][]int, p)
-		}
-	}
-	// One backing array holds every tile's coordinate, each cut with its
-	// capacity clipped.
 	n := numutil.Prod(gamma...)
+	m := &Multipartitioning{tm: tm, gamma: gamma, p: p, name: name, owner: make([]int, n)}
+	// First pass: every tile's coordinate, cut from one backing array with
+	// its capacity clipped, and its owner. perProc[q] counts q's tiles, and
+	// row first[dim]+s of perSlab counts each processor's tiles in slab s
+	// along dim.
 	coords := make([]int, n*d)
+	first := make([]int, d+1)
+	for dim, g := range gamma {
+		first[dim+1] = first[dim] + g
+	}
+	perProc := make([]int, p)
+	perSlab := make([]int, first[d]*p)
 	for r := 0; r < n; r++ {
 		c := numutil.CoordOf(r, gamma, coords[r*d:(r+1)*d:(r+1)*d])
 		q := tm.Proc(c)
+		m.owner[r] = q
+		perProc[q]++
+		for dim := 0; dim < d; dim++ {
+			perSlab[(first[dim]+c[dim])*p+q]++
+		}
+	}
+	// Second pass: cut every list as an empty window of exact capacity
+	// from one arena, then append the tiles in row-major order.
+	m.tilesOf = make([][][]int, p)
+	arena := make([][]int, n*(d+1))
+	for q, k := range perProc {
+		m.tilesOf[q], arena = arena[:0:k], arena[k:]
+	}
+	lists := make([][][]int, first[d]*p)
+	for i, k := range perSlab {
+		lists[i], arena = arena[:0:k], arena[k:]
+	}
+	m.slabOf = make([][][][][]int, d)
+	for dim, g := range gamma {
+		m.slabOf[dim] = make([][][][]int, g)
+		for s := range m.slabOf[dim] {
+			row := (first[dim] + s) * p
+			m.slabOf[dim][s] = lists[row : row+p : row+p]
+		}
+	}
+	for r, q := range m.owner {
+		c := coords[r*d : (r+1)*d : (r+1)*d]
 		m.tilesOf[q] = append(m.tilesOf[q], c)
 		for dim := 0; dim < d; dim++ {
 			m.slabOf[dim][c[dim]][q] = append(m.slabOf[dim][c[dim]][q], c)
@@ -313,27 +343,29 @@ type SweepPhase struct {
 // (neighbor property).
 func (m *Multipartitioning) SweepSchedule(q, dim int, backward bool) []SweepPhase {
 	g := m.gamma[dim]
-	phases := make([]SweepPhase, 0, g)
 	step := 1
 	if backward {
 		step = -1
 	}
-	for k := 0; k < g; k++ {
+	next := -1
+	if g > 1 {
+		next = m.tm.NeighborProc(q, dim, step)
+	}
+	phases := make([]SweepPhase, g)
+	for k := range phases {
 		s := k
 		if backward {
 			s = g - 1 - k
 		}
-		ph := SweepPhase{Slab: s, Tiles: m.slabOf[dim][s][q], SendTo: -1}
-		if k < g-1 {
-			ph.SendTo = m.tm.NeighborProc(q, dim, step)
-		}
-		phases = append(phases, ph)
+		phases[k] = SweepPhase{Slab: s, Tiles: m.slabOf[dim][s][q], SendTo: next}
 	}
+	phases[g-1].SendTo = -1
 	return phases
 }
 
 // Verify exhaustively checks the balance and neighbor properties of the
-// wrapped TileMap, whatever its construction.
+// wrapped TileMap, whatever its construction. The neighbor check reads
+// tm.Proc of every tile from the owner table FromTileMap filled.
 func (m *Multipartitioning) Verify() error {
 	d := len(m.gamma)
 	// Balance: every processor owns TilesPerSlab(dim) tiles in every slab.
@@ -353,10 +385,10 @@ func (m *Multipartitioning) Verify() error {
 		}
 	}
 	// Neighbor: all in-grid +1/−1 neighbors of q's tiles on one processor,
-	// matching NeighborProc. nt is one scratch neighbor coordinate reused by
-	// every check.
-	nt := make([]int, d)
+	// matching NeighborProc. A step along dim moves a tile's row-major rank
+	// by stride.
 	for dim := 0; dim < d; dim++ {
+		stride := numutil.Prod(m.gamma[dim+1:]...)
 		for _, step := range []int{1, -1} {
 			for q := 0; q < m.p; q++ {
 				want := m.tm.NeighborProc(q, dim, step)
@@ -365,9 +397,9 @@ func (m *Multipartitioning) Verify() error {
 					if n < 0 || n >= m.gamma[dim] {
 						continue
 					}
-					copy(nt, tile)
-					nt[dim] = n
-					if got := m.tm.Proc(nt); got != want {
+					if got := m.owner[numutil.RankOf(tile, m.gamma)+step*stride]; got != want {
+						nt := numutil.CopyInts(tile)
+						nt[dim] = n
 						return fmt.Errorf("core: neighbor violated: tile %v of proc %d has %+d-neighbor %v on proc %d, NeighborProc says %d",
 							tile, q, step, nt, got, want)
 					}

@@ -353,8 +353,21 @@ func TestGeneralizedDegeneratesToOneTilePerSlabOnSquares(t *testing.T) {
 
 func TestVerifyCatchesBrokenMap(t *testing.T) {
 	m := FromTileMap(brokenMap{}, "broken")
-	if err := m.Verify(); err == nil {
-		t.Error("Verify should reject a map without the balance property")
+	want := "core: balance violated: proc 0 owns 2 tiles in slab 0 along dim 0 (want 1)"
+	if err := m.Verify(); err == nil || err.Error() != want {
+		t.Errorf("Verify = %v, want %s", err, want)
+	}
+}
+
+// TestVerifyCatchesBrokenNeighbors hands Verify a balanced map that breaks
+// only the neighbor property: the 4×4 latin square r XOR c on p = 4. Every
+// row and column holds each processor once, but proc 0's +1 neighbors along
+// dim 0 land on procs 1 and 3.
+func TestVerifyCatchesBrokenNeighbors(t *testing.T) {
+	m := FromTileMap(xorSquare{}, "xor")
+	want := "core: neighbor violated: tile [1 1] of proc 0 has +1-neighbor [2 1] on proc 3, NeighborProc says 1"
+	if err := m.Verify(); err == nil || err.Error() != want {
+		t.Errorf("Verify = %v, want %s", err, want)
 	}
 }
 
@@ -365,3 +378,12 @@ func (brokenMap) P() int                            { return 2 }
 func (brokenMap) Shape() []int                      { return []int{2, 2} }
 func (brokenMap) Proc(tile []int) int               { return 0 }
 func (brokenMap) NeighborProc(q, dim, step int) int { return 0 }
+
+// xorSquare is the 4×4 latin square r XOR c on p = 4, claiming q XOR 1 as
+// every neighbor.
+type xorSquare struct{}
+
+func (xorSquare) P() int                            { return 4 }
+func (xorSquare) Shape() []int                      { return []int{4, 4} }
+func (xorSquare) Proc(tile []int) int               { return tile[0] ^ tile[1] }
+func (xorSquare) NeighborProc(q, dim, step int) int { return q ^ 1 }

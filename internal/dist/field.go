@@ -34,9 +34,10 @@ type Field struct {
 	// them per call. Callers must treat both as read-only.
 	shapes   [][]int
 	interior []grid.Rect
-	// index maps a tile's row-major rank in the tile grid to its position
-	// in tiles (or −1 when not owned by this rank).
+	// index maps a tile's row-major rank in the tile grid gamma to its
+	// position in tiles (or −1 when not owned by this rank).
 	index map[int]int
+	gamma []int
 	// nTiles is the number of owned tiles and work the elements a compute
 	// phase charges flops for (see Charge).
 	nTiles, work int
@@ -50,15 +51,14 @@ func NewField(env *Env, rank, depth int) *Field {
 	if depth < 0 {
 		panic("dist: negative halo depth")
 	}
-	f := &Field{Env: env, Rank: rank, Depth: depth, index: map[int]int{}}
-	gamma := env.M.Gamma()
+	f := &Field{Env: env, Rank: rank, Depth: depth, index: map[int]int{}, gamma: env.M.Gamma()}
 	for _, tile := range env.M.TilesOf(rank) {
 		lo, hi := env.M.TileBounds(env.Eta, tile)
 		shape := make([]int, len(lo))
 		for i := range shape {
 			shape[i] = hi[i] - lo[i] + 2*depth
 		}
-		f.index[numutil.RankOf(tile, gamma)] = len(f.tiles)
+		f.index[numutil.RankOf(tile, f.gamma)] = len(f.tiles)
 		f.tiles = append(f.tiles, grid.New(shape...))
 		f.bounds = append(f.bounds, grid.RectOf(lo, hi))
 		f.shapes = append(f.shapes, shape)
@@ -84,7 +84,7 @@ func NewModelField(env *Env, rank, depth int) *Field {
 	if depth < 0 {
 		panic("dist: negative halo depth")
 	}
-	f := &Field{Env: env, Rank: rank, Depth: depth}
+	f := &Field{Env: env, Rank: rank, Depth: depth, gamma: env.M.Gamma()}
 	lo, hi := env.boundsScratch()
 	r := env.Overhead.ReplicationDepth
 	for _, tile := range env.M.TilesOf(rank) {
@@ -132,9 +132,9 @@ func (f *Field) InteriorRect(i int) grid.Rect {
 }
 
 // LocalTileOf returns the local index of the tile with the given
-// coordinates, or −1 when this rank does not own it.
+// coordinates, or −1 when this rank does not own it. It allocates nothing.
 func (f *Field) LocalTileOf(tile []int) int {
-	i, ok := f.index[numutil.RankOf(tile, f.Env.M.Gamma())]
+	i, ok := f.index[numutil.RankOf(tile, f.gamma)]
 	if !ok {
 		return -1
 	}

@@ -6,6 +6,7 @@ import (
 
 	"genmp/internal/grid"
 	"genmp/internal/numutil"
+	"genmp/internal/redist"
 	"genmp/internal/sim"
 	"genmp/internal/sweep"
 	"genmp/internal/xport"
@@ -50,7 +51,9 @@ func TestFieldLayout(t *testing.T) {
 
 // Load and Store copy each tile's interior straight between the global
 // grid and the padded tile, so a round trip over every rank reproduces the
-// grid bit for bit and neither call allocates.
+// grid bit for bit and neither call allocates. Nor do LocalTileOf and the
+// halo hooks Extract and Inject, which a data run calls for every move of
+// every exchange.
 func TestFieldLoadStoreRoundTripAllocFree(t *testing.T) {
 	p, eta := 8, []int{32, 32, 32}
 	env := mustTestEnv(t, p, []int{4, 4, 2}, eta)
@@ -76,6 +79,19 @@ func TestFieldLoadStoreRoundTripAllocFree(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(10, func() { fields[0].Store(h) }); n != 0 {
 		t.Errorf("Store made %g allocations per call, want 0", n)
+	}
+	f := fields[0]
+	tile := env.M.TilesOf(0)[1]
+	if n := testing.AllocsPerRun(10, func() { f.LocalTileOf(tile) }); n != 0 {
+		t.Errorf("LocalTileOf made %g allocations per call, want 0", n)
+	}
+	mv := redist.Move{Rect: f.GlobalBounds(f.LocalTileOf(tile)), FromCoord: tile, ToCoord: tile}
+	buf := make([]float64, mv.Rect.Size())
+	if n := testing.AllocsPerRun(10, func() { f.Extract(mv, buf) }); n != 0 {
+		t.Errorf("Extract made %g allocations per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(10, func() { f.Inject(mv, buf) }); n != 0 {
+		t.Errorf("Inject made %g allocations per call, want 0", n)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"genmp/internal/cost"
 	"genmp/internal/nas"
 	"genmp/internal/numutil"
 	"genmp/internal/obs/metrics"
@@ -176,8 +177,7 @@ func table1OneCellAtATime(t *testing.T, topology string, eta []int, steps int) [
 		if !math.IsNaN(row.Hand) && !math.IsNaN(row.DHPF) {
 			row.DiffPct = (row.Hand - row.DHPF) / row.Hand * 100
 		}
-		obj := partition.MachineObjective(eta, 20e-6, 80e-9/float64(p))
-		if res, err := partition.OptimalCapped(p, len(eta), obj, eta); err == nil {
+		if res, err := cost.Origin2000().BestPartitioning(p, eta, nil); err == nil {
 			row.GammaStr = partition.Describe(res.Gamma)
 		}
 		rows = append(rows, row)

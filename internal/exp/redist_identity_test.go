@@ -6,10 +6,10 @@ import (
 
 	"genmp/internal/adi"
 	"genmp/internal/core"
+	"genmp/internal/cost"
 	"genmp/internal/dist"
 	"genmp/internal/dmem"
 	"genmp/internal/nas"
-	"genmp/internal/partition"
 	"genmp/internal/plan"
 )
 
@@ -34,8 +34,7 @@ func TestRedistBitIdentitySP(t *testing.T) {
 	eta := []int{12, 12, 12}
 	want := map[int]uint64{4: 0x3f7ca3ac4ff86d72, 16: 0x3f7249c895217ec0}
 	for _, p := range []int{4, 16} {
-		obj := partition.MachineObjective(eta, 20e-6, 80e-9/float64(p))
-		res, err := partition.OptimalCapped(p, len(eta), obj, eta)
+		res, err := cost.Origin2000().BestPartitioning(p, eta, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -241,9 +241,26 @@ func parseIntArgs(line int, args []string) ([]int, error) {
 	return out, nil
 }
 
+// maxRank is Fortran 90's limit on the rank of an array, which bounds the
+// extents a TEMPLATE or PROCESSORS declaration may list. It also keeps the
+// partition search's space, which grows with the rank to the power of p's
+// exponents, small.
+const maxRank = 7
+
+// checkRank rejects a declaration of more than maxRank extents.
+func checkRank(line int, what, name string, args []string) error {
+	if len(args) > maxRank {
+		return errf(line, "%s %s declares %d extents; Fortran 90 allows at most %d", what, name, len(args), maxRank)
+	}
+	return nil
+}
+
 func (d *Directives) parseProcessors(line int, rest string) error {
 	name, args, err := parseNameArgs(line, rest)
 	if err != nil {
+		return err
+	}
+	if err := checkRank(line, "processors arrangement", name, args); err != nil {
 		return err
 	}
 	shape, err := parseIntArgs(line, args)
@@ -260,6 +277,9 @@ func (d *Directives) parseProcessors(line int, rest string) error {
 func (d *Directives) parseTemplate(line int, rest string) error {
 	name, args, err := parseNameArgs(line, rest)
 	if err != nil {
+		return err
+	}
+	if err := checkRank(line, "template", name, args); err != nil {
 		return err
 	}
 	eta, err := parseIntArgs(line, args)

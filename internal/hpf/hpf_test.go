@@ -7,6 +7,7 @@ import (
 
 	"genmp/internal/cost"
 	"genmp/internal/numutil"
+	"genmp/internal/sweep"
 )
 
 const spProgram = `
@@ -244,6 +245,38 @@ func TestParseErrors(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.wantSub) {
 			t.Errorf("%s: err = %v, want substring %q", c.name, err, c.wantSub)
 		}
+	}
+}
+
+// TestRankLimit: a TEMPLATE or PROCESSORS declaration lists at most seven
+// extents, Fortran 90's rank limit, and a seven-dimensional template still
+// plans.
+func TestRankLimit(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{"!HPF$ PROCESSORS P(4)\n!HPF$ TEMPLATE T(2, 2, 2, 2, 2, 2, 2, 2)",
+			"hpf: line 2: template T declares 8 extents; Fortran 90 allows at most 7"},
+		{"!HPF$ PROCESSORS P(1, 1, 1, 1, 1, 1, 1, 2)",
+			"hpf: line 1: processors arrangement P declares 8 extents; Fortran 90 allows at most 7"},
+	} {
+		if _, err := Parse(c.src); err == nil || err.Error() != c.want {
+			t.Errorf("Parse(%q) = %v, want %s", c.src, err, c.want)
+		}
+	}
+	d, err := Parse("!HPF$ PROCESSORS P(8)\n!HPF$ TEMPLATE T(4, 4, 4, 4, 4, 4, 4)\n" +
+		"!HPF$ DISTRIBUTE T(MULTI, MULTI, MULTI, MULTI, MULTI, MULTI, MULTI) ONTO P")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := d.PlanTemplate("T", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := pl.SweepPlan(sweep.Tridiag{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sp.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"genmp/internal/core"
+	"genmp/internal/cost"
 	"genmp/internal/dist"
 	"genmp/internal/partition"
 )
@@ -44,7 +45,7 @@ func TestGoldenPlanP360(t *testing.T) {
 		want = "879b03a1a217f3593d44499e9cff558473996ad6cb306bbb34e3eb7d1709033a"
 	)
 	eta := ClassB.Eta
-	res, err := partition.OptimalCapped(p, len(eta), partition.MachineObjective(eta, 20e-6, 80e-9/p), eta)
+	res, err := cost.Origin2000().BestPartitioning(p, eta, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

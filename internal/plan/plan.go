@@ -90,10 +90,12 @@ const (
 // Tile is one tile's line geometry inside a phase, in the canonical order
 // both runtimes iterate (row-major tiles, row-major lines within a tile).
 //
-// Coord and Rect are shared: Compile builds each tile's coordinate and
-// region once, and every pass of the rank that visits the tile points at
-// the same slices (a wavefront rank's blocks share its slab's Rect). They
-// are immutable once compiled; callers must not modify them.
+// Tiles are shared: Compile builds each tile's region once and takes its
+// coordinate from the Multipartitioning, so every pass of the rank that
+// visits the tile points at the same slices (a wavefront rank's blocks
+// share its slab's Rect), and backward phase k of a multipartitioned pass
+// shares its Tiles window with forward phase γ_dim−1−k. A compiled plan is
+// immutable; callers must not modify its tiles.
 type Tile struct {
 	// Coord is the tile-grid coordinate (nil for wavefront plans, whose
 	// "tile" is the rank's whole slab).
@@ -226,7 +228,9 @@ func carryLens(s sweep.Solver) (fwd, bwd int) {
 // core.Multipartitioning.SweepSchedule and the TileBounds block ranges
 // exactly as the executors historically did, so a rewired executor replays
 // byte-identical Compute/Send/Recv sequences. Each tile's geometry is
-// computed once and shared by the passes that visit it (see Tile).
+// computed once and shared by the passes that visit it, and a backward
+// phase shares its Tiles window with the forward phase of its slab (see
+// Tile).
 func Compile(spec Spec) (pl *SweepPlan, err error) {
 	defer func() { countCompile(KindMultipartition, err) }()
 	if spec.M == nil {
@@ -264,24 +268,15 @@ func Compile(spec Spec) (pl *SweepPlan, err error) {
 		Tags:          tags,
 		Passes:        make([][]Pass, p),
 	}
-	geom := newTileTable(spec.M, spec.Eta)
+	rects := newRectTable(spec.M, spec.Eta)
 	for q := 0; q < p; q++ {
-		pl.Passes[q] = make([]Pass, 2*d)
+		passes := make([]Pass, 2*d)
 		for dim := 0; dim < d; dim++ {
-			for _, backward := range []bool{false, true} {
-				carry := fwd
-				if backward {
-					carry = bwd
-				}
-				pass := Pass{Dim: dim, Backward: backward, CarryLen: carry}
-				pass.Phases = compileMultiPass(spec, geom, tags, q, dim, backward, carry)
-				k := dim * 2
-				if backward {
-					k++
-				}
-				pl.Passes[q][k] = pass
-			}
+			forward, backward := compileDim(spec.M, rects, tags, q, dim, fwd, bwd)
+			passes[dim*2] = Pass{Dim: dim, CarryLen: fwd, Phases: forward}
+			passes[dim*2+1] = Pass{Dim: dim, Backward: true, CarryLen: bwd, Phases: backward}
 		}
+		pl.Passes[q] = passes
 	}
 	if spec.Overlap.Enabled {
 		pl.applyOverlap()
@@ -289,90 +284,102 @@ func Compile(spec Spec) (pl *SweepPlan, err error) {
 	return pl, nil
 }
 
-// tileTable holds every tile's coordinate and index region, indexed by the
-// tile's row-major rank in γ. A tile appears in 2d passes of its owner, and
-// all of those Tiles share the one Coord and Rect built here.
-type tileTable struct {
+// rectTable holds every tile's index region, indexed by the tile's
+// row-major rank in γ. A tile appears in 2d passes of its owner, and all of
+// those Tiles share the one Rect built here and the one coordinate slice
+// the Multipartitioning hands out for the tile.
+type rectTable struct {
 	gamma []int
-	tiles []Tile
+	rects []grid.Rect
 }
 
-// newTileTable builds the table of m's tile grid over eta. The slices are
-// cut from three backing arrays with their capacity clipped, so an append
-// to one copies instead of spilling into its neighbor.
-func newTileTable(m *core.Multipartitioning, eta []int) tileTable {
+// newRectTable builds the table of m's tile grid over eta. The bounds are
+// cut from two backing arrays with their capacity clipped, so an append to
+// one copies instead of spilling into its neighbor.
+func newRectTable(m *core.Multipartitioning, eta []int) rectTable {
 	gamma := m.Gamma()
 	d := len(gamma)
 	n := m.NumTiles()
-	coords, los, his := make([]int, n*d), make([]int, n*d), make([]int, n*d)
-	tiles := make([]Tile, n)
-	for r := range tiles {
+	los, his := make([]int, n*d), make([]int, n*d)
+	rects := make([]grid.Rect, n)
+	coord := make([]int, d)
+	for r := range rects {
 		a, b := r*d, (r+1)*d
-		coord := numutil.CoordOf(r, gamma, coords[a:b:b])
 		lo, hi := los[a:b:b], his[a:b:b]
-		for j := range coord {
-			lo[j], hi[j] = core.BlockRange(eta[j], gamma[j], coord[j])
+		for j, c := range numutil.CoordOf(r, gamma, coord) {
+			lo[j], hi[j] = core.BlockRange(eta[j], gamma[j], c)
 		}
-		tiles[r] = Tile{Coord: coord, Rect: grid.RectOf(lo, hi)}
+		rects[r] = grid.RectOf(lo, hi)
 	}
-	return tileTable{gamma: gamma, tiles: tiles}
+	return rectTable{gamma: gamma, rects: rects}
 }
 
-// of returns the shared geometry of the tile at coord.
-func (tt tileTable) of(coord []int) Tile { return tt.tiles[numutil.RankOf(coord, tt.gamma)] }
-
-// compileMultiPass resolves one rank's phase schedule for one (dim,
-// direction) from the runtime sweep schedule and the shared tile geometry;
-// only the per-sweep fields (LineOff, Lines, ChunkLen) are computed here.
-func compileMultiPass(spec Spec, geom tileTable, tags xport.TagSpace, q, dim int, backward bool, carry int) []Phase {
-	step := 1
-	if backward {
-		step = -1
+// compileDim resolves rank q's forward and backward phase schedules along
+// dim from the runtime's forward sweep schedule and the shared tile
+// geometry. Only the per-sweep tile fields (LineOff, Lines, ChunkLen) are
+// computed here, once per slab: backward phase k runs the slab of forward
+// phase γ_dim−1−k, the same tiles in the same order with the same fields,
+// so it takes that phase's Tiles window.
+func compileDim(m *core.Multipartitioning, rects rectTable, tags xport.TagSpace, q, dim, fwdCarry, bwdCarry int) (forward, backward []Phase) {
+	sched := m.SweepSchedule(q, dim, false)
+	g := len(sched)
+	up, down := -1, -1 // q's −1 and +1 neighbors along dim
+	if g > 1 {
+		up, down = m.NeighborProc(q, dim, -1), sched[0].SendTo
 	}
-	sched := spec.M.SweepSchedule(q, dim, backward)
-	recvFrom := -1
-	if len(sched) > 1 {
-		recvFrom = spec.M.NeighborProc(q, dim, -step)
-	}
-	// One backing array holds the pass's tiles; each phase gets a
+	// One backing array holds the tiles of both passes, each phase's a
 	// capacity-clipped window of it.
 	total := 0
 	for _, sp := range sched {
 		total += len(sp.Tiles)
 	}
 	tiles := make([]Tile, total)
-	phases := make([]Phase, len(sched))
+	phases := make([]Phase, 2*g)
+	forward, backward = phases[:g:g], phases[g:]
 	for k, sp := range sched {
 		nt := len(sp.Tiles)
-		ph := Phase{Slab: sp.Slab, RecvFrom: -1, SendTo: sp.SendTo, Tiles: tiles[:nt:nt]}
-		tiles = tiles[nt:]
-		lineOff := 0
+		ph := &forward[k]
+		ph.Slab, ph.Tiles, tiles = sp.Slab, tiles[:nt:nt], tiles[nt:]
 		for ti, coord := range sp.Tiles {
-			t := geom.of(coord)
-			lo, hi := t.Rect.Lo, t.Rect.Hi
+			rect := rects.rects[numutil.RankOf(coord, rects.gamma)]
+			lo, hi := rect.Lo, rect.Hi
 			n := 1
 			for j := range lo {
 				if j != dim {
 					n *= hi[j] - lo[j]
 				}
 			}
-			t.LineOff, t.Lines, t.ChunkLen = lineOff, n, hi[dim]-lo[dim]
-			ph.Tiles[ti] = t
-			lineOff += n
+			ph.Tiles[ti] = Tile{Coord: coord, Rect: rect, LineOff: ph.Lines, Lines: n, ChunkLen: hi[dim] - lo[dim]}
+			ph.Lines += n
 		}
-		ph.Lines = lineOff
+		b := &backward[g-1-k]
+		b.Slab, b.Tiles, b.Lines = sp.Slab, ph.Tiles, ph.Lines
+	}
+	link(forward, up, down, tags, dim, false, fwdCarry)
+	link(backward, down, up, tags, dim, true, bwdCarry)
+	return forward, backward
+}
+
+// link wires one pass's carries: every phase but the first receives from
+// upstream and every phase but the last sends downstream, each under the
+// tag of the phase boundary it crosses.
+func link(phases []Phase, upstream, downstream int, tags xport.TagSpace, dim int, backward bool, carry int) {
+	for k := range phases {
+		ph := &phases[k]
+		ph.RecvFrom, ph.SendTo = -1, -1
 		if k > 0 {
-			ph.RecvFrom = recvFrom
+			ph.RecvFrom = upstream
 			ph.RecvTag = sweepTag(tags, dim, backward, k)
 			ph.RecvBytes = ph.Lines * carry * 8
+		}
+		if k < len(phases)-1 {
+			ph.SendTo = downstream
 		}
 		if ph.SendTo >= 0 {
 			ph.SendTag = sweepTag(tags, dim, backward, k+1)
 			ph.SendBytes = ph.Lines * carry * 8
 		}
-		phases[k] = ph
 	}
-	return phases
 }
 
 // CompileWavefront builds the pipelined sweep schedule of a block

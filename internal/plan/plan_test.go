@@ -111,6 +111,25 @@ func TestCompileMultipartition(t *testing.T) {
 	}
 }
 
+// TestBackwardPhasesShareForwardWindows pins the sharing Compile relies on
+// to halve the tile records: backward phase k of a (rank, dim) runs the slab
+// of forward phase γ_dim−1−k and takes that phase's Tiles window, the same
+// backing records at the same length and capacity.
+func TestBackwardPhasesShareForwardWindows(t *testing.T) {
+	pl := compile(t)
+	for q := 0; q < pl.P; q++ {
+		for dim, g := range pl.Gamma {
+			fw, bw := pl.Pass(q, dim, false), pl.Pass(q, dim, true)
+			for k := 0; k < g; k++ {
+				a, b := fw.Phases[g-1-k].Tiles, bw.Phases[k].Tiles
+				if len(a) == 0 || &a[0] != &b[0] || len(a) != len(b) || cap(a) != cap(b) {
+					t.Fatalf("rank %d dim %d: backward phase %d does not share forward phase %d's Tiles window", q, dim, k, g-1-k)
+				}
+			}
+		}
+	}
+}
+
 func TestCompileWavefront(t *testing.T) {
 	pl, err := plan.CompileWavefront(plan.WavefrontSpec{
 		P: 4, Eta: []int{16, 8, 8}, Dim: 0, Grain: 16, Solver: sweep.Tridiag{}})

@@ -298,38 +298,53 @@ func (pl *SweepPlan) validateNeighbors() error {
 // uniqueness: one rank must never post two sends to the same peer, or two
 // receives from the same peer, under one tag within a plan execution.
 func (pl *SweepPlan) validateTags() error {
-	type channel struct {
-		peer, tag int
-		recv      bool
-	}
-	// use is a channel's first user: pass k, phase i of the rank being
-	// checked. One map serves every rank, cleared in between.
+	// A channel is one peer and direction of the rank being checked; its
+	// table maps a tag to its first user, pass k and phase i. A rank has a
+	// few channels (each pass sends to one peer and receives from one), so
+	// they are found by a scan, and their tables are cleared and reused
+	// from rank to rank.
 	type use struct{ k, i int }
-	var seen map[channel]use
-	claim := func(c channel, kind string, at phaseAt, k int) error {
-		if prev, dup := seen[c]; dup {
+	type channel struct {
+		peer  int
+		recv  bool
+		first map[int]use
+	}
+	var chans []channel
+	open := 0 // chans[:open] are the current rank's channels
+	table := func(peer int, recv bool, hint int) map[int]use {
+		for c := range chans[:open] {
+			if chans[c].peer == peer && chans[c].recv == recv {
+				return chans[c].first
+			}
+		}
+		if open == len(chans) {
+			chans = append(chans, channel{first: make(map[int]use, hint)})
+		}
+		c := &chans[open]
+		open++
+		c.peer, c.recv = peer, recv
+		clear(c.first)
+		return c.first
+	}
+	claim := func(first map[int]use, peer, tag int, recv bool, kind string, at phaseAt, k int) error {
+		if prev, dup := first[tag]; dup {
 			dir := "to"
-			if c.recv {
+			if recv {
 				dir = "from"
 			}
 			return fmt.Errorf("plan: %s: %s tag %d %s rank %d already used by %s — tag overlap",
-				at, kind, c.tag, dir, c.peer, phaseAt{at.q, &pl.Passes[at.q][prev.k], prev.i})
+				at, kind, tag, dir, peer, phaseAt{at.q, &pl.Passes[at.q][prev.k], prev.i})
 		}
-		seen[c] = use{k, at.i}
+		first[tag] = use{k, at.i}
 		return nil
 	}
 	for q, passes := range pl.Passes {
-		if seen == nil {
-			n := 0
-			for k := range passes {
-				n += len(passes[k].Phases)
-			}
-			seen = make(map[channel]use, 2*n)
-		} else {
-			clear(seen)
-		}
+		open = 0
 		for k := range passes {
 			pass := &passes[k]
+			// The tables of this pass's last send and receive peers.
+			var sends, recvs map[int]use
+			sendTo, recvFrom := -1, -1
 			for i := range pass.Phases {
 				ph := &pass.Phases[i]
 				at := phaseAt{q, pass, i}
@@ -338,11 +353,14 @@ func (pl *SweepPlan) validateTags() error {
 						return fmt.Errorf("plan: %s: send tag %d outside reservation %q [%d,+%d)",
 							at, ph.SendTag, pl.Tags.Name(), pl.Tags.Base(), pl.Tags.Size())
 					}
-					if err := claim(channel{peer: ph.SendTo, tag: ph.SendTag}, "send", at, k); err != nil {
+					if ph.SendTo != sendTo {
+						sendTo, sends = ph.SendTo, table(ph.SendTo, false, len(pass.Phases))
+					}
+					if err := claim(sends, sendTo, ph.SendTag, false, "send", at, k); err != nil {
 						return err
 					}
 					if ph.Boundary > 0 {
-						if err := claim(channel{peer: ph.SendTo, tag: ph.InteriorSendTag}, "interior send", at, k); err != nil {
+						if err := claim(sends, sendTo, ph.InteriorSendTag, false, "interior send", at, k); err != nil {
 							return err
 						}
 					}
@@ -352,11 +370,14 @@ func (pl *SweepPlan) validateTags() error {
 						return fmt.Errorf("plan: %s: recv tag %d outside reservation %q [%d,+%d)",
 							at, ph.RecvTag, pl.Tags.Name(), pl.Tags.Base(), pl.Tags.Size())
 					}
-					if err := claim(channel{peer: ph.RecvFrom, tag: ph.RecvTag, recv: true}, "recv", at, k); err != nil {
+					if ph.RecvFrom != recvFrom {
+						recvFrom, recvs = ph.RecvFrom, table(ph.RecvFrom, true, len(pass.Phases))
+					}
+					if err := claim(recvs, recvFrom, ph.RecvTag, true, "recv", at, k); err != nil {
 						return err
 					}
 					if ph.Boundary > 0 {
-						if err := claim(channel{peer: ph.RecvFrom, tag: ph.InteriorRecvTag, recv: true}, "interior recv", at, k); err != nil {
+						if err := claim(recvs, recvFrom, ph.InteriorRecvTag, true, "interior recv", at, k); err != nil {
 							return err
 						}
 					}

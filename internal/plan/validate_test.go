@@ -1,6 +1,7 @@
 package plan_test
 
 import (
+	"slices"
 	"testing"
 
 	"genmp/internal/core"
@@ -22,7 +23,11 @@ func TestValidateDiagnostics(t *testing.T) {
 			sendingPhase(t, pl, 0, 0).SendBytes += 8
 		}, "plan: rank 0 dim 2 forward phase 0: SendBytes = 2312, want 36 lines × 8 carries × 8"},
 		{"tile geometry", func(t *testing.T, pl *plan.SweepPlan) {
-			pl.Pass(1, 0, true).Phases[1].Tiles[0].ChunkLen++
+			// A backward phase shares its Tiles window with the forward
+			// phase of the same slab: corrupt a copy, not the window.
+			ph := &pl.Pass(1, 0, true).Phases[1]
+			ph.Tiles = slices.Clone(ph.Tiles)
+			ph.Tiles[0].ChunkLen++
 		}, "plan: rank 1 dim 0 backward phase 1 tile 0: chunk length 7, want the rect's extent 6 along dim 0"},
 		{"swapped coordinates", func(t *testing.T, pl *plan.SweepPlan) {
 			// Coords are shared with the rank's other passes: swap the
