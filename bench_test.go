@@ -485,8 +485,11 @@ func kernelBenchGrids(sv sweep.Solver, eta []int, dim int, rng *rand.Rand) []*gr
 
 // BenchmarkKernelPanels measures one full forward+backward sweep over every
 // line of a 48³ domain for each kernel family: the scalar per-line oracle
-// against the batched SoA panel path at several panel widths. This is the
-// microbenchmark behind BENCH_kernels.json's kernels-wall suite.
+// against the batched kernels on packed SoA panels at several batch widths
+// (batch=N: gather, solve, scatter) and on views straight into the grids
+// (view: DefaultBatchLines lines per batch, solved in place, no copies).
+// The packed rows are the microbenchmark behind BENCH_kernels.json's
+// kernels-wall suite.
 func BenchmarkKernelPanels(b *testing.B) {
 	eta := []int{48, 48, 48}
 	dim := 0
@@ -544,8 +547,9 @@ func BenchmarkKernelPanels(b *testing.B) {
 						for v := range gs {
 							gs[v].GatherLines(blk, panels[v])
 						}
-						sv.ForwardBatch(panels, nb, nil, nil)
-						sv.BackwardBatch(panels, nb, nil, nil)
+						pv := sweep.Packed(nb, n)
+						sv.ForwardBatch(panels, pv, nil, nil)
+						sv.BackwardBatch(panels, pv, nil, nil)
 						for v := range gs {
 							gs[v].ScatterLines(blk, panels[v])
 						}
@@ -553,6 +557,29 @@ func BenchmarkKernelPanels(b *testing.B) {
 				}
 			})
 		}
+		b.Run(fmt.Sprintf("%s/view", sv.Name()), func(b *testing.B) {
+			batch := sweep.DefaultBatchLines
+			heads := make([][]float64, nv)
+			b.SetBytes(elements * 8 * int64(nv))
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				restore()
+				b.StartTimer()
+				for s0 := 0; s0 < len(lines); s0 += batch {
+					blk := lines[s0:min(s0+batch, len(lines))]
+					step, ok := grid.Progression(blk)
+					if !ok {
+						b.Fatalf("lines %d… along dim %d are no arithmetic progression", s0, dim)
+					}
+					for v := range gs {
+						heads[v] = gs[v].Data()[blk[0].Base:]
+					}
+					pv := sweep.View{Lines: len(blk), Len: n, RowStride: blk[0].Stride, LineStride: step}
+					sv.ForwardBatch(heads, pv, nil, nil)
+					sv.BackwardBatch(heads, pv, nil, nil)
+				}
+			}
+		})
 	}
 }
 

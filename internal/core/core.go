@@ -319,6 +319,11 @@ func (m *Multipartitioning) NeighborProc(proc, dim, step int) int {
 // returned slices are shared; callers must not modify them.
 func (m *Multipartitioning) TilesOf(q int) [][]int { return m.tilesOf[q] }
 
+// SlabTiles returns the tiles of processor q in slab s along dim (the tiles
+// whose coordinate along dim is s), in row-major tile order. The returned
+// slices are shared; callers must not modify them.
+func (m *Multipartitioning) SlabTiles(q, dim, s int) [][]int { return m.slabOf[dim][s][q] }
+
 // TilesPerSlab returns the number of tiles each processor owns in every slab
 // along dim (the balance property makes it uniform): ∏_{j≠dim}γⱼ / p.
 func (m *Multipartitioning) TilesPerSlab(dim int) int {
@@ -357,7 +362,7 @@ func (m *Multipartitioning) SweepSchedule(q, dim int, backward bool) []SweepPhas
 		if backward {
 			s = g - 1 - k
 		}
-		phases[k] = SweepPhase{Slab: s, Tiles: m.slabOf[dim][s][q], SendTo: next}
+		phases[k] = SweepPhase{Slab: s, Tiles: m.SlabTiles(q, dim, s), SendTo: next}
 	}
 	phases[g-1].SendTo = -1
 	return phases

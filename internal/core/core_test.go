@@ -226,6 +226,34 @@ func TestSweepSchedule(t *testing.T) {
 	}
 }
 
+// TestSlabTilesShared: SlabTiles lists q's tiles of slab s along dim, all
+// with coordinate s there, in row-major order, and hands out the slice
+// SweepSchedule's phase of that slab holds, not a copy.
+func TestSlabTilesShared(t *testing.T) {
+	m, err := NewGeneralized(8, []int{4, 4, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for q := 0; q < 8; q++ {
+		for dim := 0; dim < 3; dim++ {
+			for _, ph := range m.SweepSchedule(q, dim, true) {
+				st := m.SlabTiles(q, dim, ph.Slab)
+				if len(st) != m.TilesPerSlab(dim) || &st[0] != &ph.Tiles[0] {
+					t.Fatalf("q %d dim %d slab %d: SlabTiles gives %v, not the schedule's shared %v", q, dim, ph.Slab, st, ph.Tiles)
+				}
+				for i, c := range st {
+					if c[dim] != ph.Slab || m.Proc(c) != q {
+						t.Fatalf("q %d dim %d slab %d: tile %v is not q's tile of the slab", q, dim, ph.Slab, c)
+					}
+					if i > 0 && numutil.RankOf(st[i-1], m.Gamma()) >= numutil.RankOf(c, m.Gamma()) {
+						t.Fatalf("q %d dim %d slab %d: tiles %v out of row-major order", q, dim, ph.Slab, st)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestSweepScheduleCoversAllTiles(t *testing.T) {
 	m, err := NewGeneralized(30, []int{10, 15, 6})
 	if err != nil {

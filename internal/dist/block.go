@@ -24,7 +24,7 @@ type Block struct {
 	Eta      []int
 	Dim      int
 	Overhead OverheadModel
-	// Batch is the panel width of the batched sweep kernels: 0 picks
+	// Batch is the batch width of the batched sweep kernels: 0 picks
 	// sweep.DefaultBatchLines, negative forces the scalar per-line path
 	// (the bit-identical oracle, also used as the "before" ablation).
 	Batch int
@@ -177,9 +177,11 @@ func (b *Block) LocalSweep(r xport.Transport, dim int, solver sweep.Solver, vecs
 }
 
 // solveLocalLines runs full-line solves over every line of rect along dim.
-// Lines are packed into SoA panels of `batch` lines and solved by the
-// batched kernels (bit-identical to the scalar path); solvers without a
-// batched form, or batch < 0, take the per-line scalar path.
+// Lines go to the batched kernels (bit-identical to the scalar path) in
+// batches of `batch` lines, solved in place when a batch's lines form an
+// arithmetic progression in storage and packed into arena panels
+// otherwise (Scratch.inPlace); solvers without a batched form, or
+// batch < 0, take the per-line scalar path.
 func solveLocalLines(solver sweep.Solver, vecs []*grid.Grid, rect grid.Rect, dim, batch int, sc *Scratch) {
 	n := rect.Hi[dim] - rect.Lo[dim]
 	nv := solver.NumVecs()
@@ -200,11 +202,19 @@ func solveLocalLines(solver sweep.Solver, vecs []*grid.Grid, rect grid.Rect, dim
 	if batch == 0 {
 		batch = sweep.DefaultBatchLines
 	}
+	// The grids share one shape, so every vec reads the same line list.
 	sc.lines = vecs[0].AppendLines(rect, dim, sc.lines[:0])
 	lines := sc.lines
+	if cap(sc.vecLines) < len(vecs) {
+		sc.vecLines = make([][]grid.Line, len(vecs))
+	}
+	vecLines := sc.vecLines[:len(vecs)]
+	for v := range vecLines {
+		vecLines[v] = lines
+	}
 	runBackward := solver.BackwardCarryLen() > 0
-	// Both passes run on one packed panel, so the move masks are the union
-	// of the passes': gather what either touches, scatter what either
+	// Both passes run on one batch, so a packed batch's move masks are the
+	// union of the passes': gather what either touches, scatter what either
 	// writes (skipping a scatter of unmodified values is a numeric no-op).
 	fwdT, fwdW := sweep.PassMasks(solver, false)
 	var bwdT, bwdW []bool
@@ -213,16 +223,23 @@ func solveLocalLines(solver sweep.Solver, vecs []*grid.Grid, rect grid.Rect, dim
 	}
 	for s0 := 0; s0 < len(lines); s0 += batch {
 		nb := min(batch, len(lines)-s0)
+		panels, pv, inPlace := sc.inPlace(vecs, vecLines, s0, nb)
 		blk := lines[s0 : s0+nb]
-		panels := sc.pan.Panels(nv, nb*n)
-		for v, g := range vecs {
-			if sweep.MaskOn(fwdT, v) || (runBackward && sweep.MaskOn(bwdT, v)) {
-				g.GatherLines(blk, panels[v])
+		if !inPlace {
+			pv = sweep.Packed(nb, n)
+			panels = sc.pan.Panels(nv, nb*n)
+			for v, g := range vecs {
+				if sweep.MaskOn(fwdT, v) || (runBackward && sweep.MaskOn(bwdT, v)) {
+					g.GatherLines(blk, panels[v])
+				}
 			}
 		}
-		bs.ForwardBatch(panels, nb, nil, nil)
+		bs.ForwardBatch(panels, pv, nil, nil)
 		if runBackward {
-			bs.BackwardBatch(panels, nb, nil, nil)
+			bs.BackwardBatch(panels, pv, nil, nil)
+		}
+		if inPlace {
+			continue
 		}
 		for v, g := range vecs {
 			if sweep.MaskOn(fwdW, v) || (runBackward && sweep.MaskOn(bwdW, v)) {

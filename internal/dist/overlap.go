@@ -8,8 +8,9 @@
 // so the downstream rank starts its boundary solve after only the boundary
 // share of the compute, and each rank's interior solve executes while its
 // boundary carry is on the wire. Field data is bit-identical to the strict
-// schedule: the batched kernels guarantee bit-equality regardless of panel
-// grouping, and the boundary/interior regrouping never reorders lines.
+// schedule: the batched kernels guarantee bit-equality however lines are
+// batched and laid out, and the boundary/interior regrouping never
+// reorders lines.
 //
 // RunPass is the one executor behind every sweep — the wavefront pipeline
 // and the private-tile SweepRunner — so this choreography exists once,

@@ -25,7 +25,7 @@ type Binding interface {
 type PassSpec struct {
 	Pass   *plan.Pass
 	Solver sweep.Solver
-	// Batch is the panel width of the batched sweep kernels: 0 picks
+	// Batch is the batch width of the batched sweep kernels: 0 picks
 	// sweep.DefaultBatchLines, negative forces the scalar per-line path
 	// (the bit-identical oracle).
 	Batch int
@@ -43,19 +43,58 @@ type PassSpec struct {
 }
 
 // Scratch is one rank's reusable executor state, shared by every sweep the
-// rank runs: the SoA panel arena of the pass loop, a second workspace and
-// a line list for the whole-line solves of Block's local sweeps (a chunk
-// solve runs while panel views are live, so the workspaces must be
-// distinct), and the wavefront's shared-grid binding, made on the first
-// data-mode bind so that model-only executors stay small. The zero value
-// is ready to use. A Scratch is not safe for concurrent use; executors
-// keep one per rank.
+// rank runs: the panel arena that batches pack into when their lines are
+// no arithmetic progression in storage, the slice headers of the batches
+// solved in place, a second workspace and a line list for the whole-line
+// solves of Block's local sweeps (a chunk solve runs while panel views are
+// live, so the workspaces must be distinct), and the wavefront's
+// shared-grid binding, made on the first data-mode bind so that model-only
+// executors stay small. The zero value is ready to use. A Scratch is not
+// safe for concurrent use; executors keep one per rank.
 type Scratch struct {
-	pan   sweep.Workspace
-	chunk sweep.Workspace
-	lines []grid.Line
-	grids *gridBinding
-	pub   sweep.WorkspacePublisher
+	pan      sweep.Workspace
+	chunk    sweep.Workspace
+	heads    [][]float64
+	lines    []grid.Line
+	vecLines [][]grid.Line
+	grids    *gridBinding
+	pub      sweep.WorkspacePublisher
+}
+
+// inPlace returns the kernels' panels and view for the batch
+// lines[v][s0:s0+nb] straight into the grids — each panel the storage of
+// grids[v] from the batch's first line — when every vec's lines form one
+// arithmetic progression in storage (grid.Progression: the same Stride, N
+// and base step). Otherwise ok is false and the batch packs into the
+// arena. Like the run copies of grid.GatherLines, the choice follows from
+// the line geometry alone.
+func (sc *Scratch) inPlace(grids []*grid.Grid, lines [][]grid.Line, s0, nb int) (panels [][]float64, pv sweep.View, ok bool) {
+	pv, ok = lineView(lines[0][s0 : s0+nb])
+	for v := 1; ok && v < len(lines); v++ {
+		w, wok := lineView(lines[v][s0 : s0+nb])
+		ok = wok && w == pv
+	}
+	if !ok {
+		return nil, pv, false
+	}
+	if cap(sc.heads) < len(grids) {
+		sc.heads = make([][]float64, len(grids))
+	}
+	panels = sc.heads[:len(grids)]
+	for v, g := range grids {
+		panels[v] = g.Data()[lines[v][s0].Base:]
+	}
+	return panels, pv, true
+}
+
+// lineView returns the view of blk relative to its first line's base, or
+// false when its lines are no arithmetic progression in storage.
+func lineView(blk []grid.Line) (sweep.View, bool) {
+	step, ok := grid.Progression(blk)
+	if !ok {
+		return sweep.View{}, false
+	}
+	return sweep.View{Lines: len(blk), Len: blk[0].N, RowStride: blk[0].Stride, LineStride: step}, true
 }
 
 // WorkspaceStats reports the arenas' acquisition counters; with warmed
@@ -123,7 +162,7 @@ type passRun struct {
 	PassSpec
 	t     xport.Transport
 	flops float64 // per element, this direction
-	// batch is the kernel panel width: 1 on the scalar path, where bs is
+	// batch is the kernels' batch width: 1 on the scalar path, where bs is
 	// nil and the masks are nil (every vec moves).
 	batch            int
 	bs               sweep.BatchSolver
@@ -238,9 +277,13 @@ func (x *passRun) sendPerTile(ph *plan.Phase, out []float64) {
 // flops. cIn/cOut hold the range's carries indexed from gLo (line g's
 // carry block starts at (g−gLo)·CarryLen); either may be nil. Each tile
 // intersecting the range pays PerTileVisit, so a tile straddling an
-// overlap split is visited twice. Lines move in panels of batch lines:
-// gather the vecs the pass touches, run the kernel, scatter the vecs it
-// writes. The kernels are bit-equal under any panel grouping.
+// overlap split is visited twice. Lines go to the kernels in batches of
+// batch lines: a batch whose lines form an arithmetic progression in
+// storage is solved in place through a strided view (Scratch.inPlace);
+// any other batch, and every line of the scalar path, is gathered into
+// arena panels (the vecs the pass touches), solved, and scattered back
+// (the vecs it writes). The kernels are bit-equal under any grouping and
+// on any view.
 func (x *passRun) solve(k, gLo, gHi int, cIn, cOut []float64) {
 	ph := &x.Pass.Phases[k]
 	carryLen := x.Pass.CarryLen
@@ -261,10 +304,19 @@ func (x *passRun) solve(k, gLo, gHi int, cIn, cOut []float64) {
 		for g0 := lo; g0 < hi; g0 += x.batch {
 			nb := min(x.batch, hi-g0)
 			s0 := g0 - off
-			panels := x.Scratch.pan.Panels(len(grids), nb*tg.ChunkLen)
-			for v, g := range grids {
-				if sweep.MaskOn(x.touched, v) {
-					g.GatherLines(lines[v][s0:s0+nb], panels[v])
+			var panels [][]float64
+			var pv sweep.View
+			inPlace := false
+			if x.bs != nil {
+				panels, pv, inPlace = x.Scratch.inPlace(grids, lines, s0, nb)
+			}
+			if !inPlace {
+				pv = sweep.Packed(nb, tg.ChunkLen)
+				panels = x.Scratch.pan.Panels(len(grids), nb*tg.ChunkLen)
+				for v, g := range grids {
+					if sweep.MaskOn(x.touched, v) {
+						g.GatherLines(lines[v][s0:s0+nb], panels[v])
+					}
 				}
 			}
 			c0, c1 := (g0-gLo)*carryLen, (g0-gLo+nb)*carryLen
@@ -281,9 +333,12 @@ func (x *passRun) solve(k, gLo, gHi int, cIn, cOut []float64) {
 			case x.bs == nil:
 				x.Solver.Forward(panels, ci, co)
 			case x.Pass.Backward:
-				x.bs.BackwardBatch(panels, nb, ci, co)
+				x.bs.BackwardBatch(panels, pv, ci, co)
 			default:
-				x.bs.ForwardBatch(panels, nb, ci, co)
+				x.bs.ForwardBatch(panels, pv, ci, co)
+			}
+			if inPlace {
+				continue
 			}
 			for v, g := range grids {
 				if sweep.MaskOn(x.written, v) {

@@ -15,14 +15,16 @@ import (
 // keeps only what binds that plan to this rank's storage: each
 // tile's local index and per-field line geometry (each field may have its
 // own halo depth, so the offsets differ even though the cross-sections
-// coincide), plus the SoA panel arenas of the batched kernels. A rank
-// builds one runner and reuses it across timesteps and dimensions, so the
-// steady state allocates nothing: carries travel in pooled payload
-// buffers, and line data moves through the reusable workspace panels.
+// coincide), plus the scratch of the batched kernels. A rank builds one
+// runner and reuses it across timesteps and dimensions, so the steady
+// state allocates nothing: carries travel in pooled payload buffers, and
+// line data is solved in place or, where a batch's lines are no
+// arithmetic progression in storage, moves through the reusable workspace
+// panels.
 type SweepRunner struct {
 	Solver sweep.Solver
 	Fields []*Field
-	// Batch is the panel width of the batched sweep kernels: 0 picks
+	// Batch is the batch width of the batched sweep kernels: 0 picks
 	// sweep.DefaultBatchLines, negative forces the scalar per-line path
 	// (the bit-identical oracle / "before" ablation).
 	Batch int

@@ -1,6 +1,7 @@
 package dmem
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -74,6 +75,22 @@ func TestStrictSPMatchesSerial(t *testing.T) {
 	}
 }
 
+// requireSameBits fails unless got is Float64bits-identical to want.
+func requireSameBits(t *testing.T, what string, want, got *grid.Grid) {
+	t.Helper()
+	wd, gd := want.Data(), got.Data()
+	for i := range wd {
+		if math.Float64bits(wd[i]) != math.Float64bits(gd[i]) {
+			t.Fatalf("%s: element %d: %v (%#x) != serial %v (%#x)",
+				what, i, gd[i], math.Float64bits(gd[i]), wd[i], math.Float64bits(wd[i]))
+		}
+	}
+}
+
+// TestStrictADIMatchesSerial requires the strict ADI field to be
+// Float64bits-identical to the serial solve. The last case is the
+// benchmark's adi-12-p2 geometry: its 12×6×6 tiles solve their dim-0 and
+// dim-2 batches in place and pack their dim-1 batches (runs of 6 lines).
 func TestStrictADIMatchesSerial(t *testing.T) {
 	cases := []struct {
 		p     int
@@ -83,6 +100,7 @@ func TestStrictADIMatchesSerial(t *testing.T) {
 		{4, []int{2, 2, 2}, []int{10, 9, 8}},
 		{8, []int{4, 4, 2}, []int{12, 12, 8}},
 		{5, []int{5, 5}, []int{15, 11}},
+		{2, []int{1, 2, 2}, []int{12, 12, 12}},
 	}
 	for _, c := range cases {
 		pb := adi.Problem{Eta: c.eta, Alpha: 0.3, Steps: 3}
@@ -94,15 +112,15 @@ func TestStrictADIMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("p=%d: %v", c.p, err)
 		}
-		if d := grid.MaxAbsDiff(want, got); d > 1e-9 {
-			t.Errorf("p=%d γ=%v: strict ADI differs from serial by %g", c.p, c.gamma, d)
-		}
+		requireSameBits(t, fmt.Sprintf("p=%d γ=%v: strict ADI", c.p, c.gamma), want, got)
 		if res.Makespan <= 0 {
 			t.Error("zero makespan")
 		}
 	}
 }
 
+// TestStrictBTMatchesSerial requires the strict BT field to be
+// Float64bits-identical to nas.BTSerialSolve.
 func TestStrictBTMatchesSerial(t *testing.T) {
 	p := 4
 	gamma := []int{2, 2, 2}
@@ -116,9 +134,7 @@ func TestStrictBTMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := grid.MaxAbsDiff(want, got); d > 1e-8 {
-		t.Errorf("strict BT differs from serial by %g", d)
-	}
+	requireSameBits(t, "strict BT", want, got)
 	if res.TotalBytes() == 0 {
 		t.Error("strict BT moved no bytes")
 	}

@@ -2,15 +2,16 @@ package grid
 
 import "fmt"
 
-// This file is the packing side of the batched sweep path: a block of lines
-// is gathered into a structure-of-arrays panel (element k of line b at
-// dst[k*nb+b]) so the solver's inner loop runs stride-1 across lines, then
-// scattered back. Pack/unpack is the only place that touches the grid's
-// strided storage, and it is written to move whole cache lines: when the
-// lines themselves are contiguous (sweep along the last axis) the copy is a
-// blocked transpose; when the lines are strided, consecutive lines are
-// usually adjacent in memory, so each long run of adjacent lines moves a
-// panel row with one contiguous copy.
+// This file holds the line geometry of the batched sweep path. A batch of
+// lines that forms an arithmetic progression in storage (Progression) needs
+// no copy: the kernels solve it in place through a strided view of the
+// grid. Any other batch is the fallback: it is gathered into a
+// structure-of-arrays panel (element k of line b at dst[k*nb+b]), solved
+// there, and scattered back. Pack/unpack is written to move whole cache
+// lines: when the lines themselves are contiguous (sweep along the last
+// axis) the copy is a blocked transpose; when the lines are strided,
+// consecutive lines are often adjacent in memory, so each long run of
+// adjacent lines moves a panel row with one contiguous copy.
 
 // Panel-transpose tile sizes: ptK rows × ptB lines keeps the strided side
 // of the copy inside L1 while the contiguous side streams.
@@ -117,6 +118,29 @@ func longRuns(lines []Line) bool {
 		}
 	}
 	return true
+}
+
+// Progression returns the base step of lines when they form an arithmetic
+// progression in storage — one Stride, one N, and bases a constant
+// positive step apart, so that element k of line b lies at
+// lines[0].Base + k·Stride + b·step — and ok = false otherwise. A single
+// line is the progression of step 0.
+func Progression(lines []Line) (step int, ok bool) {
+	if len(lines) == 0 {
+		return 0, false
+	}
+	l := lines[0]
+	if len(lines) > 1 {
+		if step = lines[1].Base - l.Base; step <= 0 {
+			return 0, false
+		}
+	}
+	for b, m := range lines {
+		if m.Stride != l.Stride || m.N != l.N || m.Base != l.Base+b*step {
+			return 0, false
+		}
+	}
+	return step, true
 }
 
 // ScatterLines unpacks a structure-of-arrays panel (as filled by

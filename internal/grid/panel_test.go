@@ -265,3 +265,61 @@ func TestPanelOpsZeroAllocs(t *testing.T) {
 		t.Fatalf("panel ops allocate %v per run, want 0", allocs)
 	}
 }
+
+// TestProgression: three or more lines of a padded region along an axis
+// are one progression exactly when they stay inside one run of the
+// storage, and Progression's step then places every element of every
+// line.
+func TestProgression(t *testing.T) {
+	g := New(6, 7, 9)
+	r := Rect{Lo: []int{1, 1, 2}, Hi: []int{5, 6, 7}} // a 4×5×5 interior with padding
+	for dim := range r.Lo {
+		lines := g.AppendLines(r, dim, nil)
+		// The first cross-section axis other than the last steps fastest;
+		// a run is the lines sharing every other coordinate.
+		run := 1
+		for j := len(r.Lo) - 1; j >= 0; j-- {
+			if j != dim {
+				run = r.Hi[j] - r.Lo[j]
+				break
+			}
+		}
+		for lo := 0; lo < len(lines); lo++ {
+			for hi := lo + 1; hi <= len(lines); hi++ {
+				blk := lines[lo:hi]
+				step, ok := Progression(blk)
+				// Two lines are always a progression; three or more only
+				// within a run, since the jump between runs differs.
+				want := hi-lo <= 2 || lo/run == (hi-1)/run
+				if ok != want {
+					t.Fatalf("dim %d lines [%d, %d): progression %v, want %v", dim, lo, hi, ok, want)
+				}
+				if !ok {
+					continue
+				}
+				for b, l := range blk {
+					for k := 0; k < l.N; k++ {
+						if got := blk[0].Base + k*blk[0].Stride + b*step; got != l.Base+k*l.Stride {
+							t.Fatalf("dim %d lines [%d, %d): element %d of line %d at %d, want %d", dim, lo, hi, k, b, got, l.Base+k*l.Stride)
+						}
+					}
+				}
+			}
+		}
+	}
+	if _, ok := Progression(nil); ok {
+		t.Error("no lines are no progression")
+	}
+	l := Line{Base: 3, Stride: 1, N: 4}
+	for _, blk := range [][]Line{
+		{l, l},                          // repeated line: step 0
+		{l, {Base: 1, Stride: 1, N: 4}}, // descending bases
+		{l, {Base: 8, Stride: 2, N: 4}}, // stride differs
+		{l, {Base: 8, Stride: 1, N: 3}}, // length differs
+		{l, {Base: 8, Stride: 1, N: 4}, {Base: 12, Stride: 1, N: 4}}, // step changes
+	} {
+		if _, ok := Progression(blk); ok {
+			t.Errorf("%v: progression, want none", blk)
+		}
+	}
+}

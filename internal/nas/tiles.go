@@ -111,11 +111,17 @@ func newStepScratch(u, f *dist.Field) *stepScratch {
 }
 
 // computeRHS evaluates the SP stencil over every owned tile reading only
-// the rank's private padded storage. Domain-boundary reads clamp exactly
-// as the serial ComputeRHS does.
+// the rank's private padded storage. A point at least StencilReach from
+// every domain face reads its neighbors at fixed offsets o ± s and o ± 2s
+// for each of the tile's strides s (halo cells included), with no clamp;
+// the points of a last-axis row next to a face take clampedPoint, whose
+// reads clamp exactly as the serial ComputeRHS does. Both sum the
+// dimensions' StencilTerms in dimension order from 0, so they agree bit
+// for bit wherever the clamp is the identity.
 func computeRHS(u, rhs *dist.Field, sc *stepScratch) {
 	env := u.Env
 	d := len(env.Eta)
+	last := d - 1
 	global := sc.global
 	for i := 0; i < u.NumTiles(); i++ {
 		ud := u.TileGrid(i).Data()
@@ -127,33 +133,57 @@ func computeRHS(u, rhs *dist.Field, sc *stepScratch) {
 		for li, l := range sc.uRows[i] {
 			rl := rhsLines[li]
 			u.LocalToGlobal(i, l.Base, global)
-			uOff := l.Base
-			rOff := rl.Base
-			for k := 0; k < l.N; k++ {
-				acc := 0.0
-				for dim := 0; dim < d; dim++ {
-					g := global[dim]
-					n := env.Eta[dim]
-					at := func(delta int) float64 {
-						cc := g + delta
-						if cc < 0 {
-							cc = 0
-						}
-						if cc >= n {
-							cc = n - 1
-						}
-						return ud[uOff+(cc-g)*uStride[dim]]
-					}
-					acc += StencilTerm(at(-2), at(-1), at(0), at(1), at(2))
+			// Points [lo, hi) of the row lie at least StencilReach from
+			// every face: along the row's own axis by position, along the
+			// others only if the whole row does.
+			g0 := global[last]
+			lo := max(StencilReach-g0, 0)
+			hi := min(env.Eta[last]-StencilReach-g0, l.N)
+			for dim := 0; dim < last; dim++ {
+				if g := global[dim]; g < StencilReach || g >= env.Eta[dim]-StencilReach {
+					hi = lo
 				}
-				rd[rOff] = acc
-				uOff += l.Stride
-				rOff += rl.Stride
-				global[d-1]++
 			}
-			global[d-1] -= l.N
+			hi = max(hi, lo)
+			for k := 0; k < lo; k++ {
+				global[last] = g0 + k
+				rd[rl.Base+k*rl.Stride] = clampedPoint(ud, l.Base+k*l.Stride, global, env.Eta, uStride)
+			}
+			for k := lo; k < hi; k++ {
+				o := l.Base + k*l.Stride
+				acc := 0.0
+				for _, s := range uStride {
+					acc += StencilTerm(ud[o-2*s], ud[o-s], ud[o], ud[o+s], ud[o+2*s])
+				}
+				rd[rl.Base+k*rl.Stride] = acc
+			}
+			for k := hi; k < l.N; k++ {
+				global[last] = g0 + k
+				rd[rl.Base+k*rl.Stride] = clampedPoint(ud, l.Base+k*l.Stride, global, env.Eta, uStride)
+			}
 		}
 	}
+}
+
+// clampedPoint evaluates the stencil at the point of padded storage offset
+// o and global coordinates g, clamping each read into the domain.
+func clampedPoint(ud []float64, o int, g, eta, uStride []int) float64 {
+	acc := 0.0
+	for dim, c := range g {
+		n := eta[dim]
+		at := func(delta int) float64 {
+			cc := c + delta
+			if cc < 0 {
+				cc = 0
+			}
+			if cc >= n {
+				cc = n - 1
+			}
+			return ud[o+(cc-c)*uStride[dim]]
+		}
+		acc += StencilTerm(at(-2), at(-1), at(0), at(1), at(2))
+	}
+	return acc
 }
 
 // buildLHS assembles the pentadiagonal bands along dim over every owned

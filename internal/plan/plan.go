@@ -225,8 +225,9 @@ func carryLens(s sweep.Solver) (fwd, bwd int) {
 
 // Compile builds the full multipartitioned sweep schedule of spec, eagerly
 // over every rank × dimension × direction. The schedule is derived from
-// core.Multipartitioning.SweepSchedule and the TileBounds block ranges
-// exactly as the executors historically did, so a rewired executor replays
+// the mapping's slab tile lists (core.Multipartitioning.SlabTiles, in
+// SweepSchedule's phase order) and the TileBounds block ranges exactly as
+// the executors historically did, so a rewired executor replays
 // byte-identical Compute/Send/Recv sequences. Each tile's geometry is
 // computed once and shared by the passes that visit it, and a backward
 // phase shares its Tiles window with the forward phase of its slab (see
@@ -315,32 +316,33 @@ func newRectTable(m *core.Multipartitioning, eta []int) rectTable {
 }
 
 // compileDim resolves rank q's forward and backward phase schedules along
-// dim from the runtime's forward sweep schedule and the shared tile
+// dim from the mapping's slab tile lists (forward phase k runs slab k, as
+// core.Multipartitioning.SweepSchedule orders them) and the shared tile
 // geometry. Only the per-sweep tile fields (LineOff, Lines, ChunkLen) are
 // computed here, once per slab: backward phase k runs the slab of forward
 // phase γ_dim−1−k, the same tiles in the same order with the same fields,
 // so it takes that phase's Tiles window.
 func compileDim(m *core.Multipartitioning, rects rectTable, tags xport.TagSpace, q, dim, fwdCarry, bwdCarry int) (forward, backward []Phase) {
-	sched := m.SweepSchedule(q, dim, false)
-	g := len(sched)
+	g := rects.gamma[dim]
 	up, down := -1, -1 // q's −1 and +1 neighbors along dim
 	if g > 1 {
-		up, down = m.NeighborProc(q, dim, -1), sched[0].SendTo
+		up, down = m.NeighborProc(q, dim, -1), m.NeighborProc(q, dim, 1)
 	}
 	// One backing array holds the tiles of both passes, each phase's a
 	// capacity-clipped window of it.
 	total := 0
-	for _, sp := range sched {
-		total += len(sp.Tiles)
+	for s := 0; s < g; s++ {
+		total += len(m.SlabTiles(q, dim, s))
 	}
 	tiles := make([]Tile, total)
 	phases := make([]Phase, 2*g)
 	forward, backward = phases[:g:g], phases[g:]
-	for k, sp := range sched {
-		nt := len(sp.Tiles)
+	for k := range forward {
+		slab := m.SlabTiles(q, dim, k)
+		nt := len(slab)
 		ph := &forward[k]
-		ph.Slab, ph.Tiles, tiles = sp.Slab, tiles[:nt:nt], tiles[nt:]
-		for ti, coord := range sp.Tiles {
+		ph.Slab, ph.Tiles, tiles = k, tiles[:nt:nt], tiles[nt:]
+		for ti, coord := range slab {
 			rect := rects.rects[numutil.RankOf(coord, rects.gamma)]
 			lo, hi := rect.Lo, rect.Hi
 			n := 1
@@ -353,7 +355,7 @@ func compileDim(m *core.Multipartitioning, rects rectTable, tags xport.TagSpace,
 			ph.Lines += n
 		}
 		b := &backward[g-1-k]
-		b.Slab, b.Tiles, b.Lines = sp.Slab, ph.Tiles, ph.Lines
+		b.Slab, b.Tiles, b.Lines = k, ph.Tiles, ph.Lines
 	}
 	link(forward, up, down, tags, dim, false, fwdCarry)
 	link(backward, down, up, tags, dim, true, bwdCarry)

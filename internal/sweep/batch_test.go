@@ -135,8 +135,8 @@ func TestBatchBitIdentityWholeLines(t *testing.T) {
 					s.Forward(scalar[b], nil, nil)
 					s.Backward(scalar[b], nil, nil)
 				}
-				s.ForwardBatch(panels, nb, nil, nil)
-				s.BackwardBatch(panels, nb, nil, nil)
+				s.ForwardBatch(panels, Packed(nb, n), nil, nil)
+				s.BackwardBatch(panels, Packed(nb, n), nil, nil)
 				requireSamePanel(t, panels, scalar, nv, n, nb)
 			}
 		}
@@ -191,9 +191,9 @@ func TestBatchBitIdentityChunked(t *testing.T) {
 				}
 				for c := range chunkPanels {
 					if c == 0 {
-						s.ForwardBatch(chunkPanels[c], nb, nil, cOut)
+						s.ForwardBatch(chunkPanels[c], Packed(nb, bounds[c+1]-bounds[c]), nil, cOut)
 					} else {
-						s.ForwardBatch(chunkPanels[c], nb, cIn, cOut)
+						s.ForwardBatch(chunkPanels[c], Packed(nb, bounds[c+1]-bounds[c]), cIn, cOut)
 					}
 					cIn, cOut = cOut, cIn
 				}
@@ -202,9 +202,9 @@ func TestBatchBitIdentityChunked(t *testing.T) {
 					bOut := make([]float64, nb*bLen)
 					for c := len(chunkPanels) - 1; c >= 0; c-- {
 						if c == len(chunkPanels)-1 {
-							s.BackwardBatch(chunkPanels[c], nb, nil, bOut)
+							s.BackwardBatch(chunkPanels[c], Packed(nb, bounds[c+1]-bounds[c]), nil, bOut)
 						} else {
-							s.BackwardBatch(chunkPanels[c], nb, bIn, bOut)
+							s.BackwardBatch(chunkPanels[c], Packed(nb, bounds[c+1]-bounds[c]), bIn, bOut)
 						}
 						bIn, bOut = bOut, bIn
 					}
@@ -264,7 +264,7 @@ func TestBatchCarriesMatchScalar(t *testing.T) {
 				s.Forward(scalar[b], fIn[b*fLen:(b+1)*fLen], fOutScalar[b*fLen:(b+1)*fLen])
 			}
 			fOutBatch := make([]float64, nb*fLen)
-			s.ForwardBatch(panels, nb, fIn, fOutBatch)
+			s.ForwardBatch(panels, Packed(nb, n), fIn, fOutBatch)
 			for i := range fOutScalar {
 				if fOutScalar[i] != fOutBatch[i] {
 					t.Fatalf("%s n=%d: forward carry[%d]: batched %v != scalar %v", s.Name(), n, i, fOutBatch[i], fOutScalar[i])
@@ -281,7 +281,7 @@ func TestBatchCarriesMatchScalar(t *testing.T) {
 					s.Backward(scalar[b], bIn[b*bLen:(b+1)*bLen], bOutScalar[b*bLen:(b+1)*bLen])
 				}
 				bOutBatch := make([]float64, nb*bLen)
-				s.BackwardBatch(panels, nb, bIn, bOutBatch)
+				s.BackwardBatch(panels, Packed(nb, n), bIn, bOutBatch)
 				for i := range bOutScalar {
 					if bOutScalar[i] != bOutBatch[i] {
 						t.Fatalf("%s n=%d: backward carry[%d]: batched %v != scalar %v", s.Name(), n, i, bOutBatch[i], bOutScalar[i])
@@ -410,8 +410,8 @@ func TestBatchKernelZeroAllocs(t *testing.T) {
 			for v := range panels {
 				copy(panels[v], save[v])
 			}
-			s.ForwardBatch(panels, nb, fIn, fOut)
-			s.BackwardBatch(panels, nb, bIn, bOut)
+			s.ForwardBatch(panels, Packed(nb, n), fIn, fOut)
+			s.BackwardBatch(panels, Packed(nb, n), bIn, bOut)
 		})
 		if allocs != 0 {
 			t.Fatalf("%s batch kernels allocate %v per run, want 0", s.Name(), allocs)
@@ -491,7 +491,7 @@ func TestBandedZeroPivotPanics(t *testing.T) {
 				line[k-1][r+k] = 0.5
 				expectPanic(t, what+", Forward", fwdMsg, func() { bd.Forward(cloneVecs(line), nil, nil) })
 				panels := withLine(bd, line, n, nb, rng)
-				expectPanic(t, what+", ForwardBatch", fwdMsg, func() { bd.ForwardBatch(panels, nb, nil, nil) })
+				expectPanic(t, what+", ForwardBatch", fwdMsg, func() { bd.ForwardBatch(panels, Packed(nb, n), nil, nil) })
 			}
 
 			what := fmt.Sprintf("%s: zero diagonal at row %d", bd.Name(), r)
@@ -499,7 +499,7 @@ func TestBandedZeroPivotPanics(t *testing.T) {
 			line[bd.KL][r] = 0
 			expectPanic(t, what+", Backward", bwdMsg, func() { bd.Backward(cloneVecs(line), nil, nil) })
 			panels := withLine(bd, line, n, nb, rng)
-			expectPanic(t, what+", BackwardBatch", bwdMsg, func() { bd.BackwardBatch(panels, nb, nil, nil) })
+			expectPanic(t, what+", BackwardBatch", bwdMsg, func() { bd.BackwardBatch(panels, Packed(nb, n), nil, nil) })
 
 			scalar := make([][][]float64, nb)
 			for b := range scalar {
@@ -509,7 +509,7 @@ func TestBandedZeroPivotPanics(t *testing.T) {
 			for b := range scalar {
 				bd.Forward(scalar[b], nil, nil)
 			}
-			bd.ForwardBatch(panels, nb, nil, nil)
+			bd.ForwardBatch(panels, Packed(nb, n), nil, nil)
 			requireSamePanel(t, panels, scalar, bd.NumVecs(), n, nb)
 		}
 	}

@@ -18,11 +18,11 @@ func (s WorkspaceStats) HitRate() float64 {
 }
 
 // Workspace is a reusable per-rank (or per-goroutine) arena for the
-// scratch a sweep executor needs: SoA panels, chunk view headers, carry
-// buffers and chunk bounds. Buffers grow monotonically and are reused
-// across calls, so steady-state sweep iterations perform no heap
-// allocations. A Workspace is NOT safe for concurrent use; executors keep
-// one per rank.
+// scratch a sweep executor needs: packed SoA panels for the batches that
+// cannot be solved in place, chunk view headers, carry buffers and chunk
+// bounds. Buffers grow monotonically and are reused across calls, so
+// steady-state sweep iterations perform no heap allocations. A Workspace
+// is NOT safe for concurrent use; executors keep one per rank.
 type Workspace struct {
 	panels         [][]float64
 	views          [][]float64
