@@ -685,9 +685,11 @@ func BenchmarkPlanSetupP360(b *testing.B) {
 
 // BenchmarkTable1ClassB regenerates Table 1 for NAS SP class B in virtual
 // time, model only, with two timesteps: the `table1-b-model` operation of
-// the repository benchmark. Nearly all of its CPU time is the simulator's
-// message path (mailbox hand-offs, per-phase accounting) plus the per-run
-// halo schedule compile. Table1 runs its 40 cells (two speedups per
+// the repository benchmark. In CPU profiles a quarter to a third of its
+// time is the message store's hand-offs (mbox Put and Get), about a sixth
+// the per-run halo schedule compile (redist.CompileHalo), and the rest the
+// plan executors, the simulator's accounting, rank-goroutine stack growth
+// and the garbage collector. Table1 runs its 40 cells (two speedups per
 // processor count) on GOMAXPROCS goroutines, so ns/op is the wall time of
 // one table at the -cpu value, and -cpu 1 times the cells one after
 // another.
@@ -708,8 +710,8 @@ func BenchmarkTable1ClassB(b *testing.B) {
 // real-parallel runtime, the `sp-a-p2` operation of the repository
 // benchmark: γ from Table 1's partition objective (1×2×2 at p=2), the
 // sweep plan compiled once outside the timer. Most of its time is the
-// batched pentadiagonal sweeps, their panel packing, and the SP step
-// loops (rhs stencil, band build, add).
+// batched pentadiagonal sweeps, solved in place in the tile grids, and the
+// SP step loops (rhs stencil, band build, add).
 func BenchmarkSPClassAReal(b *testing.B) {
 	eta := nas.ClassA.Eta
 	for _, p := range []int{2, 1} {

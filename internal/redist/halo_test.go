@@ -53,10 +53,11 @@ func haloCost(t *testing.T, spec HaloSpec) (allocs, bytes float64) {
 	return allocs, float64(after.TotalAlloc-before.TotalAlloc) / runs
 }
 
-// TestCompileHaloAllocs bounds the cost of compiling a halo schedule. Every
-// strict SP run on the real-parallel backend compiles one per rank (the
-// p=2 case is class A on γ 1×2×2), and every model-only class B run
-// compiles one (the p=81 case).
+// TestCompileHaloAllocs bounds the cost of compiling a halo schedule.
+// dist.Env.HaloPlan compiles one per Env and halo depth on first use, and
+// all of the Env's ranks share it: strict SP class A on the real-parallel
+// backend compiles one (the p=2 case, γ 1×2×2), and so does every
+// model-only class B run (the p=81 case).
 func TestCompileHaloAllocs(t *testing.T) {
 	m2, err := core.NewGeneralized(2, []int{1, 2, 2})
 	if err != nil {

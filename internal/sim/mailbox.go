@@ -1,27 +1,11 @@
 // The machine's messaging runs on the message core (internal/xport/mbox):
-// per-rank inboxes whose envelopes are stamped with the virtual send time,
+// per-rank inboxes of pending messages stamped with the virtual send time,
 // the rendezvous behind Barrier and AllReduce, the exact deadlock counter
 // and the machine-wide payload pool. This file holds the machine's
 // accessors for that store.
 package sim
 
 import "genmp/internal/xport/mbox"
-
-// MailboxStats reports the machine's cumulative envelope recycling
-// counters: a healthy steady state allocates a bounded set of new
-// envelopes and then reuses them for the rest of the machine's life.
-type MailboxStats struct {
-	EnvelopesNew    int64
-	EnvelopesReused int64
-}
-
-// MailboxStats returns the machine's envelope recycling counters, summed
-// over the per-rank inboxes (cumulative across runs; zero before the first
-// Run).
-func (m *Machine) MailboxStats() MailboxStats {
-	fresh, reused := m.store.Envelopes()
-	return MailboxStats{EnvelopesNew: fresh, EnvelopesReused: reused}
-}
 
 // PayloadPoolStats returns the machine's payload-pool traffic, cumulative
 // across runs. Safe to call concurrently with a run.

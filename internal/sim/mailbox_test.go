@@ -88,6 +88,42 @@ func peersOf(q int, perm []int) []int {
 // per channel so a mismatched delivery is caught.
 func stressBytes(src, dst, round int) int { return 8 * (1 + src + 100*dst + 10000*round) }
 
+// A warmed machine allocates nothing per message: a 2-rank ring run that
+// passes 1000 messages per rank through the message core and the payload
+// pool allocates exactly as much as one that passes 10. Everything a run
+// costs once (rank goroutines, stats) is the same in both, so any
+// difference is an allocation per message.
+func TestWarmMachineAllocatesNothingPerMessage(t *testing.T) {
+	allocs := func(n int) float64 {
+		m := testMachine(2)
+		body := func(r *Rank) {
+			next := (r.ID + 1) % m.P
+			prev := (r.ID + m.P - 1) % m.P
+			for i := 0; i < n; i++ {
+				buf := r.GetPayload(4)
+				buf[0] = float64(i)
+				got := r.SendRecv(next, 3, xport.Msg{Payload: buf}, prev, 3)
+				if got.Payload[0] != float64(i) {
+					panic("mismatched message")
+				}
+				r.PutPayload(got.Payload)
+			}
+		}
+		if _, err := m.Run(body); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := m.Run(body); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	few, many := allocs(10), allocs(1000)
+	if many != few {
+		t.Errorf("a run of 1000 messages per rank allocates %v, one of 10 allocates %v: want the same", many, few)
+	}
+}
+
 // A true deadlock at p=64: after a healthy ring exchange, three ranks wait
 // for messages nobody sends (one through Irecv/Wait) and three ranks leave
 // messages nobody receives; everybody else exits. The run must fail with a

@@ -64,8 +64,8 @@ type machMetrics struct {
 	links  []*metrics.Counter
 	stalls *metrics.FloatCounter
 
-	// store holds the payload-pool and envelope counters the shared
-	// message core updates itself.
+	// store holds the payload-pool counters the shared message core
+	// updates itself.
 	store mbox.Meters
 
 	nbIsend *metrics.Counter
@@ -92,8 +92,6 @@ func newMachMetrics(reg *metrics.Registry, p int) *machMetrics {
 		PoolHits:  reg.Counter("sim_payload_pool_hits_total", "payload requests served by recycling a pooled buffer"),
 		PoolPuts:  reg.Counter("sim_payload_pool_puts_total", "payload buffers returned to the machine pool"),
 		PoolDrops: reg.Counter("sim_payload_pool_drops_total", "returned payload buffers dropped because the pool was full"),
-		EnvNew:    reg.Counter("sim_mailbox_envelopes_total", "message envelopes by provenance", metrics.L("source", "new")),
-		EnvReused: reg.Counter("sim_mailbox_envelopes_total", "message envelopes by provenance", metrics.L("source", "reused")),
 	}
 	mm.nbIsend = reg.Counter("sim_nonblocking_total", "nonblocking operations by kind", metrics.L("op", "isend"))
 	mm.nbIrecv = reg.Counter("sim_nonblocking_total", "nonblocking operations by kind", metrics.L("op", "irecv"))

@@ -80,8 +80,6 @@ func (r *Rank) Isend(dst, tag int, m xport.Msg) xport.Request {
 	if m.Bytes == 0 && m.Payload != nil {
 		m.Bytes = 8 * len(m.Payload)
 	}
-	m.Src = r.ID
-	m.Tag = tag
 	r.clock += r.machine.Net.SendOverhead
 	r.addComm(r.machine.Net.SendOverhead)
 	sent := r.machine.Fabric.Inject(r.ID, dst, r.clock, m.Bytes)

@@ -444,8 +444,6 @@ func (r *Rank) Send(dst, tag int, m xport.Msg) {
 	if m.Bytes == 0 && m.Payload != nil {
 		m.Bytes = 8 * len(m.Payload)
 	}
-	m.Src = r.ID
-	m.Tag = tag
 	r.clock += r.machine.Net.SendOverhead
 	r.addComm(r.machine.Net.SendOverhead)
 	// The fabric may delay the departure past the sender's clock when the

@@ -1,11 +1,18 @@
 // Package mbox is the message core of sim's machine, in virtual and in
-// wall time: the per-destination inboxes with their per-(src, tag) FIFO
-// channels, the rendezvous behind Barrier and AllReduce, the blocked-rank
-// counter that detects deadlock, and the machine-wide payload pool. The
-// rules are MPI's: sends are eager, matching is FIFO per (source, tag), and
-// a collective completes once every rank has entered it. Each envelope
-// carries an opaque float64 stamp: the virtual send time, which is 0 on a
-// machine without a cost model.
+// wall time: the per-destination inboxes, the rendezvous behind Barrier and
+// AllReduce, the blocked-rank counter that detects deadlock, and the
+// machine-wide payload pool. The rules are MPI's: sends are eager, matching
+// is FIFO per (source, tag), and a collective completes once every rank has
+// entered it. Each envelope carries an opaque float64 stamp: the virtual
+// send time, which is 0 on a machine without a cost model.
+//
+// An inbox is one list of envelopes in arrival order, each naming its
+// (src, tag) channel: a send appends, and a receive takes the first
+// envelope of its channel at or after a head index, so each channel is
+// FIFO without a queue of its own. Taking the head envelope advances the
+// index; once the consumed prefix passes half the list it is compacted
+// away, so the list stays bounded by the peak number of pending messages
+// and steady-state messaging neither hashes nor allocates.
 //
 // A send locks only the receiver's inbox and wakes the receiver only when
 // it is blocked on exactly the channel that just became non-empty, so
@@ -54,25 +61,22 @@ import (
 type chanKey struct{ src, tag int }
 
 // envelope is a queued message plus the backend's stamp, kept out of Msg
-// so Msg stays transport-neutral.
+// so Msg stays transport-neutral. The message's Src and Tag name its
+// channel.
 type envelope struct {
 	msg   xport.Msg
 	stamp float64
 }
 
-// maxFree bounds each inbox's envelope free list; in-flight envelopes live
-// in the queues, so steady state holds far fewer.
-const maxFree = 1024
-
-// inbox is one destination rank's queue set. Only its owner rank receives
-// from it, so its condition has at most one waiter.
+// inbox is one destination rank's pending messages. Only its owner rank
+// receives from it, so its condition has at most one waiter.
 type inbox struct {
-	mu     sync.Mutex
-	cond   sync.Cond
-	queues map[chanKey][]*envelope
-	// free recycles envelopes, and drained queues keep their map entry and
-	// backing array, so steady-state messaging allocates nothing.
-	free []*envelope
+	mu   sync.Mutex
+	cond sync.Cond
+	// pending holds the queued messages in arrival order from head on; the
+	// consumed prefix before head is zeroed.
+	pending []envelope
+	head    int
 	// want is the channel the owner waits on; blocked means it is parked on
 	// want with want empty, and is counted in Store.blocked.
 	want    chanKey
@@ -81,17 +85,12 @@ type inbox struct {
 	// rank spinning on a message from it parks instead.
 	waiting atomic.Bool
 	// arrivals counts the messages ever queued here: Put bumps it under mu,
-	// and a spinning owner watches it. envReused of them took a recycled
-	// envelope, the rest a new one (summed by Envelopes). The inbox stays
-	// compact, since a Table 1 run allocates about a thousand: waiting
-	// fills blocked's padding, and the new-envelope count is derived.
-	arrivals  atomic.Uint64
-	envReused int64
+	// and a spinning owner watches it.
+	arrivals atomic.Uint64
 }
 
-// Meters mirrors store activity into a live metrics registry.
+// Meters mirrors the payload pool's traffic into a live metrics registry.
 type Meters struct {
-	EnvNew, EnvReused                       *metrics.Counter
 	PoolGets, PoolHits, PoolPuts, PoolDrops *metrics.Counter
 }
 
@@ -127,15 +126,14 @@ type Store struct {
 }
 
 // Reset readies the store for a run of p ranks reporting to meters (nil for
-// none): messages queued by an aborted run are recycled and every wait
-// state is cleared, while queues, envelopes and pooled payloads persist.
+// none): messages queued by an aborted run are dropped and every wait state
+// is cleared, while the inboxes' backing arrays and pooled payloads persist.
 func (s *Store) Reset(p int, meters *Meters) {
 	if len(s.boxes) != p {
 		s.boxes = make([]inbox, p)
 		for i := range s.boxes {
 			b := &s.boxes[i]
 			b.cond.L = &b.mu
-			b.queues = make(map[chanKey][]*envelope)
 		}
 		s.stuck = make([]string, p)
 		s.rv.vals = make([][]float64, p)
@@ -144,13 +142,8 @@ func (s *Store) Reset(p int, meters *Meters) {
 	for i := range s.boxes {
 		b := &s.boxes[i]
 		b.mu.Lock()
-		for k, q := range b.queues {
-			for j, env := range q {
-				b.recycle(env)
-				q[j] = nil
-			}
-			b.queues[k] = q[:0]
-		}
+		clear(b.pending[b.head:])
+		b.pending, b.head = b.pending[:0], 0
 		b.blocked = false
 		b.mu.Unlock()
 	}
@@ -165,39 +158,16 @@ func (s *Store) Reset(p int, meters *Meters) {
 	s.mu.Unlock()
 }
 
-// recycle clears env and returns it to the free list. Callers hold b.mu.
-func (b *inbox) recycle(env *envelope) {
-	*env = envelope{}
-	if len(b.free) < maxFree {
-		b.free = append(b.free, env)
-	}
-}
-
-// Put queues m with its stamp on the (src, dst, tag) channel and wakes dst
-// if it waits on exactly that channel. It never blocks on the receiver.
+// Put queues m with its stamp on the (src, dst, tag) channel, setting m's
+// Src and Tag to the channel, and wakes dst if it waits on exactly that
+// channel. It never blocks on the receiver.
 func (s *Store) Put(src, dst, tag int, m xport.Msg, stamp float64) {
 	b := &s.boxes[dst]
-	k := chanKey{src: src, tag: tag}
+	m.Src, m.Tag = src, tag
 	b.mu.Lock()
-	var env *envelope
-	if n := len(b.free); n > 0 {
-		env = b.free[n-1]
-		b.free[n-1] = nil
-		b.free = b.free[:n-1]
-		b.envReused++
-		if s.meters != nil {
-			s.meters.EnvReused.Inc()
-		}
-	} else {
-		env = new(envelope)
-		if s.meters != nil {
-			s.meters.EnvNew.Inc()
-		}
-	}
-	*env = envelope{msg: m, stamp: stamp}
-	b.queues[k] = append(b.queues[k], env)
+	b.pending = append(b.pending, envelope{msg: m, stamp: stamp})
 	b.arrivals.Add(1)
-	wake := b.blocked && b.want == k
+	wake := b.blocked && b.want == chanKey{src: src, tag: tag}
 	if wake {
 		b.blocked = false
 		s.mu.Lock()
@@ -273,21 +243,28 @@ func (s *Store) spinFor(b *inbox, src int, seen uint64) bool {
 	return true
 }
 
-// pop removes and returns the head of channel k, if any. Callers hold b.mu.
+// pop removes and returns the oldest message on channel k, if any. Callers
+// hold b.mu.
 func (b *inbox) pop(k chanKey) (xport.Msg, float64, bool) {
-	q := b.queues[k]
-	if len(q) == 0 {
-		return xport.Msg{}, 0, false
+	q := b.pending
+	for i := b.head; i < len(q); i++ {
+		if q[i].msg.Src != k.src || q[i].msg.Tag != k.tag {
+			continue
+		}
+		env := q[i]
+		// Move the older messages of other channels up one slot, so the
+		// consumed prefix grows by one and arrival order holds.
+		copy(q[b.head+1:i+1], q[b.head:i])
+		q[b.head] = envelope{}
+		b.head++
+		if 2*b.head > len(q) {
+			n := copy(q, q[b.head:])
+			clear(q[b.head:])
+			b.pending, b.head = q[:n], 0
+		}
+		return env.msg, env.stamp, true
 	}
-	env := q[0]
-	// Shift down in place (queues are short) so the channel keeps its
-	// backing array, and recycle the envelope.
-	copy(q, q[1:])
-	q[len(q)-1] = nil
-	b.queues[k] = q[:len(q)-1]
-	m, stamp := env.msg, env.stamp
-	b.recycle(env)
-	return m, stamp, true
+	return xport.Msg{}, 0, false
 }
 
 // Rendezvous enters rank into the collective op ("barrier", "allreduce")
@@ -439,15 +416,8 @@ func (s *Store) Undelivered() string {
 	for dst := range s.boxes {
 		b := &s.boxes[dst]
 		b.mu.Lock()
-		for k, q := range b.queues {
-			if len(q) == 0 {
-				continue
-			}
-			c := channel{src: k.src, dst: dst, tag: k.tag, count: len(q)}
-			for _, env := range q {
-				c.bytes += env.msg.Bytes
-			}
-			pending = append(pending, c)
+		for _, env := range b.pending[b.head:] {
+			pending = append(pending, channel{src: env.msg.Src, dst: dst, tag: env.msg.Tag, count: 1, bytes: env.msg.Bytes})
 		}
 		b.mu.Unlock()
 	}
@@ -464,24 +434,21 @@ func (s *Store) Undelivered() string {
 		}
 		return x.tag < y.tag
 	})
+	// Fold each channel's messages into its first entry.
+	channels := pending[:1]
+	for _, c := range pending[1:] {
+		last := &channels[len(channels)-1]
+		if c.src == last.src && c.dst == last.dst && c.tag == last.tag {
+			last.count++
+			last.bytes += c.bytes
+		} else {
+			channels = append(channels, c)
+		}
+	}
 	var b strings.Builder
 	b.WriteString("sent but never received:\n")
-	for _, c := range pending {
+	for _, c := range channels {
 		fmt.Fprintf(&b, "  rank %d -> rank %d tag %d: %d message(s), %d bytes\n", c.src, c.dst, c.tag, c.count, c.bytes)
 	}
 	return b.String()
-}
-
-// Envelopes returns the cumulative envelope provenance counts: a healthy
-// steady state allocates a bounded set of new envelopes and then reuses
-// them.
-func (s *Store) Envelopes() (fresh, reused int64) {
-	for i := range s.boxes {
-		b := &s.boxes[i]
-		b.mu.Lock()
-		fresh += int64(b.arrivals.Load()) - b.envReused
-		reused += b.envReused
-		b.mu.Unlock()
-	}
-	return fresh, reused
 }

@@ -259,3 +259,56 @@ func TestAllReduceRankOrder(t *testing.T) {
 		}
 	}
 }
+
+// A sender that runs ahead queues deep. Rank 0 sends 600 messages
+// round-robin over tags 0–2 and then one on tag 3; rank 1 takes tag 3 first
+// and then drains tags 2, 1 and 0 in turn, so nearly every receive takes a
+// message from behind older ones of other channels, and the consumed prefix
+// is compacted mid-drain. Every channel must stay FIFO and hand over the
+// sent payload itself, on both backends and on a second run of the same
+// machine.
+func TestDeepInboxKeepsChannelOrder(t *testing.T) {
+	const tags, perTag = 3, 200
+	sent := make([][]float64, tags*perTag+1)
+	for i := range sent {
+		sent[i] = []float64{float64(i)}
+	}
+	body := func(r xport.Transport) {
+		if r.Rank() == 0 {
+			for i := 0; i < tags*perTag; i++ {
+				r.Send(1, i%tags, xport.Msg{Payload: sent[i]})
+			}
+			r.Send(1, tags, xport.Msg{Payload: sent[tags*perTag]})
+			return
+		}
+		take := func(tag, i int) {
+			got := r.Recv(0, tag)
+			if got.Src != 0 || got.Tag != tag || len(got.Payload) != 1 || &got.Payload[0] != &sent[i][0] || got.Payload[0] != float64(i) {
+				panic(fmt.Sprintf("Recv(src=0, tag=%d) got src %d tag %d payload %v, want message %d", tag, got.Src, got.Tag, got.Payload, i))
+			}
+		}
+		take(tags, tags*perTag)
+		for tag := tags - 1; tag >= 0; tag-- {
+			for k := 0; k < perTag; k++ {
+				take(tag, k*tags+tag)
+			}
+		}
+	}
+	for _, mc := range []struct {
+		name string
+		m    *sim.Machine
+	}{
+		{"sim", sim.NewMachine(2, sim.Network{Latency: 10e-6, Bandwidth: 100e6}, sim.CPU{FlopsPerSec: 1e9})},
+		{"rt", rt.NewMachine(2)},
+	} {
+		be := backend{mc.name, func(p int, body func(xport.Transport)) error {
+			_, err := mc.m.Run(func(r *sim.Rank) { body(r) })
+			return err
+		}}
+		for run := 1; run <= 2; run++ {
+			if err := runWatched(t, be, 2, body); err != nil {
+				t.Fatalf("%s run %d: %v", be.name, run, err)
+			}
+		}
+	}
+}
